@@ -1,4 +1,4 @@
-"""Category interface shared by the finite lattice and finite graph backends.
+"""Category interface shared by the finite lattice and finite graph categories.
 
 Objects and morphisms are referenced by value; all equality is on the nose.
 """
@@ -20,7 +20,7 @@ class ObjRef:
 
 @dataclass(frozen=True)
 class MorRef:
-    """Reference to a morphism: endpoints plus a backend-specific payload.
+    """Reference to a morphism: endpoints plus a category-specific payload.
 
     Lattice payload is the pair of element indices (a, b) with a <= b.
     Graph payload is a GraphHom.  Two refs are equal iff endpoints and

@@ -37,6 +37,11 @@ class Graph:
         return sorted(self.edges)
 
     @cached_property
+    def links(self) -> tuple[int, ...]:
+        """Successor and predecessor bitsets, the form the kernel searches."""
+        return kernels.links(self.node_count, self.edges)
+
+    @cached_property
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.node_count, self.node_count), dtype=np.bool_)
         for i, j in self.edges:
@@ -245,10 +250,7 @@ class GraphCategory(Category):
     def enumerate_homs(self, a: ObjRef, x: ObjRef) -> list[MorRef]:
         src = self.graph_of(a)
         dst = self.graph_of(x)
-        table = kernels.hom_list(src.adjacency, dst.adjacency)
-        return [
-            MorRef(a, x, GraphHom(src, dst, tuple(int(v) for v in row))) for row in table
-        ]
+        return [MorRef(a, x, GraphHom(src, dst, row)) for row in kernels.hom_list(src, dst)]
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         self._check_mor(h)
@@ -310,9 +312,7 @@ class GraphCategory(Category):
         return self.mor(GraphHom(self.graph_of(src), self.graph_of(target), tuple(mapping)))
 
     def count_homs(self, a: ObjRef, x: ObjRef, cap: int | None = None) -> int:
-        return kernels.hom_count(
-            self.graph_of(a).adjacency, self.graph_of(x).adjacency, cap=cap
-        )
+        return kernels.hom_count(self.graph_of(a), self.graph_of(x), cap=cap)
 
     def object_size(self, obj: ObjRef) -> int:
         return self.graph_of(obj).node_count
@@ -326,25 +326,25 @@ class GraphCategory(Category):
         hh: GraphHom = h.payload
         ff: GraphHom = f.payload
         mid = hh.target
-        pins = np.full(mid.node_count, -1, np.int64)
+        pins = [-1] * mid.node_count
         for v in range(hh.source.node_count):
             want = ff.mapping[v]
             at = hh.mapping[v]
             if pins[at] >= 0 and pins[at] != want:
                 return None  # h merges nodes that f separates
             pins[at] = want
-        row = kernels.hom_first(mid.adjacency, ff.target.adjacency, pins)
+        row = kernels.hom_first(mid, ff.target, pins)
         if row is None:
             return None
-        return self.mor(GraphHom(mid, ff.target, tuple(int(v) for v in row)))
+        return self.mor(GraphHom(mid, ff.target, row))
 
     def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
         self._check_mor(h)
         xg = self.graph_of(x)
         hh: GraphHom = h.payload
         src = hh.source
-        for row in kernels.hom_list(src.adjacency, xg.adjacency):
-            f = self.mor(GraphHom(src, xg, tuple(int(v) for v in row)))
+        for row in kernels.hom_list(src, xg):
+            f = self.mor(GraphHom(src, xg, row))
             if self.find_factorization(h, f) is None:
                 return InjectivityResult(False, f)
         return InjectivityResult(True)

@@ -1,342 +1,119 @@
-"""Search kernels for graph homomorphism queries.
+"""Search kernel for graph homomorphism queries.
 
-Two interchangeable backends compute the same answers in the same
-canonical order (assignments ordered lexicographically, node 0 most
-significant):
+One backtracking search with forward checking over bitset domains
+(Ullmann, J. ACM 1976; bitset domains as in the Glasgow Subgraph Solver)
+serves every query.  It yields node assignments in lexicographic order,
+node 0 most significant, so the first, the count and the full list all
+come from the same sequence.
 
-* "backtrack": iterative backtracking with edge-preservation pruning,
-  compiled with numba when available.
-* "numpy": vectorized scan over candidate assignment blocks.
-
-The default backend is "backtrack"; setting INJLOG_NO_JIT=1 selects the
-pure-numpy path instead.  benchmarks/bench_kernels.py compares the two.
-
-A query takes the source and target adjacency matrices plus a pin array:
-pinned[i] >= 0 forces node i to that target node, -1 leaves it free.
+A graph is read through its ``links`` tuple (see ``links``).  A pin
+sequence has one entry per source node: ``pinned[i] >= 0`` forces node i
+to that target node, -1 leaves it free.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _HAVE_NUMBA = False
-
-JIT_DISABLED = os.environ.get("INJLOG_NO_JIT", "") not in ("", "0")
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
-def _bt_first(src_adj, dst_adj, pinned):
-    """First valid assignment in lex order; returns (found, assignment)."""
-    s = src_adj.shape[0]
-    t = dst_adj.shape[0]
-    assign = np.full(s, -1, np.int64)
-    nxt = np.zeros(s + 1, np.int64)
-    i = 0
-    while True:
-        if i == s:
-            return True, assign
-        c = nxt[i]
-        lo = pinned[i] if pinned[i] >= 0 else c
-        hi = pinned[i] + 1 if pinned[i] >= 0 else t
-        if pinned[i] >= 0 and c > 0:
-            lo = hi  # pinned candidate already tried
-        found = np.int64(-1)
-        cand = lo
-        while cand < hi:
-            ok = True
-            if src_adj[i, i] and not dst_adj[cand, cand]:
-                ok = False
-            j = 0
-            while ok and j < i:
-                if src_adj[i, j] and not dst_adj[cand, assign[j]]:
-                    ok = False
-                if src_adj[j, i] and not dst_adj[assign[j], cand]:
-                    ok = False
-                j += 1
-            if ok:
-                found = cand
-                break
-            cand += 1
-        if found >= 0:
-            assign[i] = found
-            nxt[i] = found + 1 if pinned[i] < 0 else 1
-            i += 1
-            nxt[i] = 0
-        else:
-            assign[i] = -1
-            nxt[i] = 0
-            i -= 1
-            if i < 0:
-                return False, assign
+def links(node_count: int, edges) -> tuple[int, ...]:
+    """Successor bitsets of nodes 0..n-1 followed by their predecessor
+    bitsets: bit j of ``links[i]`` is edge i->j, bit j of ``links[n + i]``
+    is edge j->i."""
+    bits = [0] * (2 * node_count)
+    for i, j in edges:
+        bits[i] |= 1 << j
+        bits[node_count + j] |= 1 << i
+    return tuple(bits)
 
 
-def _bt_count(src_adj, dst_adj, pinned, cap):
-    """Number of valid assignments, stopping once cap is reached (cap<0: none)."""
-    s = src_adj.shape[0]
-    t = dst_adj.shape[0]
-    assign = np.full(s, -1, np.int64)
-    nxt = np.zeros(s + 1, np.int64)
-    total = np.int64(0)
-    i = 0
-    while True:
-        if i == s:
-            total += 1
-            if cap >= 0 and total >= cap:
-                return total
-            i -= 1
-            if i < 0:
-                return total
-            continue
-        c = nxt[i]
-        lo = pinned[i] if pinned[i] >= 0 else c
-        hi = pinned[i] + 1 if pinned[i] >= 0 else t
-        if pinned[i] >= 0 and c > 0:
-            lo = hi
-        found = np.int64(-1)
-        cand = lo
-        while cand < hi:
-            ok = True
-            if src_adj[i, i] and not dst_adj[cand, cand]:
-                ok = False
-            j = 0
-            while ok and j < i:
-                if src_adj[i, j] and not dst_adj[cand, assign[j]]:
-                    ok = False
-                if src_adj[j, i] and not dst_adj[assign[j], cand]:
-                    ok = False
-                j += 1
-            if ok:
-                found = cand
-                break
-            cand += 1
-        if found >= 0:
-            assign[i] = found
-            nxt[i] = found + 1 if pinned[i] < 0 else 1
-            i += 1
-            nxt[i] = 0
-        else:
-            assign[i] = -1
-            nxt[i] = 0
-            i -= 1
-            if i < 0:
-                return total
-
-
-def _bt_fill(src_adj, dst_adj, pinned, out):
-    """Fill out (preallocated via _bt_count) with assignments in lex order."""
-    s = src_adj.shape[0]
-    t = dst_adj.shape[0]
-    assign = np.full(s, -1, np.int64)
-    nxt = np.zeros(s + 1, np.int64)
-    row = 0
-    i = 0
-    while row < out.shape[0]:
-        if i == s:
-            out[row] = assign
-            row += 1
-            i -= 1
-            if i < 0:
-                return row
-            continue
-        c = nxt[i]
-        lo = pinned[i] if pinned[i] >= 0 else c
-        hi = pinned[i] + 1 if pinned[i] >= 0 else t
-        if pinned[i] >= 0 and c > 0:
-            lo = hi
-        found = np.int64(-1)
-        cand = lo
-        while cand < hi:
-            ok = True
-            if src_adj[i, i] and not dst_adj[cand, cand]:
-                ok = False
-            j = 0
-            while ok and j < i:
-                if src_adj[i, j] and not dst_adj[cand, assign[j]]:
-                    ok = False
-                if src_adj[j, i] and not dst_adj[assign[j], cand]:
-                    ok = False
-                j += 1
-            if ok:
-                found = cand
-                break
-            cand += 1
-        if found >= 0:
-            assign[i] = found
-            nxt[i] = found + 1 if pinned[i] < 0 else 1
-            i += 1
-            nxt[i] = 0
-        else:
-            assign[i] = -1
-            nxt[i] = 0
-            i -= 1
-            if i < 0:
-                return row
-    return row
-
-
-if _HAVE_NUMBA and not JIT_DISABLED:
-    _bt_first = numba.njit(cache=True)(_bt_first)
-    _bt_count = numba.njit(cache=True)(_bt_count)
-    _bt_fill = numba.njit(cache=True)(_bt_fill)
-
-
-_CHUNK = 1 << 16
-
-
-def _np_blocks(s, t, pinned):
-    """Yield (rows, s) assignment blocks covering lex order over free slots."""
-    free = [i for i in range(s) if pinned[i] < 0]
-    nfree = len(free)
-    if t == 0 or (nfree and t**nfree > 1 << 62):
-        raise ValueError("assignment space too large for the numpy backend")
-    total = t**nfree
-    base = np.empty(s, np.int64)
-    for i in range(s):
-        base[i] = pinned[i] if pinned[i] >= 0 else 0
-    weights = [t ** (nfree - 1 - k) for k in range(nfree)]
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        lin = np.arange(start, stop, dtype=np.int64)
-        block = np.broadcast_to(base, (stop - start, s)).copy()
-        for k, pos in enumerate(free):
-            block[:, pos] = (lin // weights[k]) % t
-        yield block
-        start = stop
-
-
-def _np_valid(src_adj, dst_adj, block):
-    ok = np.ones(block.shape[0], dtype=bool)
-    s = src_adj.shape[0]
-    for i in range(s):
-        for j in range(s):
-            if src_adj[i, j]:
-                ok &= dst_adj[block[:, i], block[:, j]]
-    return ok
-
-
-def _np_first(src_adj, dst_adj, pinned):
-    for block in _np_blocks(src_adj.shape[0], dst_adj.shape[0], pinned):
-        ok = _np_valid(src_adj, dst_adj, block)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return True, block[hits[0]].copy()
-    return False, np.full(src_adj.shape[0], -1, np.int64)
-
-
-def _np_count(src_adj, dst_adj, pinned, cap):
-    total = 0
-    for block in _np_blocks(src_adj.shape[0], dst_adj.shape[0], pinned):
-        total += int(_np_valid(src_adj, dst_adj, block).sum())
-        if cap >= 0 and total >= cap:
-            return min(total, cap)
-    return total
-
-
-def _np_list(src_adj, dst_adj, pinned):
-    rows = []
-    for block in _np_blocks(src_adj.shape[0], dst_adj.shape[0], pinned):
-        ok = _np_valid(src_adj, dst_adj, block)
-        if ok.any():
-            rows.append(block[ok])
-    if rows:
-        return np.concatenate(rows, axis=0)
-    return np.empty((0, src_adj.shape[0]), np.int64)
-
-
-def _as_query(src_adj, dst_adj, pinned):
-    src = np.ascontiguousarray(src_adj, dtype=np.bool_)
-    dst = np.ascontiguousarray(dst_adj, dtype=np.bool_)
-    s = src.shape[0]
+def _checked_pins(src: Graph, dst: Graph, pinned: Sequence[int] | None) -> list[int]:
+    """The pins as a list, checked eagerly so that no query skips the check."""
+    s, t = src.node_count, dst.node_count
     if pinned is None:
-        pins = np.full(s, -1, np.int64)
-    else:
-        pins = np.ascontiguousarray(pinned, dtype=np.int64)
-    if s and pins.size and int(pins.max()) >= dst.shape[0]:
-        raise ValueError("pin out of target range")
-    return src, dst, pins
+        return [-1] * s
+    pins = [int(p) for p in pinned]
+    if len(pins) != s:
+        raise ValueError(f"need one pin per source node: {len(pins)} pins for {s} nodes")
+    for p in pins:
+        if not -1 <= p < t:
+            raise ValueError(f"pin {p} out of range for {t} target nodes")
+    return pins
 
 
-def _degenerate(src, dst, pins):
-    """Handle empty source/target before touching a backend.
-
-    Returns (handled, first, count, listing)."""
-    s, t = src.shape[0], dst.shape[0]
+def _homs(src: Graph, dst: Graph, pins: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every pin-respecting homomorphism src -> dst, in lex order."""
+    s, t = src.node_count, dst.node_count
     if s == 0:
-        empty = np.empty(0, np.int64)
-        return True, (True, empty), 1, empty.reshape(1, 0)
-    if t == 0:
-        none = np.full(s, -1, np.int64)
-        return True, (False, none), 0, np.empty((0, s), np.int64)
-    return False, None, 0, None
+        yield ()
+        return
+    sl, dl = src.links, dst.links
+    looped = sum(1 << v for v in range(t) if dl[v] >> v & 1)
+    domain = []
+    # checks[i]: (j, offset) for each edge between i and a later node j;
+    # assigning i to c narrows j's domain to dl[offset + c], the
+    # successors (offset 0) or predecessors (offset t) of c.
+    checks = []
+    for i in range(s):
+        d = (1 << t) - 1 if pins[i] < 0 else 1 << pins[i]
+        if sl[i] >> i & 1:
+            d &= looped
+        domain.append(d)
+        later = ~((2 << i) - 1)
+        checks.append(
+            [(j, 0) for j in _bits(sl[i] & later)] + [(j, t) for j in _bits(sl[s + i] & later)]
+        )
+    if not all(domain):
+        return
+    assign = [0] * s
+    domains = [domain] + [None] * (s - 1)
+    left = [domain[0]] + [0] * (s - 1)
+    i = 0
+    while i >= 0:
+        rest = left[i]
+        if not rest:
+            i -= 1
+            continue
+        low = rest & -rest
+        left[i] = rest ^ low
+        c = low.bit_length() - 1
+        d = domains[i]
+        if checks[i]:
+            d = d[:]
+            for j, offset in checks[i]:
+                d[j] &= dl[offset + c]
+            if not all(d[i + 1 :]):
+                continue
+        assign[i] = c
+        if i + 1 == s:
+            yield tuple(assign)
+        else:
+            i += 1
+            domains[i] = d
+            left[i] = d[i]
 
 
-def hom_first(src_adj, dst_adj, pinned=None, backend: str | None = None):
+def _bits(x: int) -> Iterator[int]:
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def hom_first(src: Graph, dst: Graph, pinned: Sequence[int] | None = None) -> tuple[int, ...] | None:
     """First pin-respecting homomorphism in lex order, or None."""
-    src, dst, pins = _as_query(src_adj, dst_adj, pinned)
-    handled, first, _, _ = _degenerate(src, dst, pins)
-    if handled:
-        found, assign = first
-        return assign if found else None
-    if _pick(backend) == "numpy":
-        found, assign = _np_first(src, dst, pins)
-    else:
-        found, assign = _bt_first(src, dst, pins)
-    return assign if found else None
+    return next(_homs(src, dst, _checked_pins(src, dst, pinned)), None)
 
 
-def hom_exists(src_adj, dst_adj, pinned=None, backend: str | None = None) -> bool:
-    return hom_first(src_adj, dst_adj, pinned, backend) is not None
-
-
-def hom_count(src_adj, dst_adj, pinned=None, cap: int | None = None, backend: str | None = None) -> int:
+def hom_count(src: Graph, dst: Graph, pinned: Sequence[int] | None = None, cap: int | None = None) -> int:
     """Number of pin-respecting homomorphisms; with cap, counts up to cap."""
-    src, dst, pins = _as_query(src_adj, dst_adj, pinned)
-    handled, _, count, _ = _degenerate(src, dst, pins)
-    if handled:
-        return min(count, cap) if cap is not None else count
-    c = -1 if cap is None else cap
-    if _pick(backend) == "numpy":
-        return _np_count(src, dst, pins, c)
-    return int(_bt_count(src, dst, pins, c))
+    return sum(1 for _ in islice(_homs(src, dst, _checked_pins(src, dst, pinned)), cap))
 
 
-def hom_list(src_adj, dst_adj, pinned=None, backend: str | None = None) -> np.ndarray:
-    """All pin-respecting homomorphisms as an (n, s) array in lex order."""
-    src, dst, pins = _as_query(src_adj, dst_adj, pinned)
-    handled, _, _, listing = _degenerate(src, dst, pins)
-    if handled:
-        return listing
-    if _pick(backend) == "numpy":
-        return _np_list(src, dst, pins)
-    n = int(_bt_count(src, dst, pins, -1))
-    out = np.empty((n, src.shape[0]), np.int64)
-    _bt_fill(src, dst, pins, out)
-    return out
-
-
-def default_backend() -> str:
-    return "numpy" if JIT_DISABLED else "backtrack"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("backtrack", "numpy")
-
-
-def jit_active() -> bool:
-    """Whether the backtrack backend is actually numba-compiled."""
-    return _HAVE_NUMBA and not JIT_DISABLED
-
-
-def _pick(backend: str | None) -> str:
-    b = backend or default_backend()
-    if b not in available_backends():
-        raise ValueError(f"unknown backend {b!r}")
-    return b
+def hom_list(src: Graph, dst: Graph, pinned: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """All pin-respecting homomorphisms in lex order."""
+    return list(_homs(src, dst, _checked_pins(src, dst, pinned)))

@@ -54,6 +54,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _budget(value: int, flag: str) -> int:
+    if value < 0:
+        raise UsageError(f"{flag} must be non-negative, got {value}")
+    return value
+
+
 def _load(path: str) -> Workspace:
     try:
         source = Path(path).read_text()
@@ -162,13 +168,13 @@ def _cmd_check_inj(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_consequence(args) -> tuple[int, dict, list[str]]:
+    bound = _budget(args.max_size, "--max-size")
     ws = _load(args.file)
     goal = _mor_arg(ws, args.goal)
     hset = _hset_arg(ws, args.hset)
     cat = ws.category_of(goal)
     _same_category(cat, hset, f"hset {args.hset!r}")
     if isinstance(cat, GraphCategory):
-        bound = args.max_size
         verdict = semantic_consequence(
             cat, hset, goal, cat.universe(bound), exact=False, bound=bound
         )
@@ -203,12 +209,14 @@ def _cmd_consequence(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_prove(args) -> tuple[int, dict, list[str]]:
+    node_cap = _budget(args.node_cap, "--node-cap")
+    depth = _budget(args.depth, "--depth")
     ws = _load(args.file)
     goal = _mor_arg(ws, args.goal)
     hset = _hset_arg(ws, args.hset)
     cat = ws.category_of(goal)
     _same_category(cat, hset, f"hset {args.hset!r}")
-    result = prove(cat, hset, goal, node_cap=args.node_cap, depth_cap=args.depth)
+    result = prove(cat, hset, goal, node_cap=node_cap, depth_cap=depth)
     proof_text = None if result.proof is None else proof_to_text(ws, result.proof)
     lines = [f"verdict: {result.status}", f"rounds: {result.rounds_used}"]
     if proof_text is not None:
@@ -320,12 +328,13 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
+    max_rounds = _budget(args.max_rounds, "--max-rounds")
     ws = _load(args.file)
     cat = _category_arg(ws, args.cat)
     obj = _object_arg(ws, cat, args.object)
     hset = _hset_arg(ws, args.hset)
     _same_category(cat, hset, f"hset {args.hset!r}")
-    trace = reflect(cat, hset, obj, max_rounds=args.max_rounds)
+    trace = reflect(cat, hset, obj, max_rounds=max_rounds)
     text = trace_to_text(cat, trace)
     verdict = "converged" if trace.converged else "not-converged"
     lines = text.rstrip("\n").split("\n")

@@ -80,6 +80,19 @@ class GraphHom:
                     f"({self.mapping[i]}, {self.mapping[j]}) missing in target"
                 )
 
+    @classmethod
+    def _trusted(cls, source: Graph, target: Graph, mapping: tuple[int, ...]) -> "GraphHom":
+        """A hom the package built from kernel rows or from homs already
+        checked; skips ``__post_init__``.  Outside input goes through
+        ``GraphHom(...)``."""
+        hom = object.__new__(cls)
+        # one attribute at a time, as the dataclass __init__ does: an
+        # instance dict written through __dict__ takes twice the memory
+        object.__setattr__(hom, "source", source)
+        object.__setattr__(hom, "target", target)
+        object.__setattr__(hom, "mapping", mapping)
+        return hom
+
     def __call__(self, node: int) -> int:
         return self.mapping[node]
 
@@ -87,7 +100,7 @@ class GraphHom:
         """Composite self followed by other; targets must match on the nose."""
         if self.target != other.source:
             raise CategoryError("composability mismatch: target != next source")
-        return GraphHom(self.source, other.target, tuple(other.mapping[v] for v in self.mapping))
+        return GraphHom._trusted(self.source, other.target, tuple(other.mapping[v] for v in self.mapping))
 
     @staticmethod
     def identity(g: Graph) -> "GraphHom":
@@ -136,7 +149,10 @@ def factor(f: GraphHom) -> FactorizationResult:
 
 def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
     """All labeled graphs ordered by node count, then lexicographically on
-    the adjacency matrix read row-major with bit (0, 0) most significant."""
+    the adjacency matrix read row-major with bit (0, 0) most significant.
+
+    The labeled reference: ``GraphCategory.universe`` walks
+    ``graph_classes``, and tests compare the two."""
     for n in range(max_nodes + 1):
         cells = n * n
         for code in range(1 << cells):
@@ -150,7 +166,64 @@ def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
 
 
 def count_graphs(max_nodes: int) -> int:
+    """Number of graphs ``enumerate_graphs(max_nodes)`` yields."""
     return sum(1 << (n * n) for n in range(max_nodes + 1))
+
+
+def graph_classes(max_nodes: int) -> Iterator[Graph]:
+    """The lex-least labeled graph of each isomorphism class, in the order
+    of ``enumerate_graphs``: 1, 2, 10, 104, 3,044 and 291,968 graphs on
+    0..5 nodes (OEIS A000595), against 2^(n*n) labeled ones.
+
+    Orderly generation (Read 1978; McKay 1998).  Row i of the adjacency
+    matrix is an n-bit int with column 0 most significant, so lex order on
+    the row tuple is the labeled walk's order.  The search fixes rows in
+    turn, trying each row's values in increasing order, and drops a prefix
+    as soon as some relabelling is lex-smaller on the rows it already
+    determines: every completion of that prefix has the same smaller
+    relabelling.  With all rows fixed the check covers every relabelling,
+    so exactly the lex-least members come out.
+    """
+    for n in range(max_nodes + 1):
+        yield from _lex_least_graphs(n)
+
+
+def _lex_least_graphs(n: int) -> Iterator[Graph]:
+    identity = tuple(range(n))
+
+    def table(p: tuple[int, ...]) -> tuple[int, ...]:
+        """Each n-bit row with the bit of column p[c] moved to column c."""
+        return tuple(
+            sum((x >> (n - 1 - p[c]) & 1) << (n - 1 - c) for c in range(n)) for x in range(1 << n)
+        )
+
+    # row r of the graph relabelled by p is table(p)[rows[p[r]]]
+    relabellings = [(p, table(p)) for p in permutations(range(n)) if p != identity]
+    rows = [0] * n
+
+    def beaten(k: int) -> bool:
+        """Whether some relabelling is lex-smaller on what rows[:k] fix."""
+        for p, moved in relabellings:
+            for r in range(k):
+                if p[r] >= k:
+                    break
+                mapped = moved[rows[p[r]]]
+                if mapped != rows[r]:
+                    if mapped < rows[r]:
+                        return True
+                    break
+        return False
+
+    def extend(k: int) -> Iterator[Graph]:
+        if k == n:
+            yield Graph.of(n, ((i, j) for i in range(n) for j in range(n) if rows[i] >> (n - 1 - j) & 1))
+            return
+        for value in range(1 << n):
+            rows[k] = value
+            if not beaten(k + 1):
+                yield from extend(k + 1)
+
+    return extend(0)
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
@@ -250,7 +323,7 @@ class GraphCategory(Category):
     def enumerate_homs(self, a: ObjRef, x: ObjRef) -> list[MorRef]:
         src = self.graph_of(a)
         dst = self.graph_of(x)
-        return [MorRef(a, x, GraphHom(src, dst, row)) for row in kernels.hom_list(src, dst)]
+        return [MorRef(a, x, GraphHom._trusted(src, dst, row)) for row in kernels.hom_list(src, dst)]
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         self._check_mor(h)
@@ -264,10 +337,10 @@ class GraphCategory(Category):
             (hh.mapping[v], off_f + ff.mapping[v]) for v in range(hh.source.node_count)
         ]
         apex, index_map, offsets = _quotient([hh.target, ff.target], relations)
-        h_prime = GraphHom(
+        h_prime = GraphHom._trusted(
             ff.target, apex, tuple(index_map[offsets[1] + v] for v in range(ff.target.node_count))
         )
-        f_prime = GraphHom(
+        f_prime = GraphHom._trusted(
             hh.target, apex, tuple(index_map[offsets[0] + v] for v in range(hh.target.node_count))
         )
         return self.mor(h_prime), self.mor(f_prime)
@@ -336,7 +409,7 @@ class GraphCategory(Category):
         row = kernels.hom_first(mid, ff.target, pins)
         if row is None:
             return None
-        return self.mor(GraphHom(mid, ff.target, row))
+        return self.mor(GraphHom._trusted(mid, ff.target, row))
 
     def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
         self._check_mor(h)
@@ -344,14 +417,22 @@ class GraphCategory(Category):
         hh: GraphHom = h.payload
         src = hh.source
         for row in kernels.hom_list(src, xg):
-            f = self.mor(GraphHom(src, xg, row))
+            f = self.mor(GraphHom._trusted(src, xg, row))
             if self.find_factorization(h, f) is None:
                 return InjectivityResult(False, f)
         return InjectivityResult(True)
 
     def universe(self, max_nodes: int) -> Iterator[ObjRef]:
-        for g in enumerate_graphs(max_nodes):
-            yield self.obj(g)
+        """One object per isomorphism class of graphs with at most
+        max_nodes nodes, interned in the order of ``graph_classes``.
+
+        Injectivity is invariant under isomorphism, and the least member
+        of a class comes no later than any other member, so the first
+        object satisfying an isomorphism-invariant test is the same as in
+        the labeled walk ``enumerate_graphs``."""
+        if max_nodes < 0:
+            raise ValueError(f"node bound must be non-negative, got {max_nodes}")
+        return map(self.obj, graph_classes(max_nodes))
 
     def object_label(self, obj: ObjRef) -> str:
         g = self.graph_of(obj)

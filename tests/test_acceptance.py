@@ -19,6 +19,7 @@ from injlog.graphs import (
     clique,
     count_graphs,
     empty_graph,
+    enumerate_graphs,
     loop_point,
     random_graph,
 )
@@ -180,7 +181,8 @@ def crit3():
     hyps = MorphismSet.of((f"c{k}", from_zero(clique(k))) for k in range(1, 5))
     goal = from_zero(loop_point())
 
-    small = list(g.universe(3))
+    # the labeled walk, not the one-per-class universe: all 531 graphs are checked
+    small = [g.obj(x) for x in enumerate_graphs(3)]
     loopless_injective = [
         x
         for x in small

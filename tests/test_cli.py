@@ -208,6 +208,28 @@ def test_usage_errors(ws_file, capsys):
     assert run(capsys, "frobnicate", ws_file)[0] == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("consequence", "--hset", "HL", "--goal", "zp", "--max-size", "-2"),
+        ("prove", "--hset", "H", "--goal", "goal", "--depth", "-1"),
+        ("prove", "--hset", "H", "--goal", "goal", "--node-cap", "-1"),
+        ("reflect", "--cat", "graphs", "--object", "zero", "--hset", "HL", "--max-rounds", "-1"),
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_negative_budgets_are_usage_errors(ws_file, capsys, argv):
+    assert main([argv[0], ws_file, *argv[1:]]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-2]} must be non-negative" in captured.err
+    code, out = run(capsys, argv[0], ws_file, *argv[1:], "--json")
+    assert code == 64
+    report = json.loads(out)
+    assert report["verdict"] == "usage-error"
+    assert argv[-2] in report["error"]
+
+
 def test_parse_error_exit_code_and_json_shape(tmp_path, capsys):
     bad = tmp_path / "bad.inj"
     bad.write_text("lattice L { elements: a a; }")

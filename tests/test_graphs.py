@@ -1,8 +1,9 @@
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from injlog.graphs import (
     Graph,
@@ -13,11 +14,14 @@ from injlog.graphs import (
     empty_graph,
     enumerate_graphs,
     factor,
+    graph_classes,
     isomorphic,
     loop_point,
     random_graph,
 )
-from injlog.core import CategoryError
+from injlog.core import CategoryError, MorphismSet, semantic_consequence, verify_pushout_square
+from injlog.proofs import prove
+from injlog.reflection import reflect
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -246,11 +250,108 @@ def test_injectivity_examples():
     assert not res.holds
 
 
-def test_universe_interns_all_graphs_up_to_bound():
+def _rows(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows as n-bit ints, column 0 most significant: the
+    labeled walk's order is lex order on this tuple."""
+    n = g.node_count
+    return tuple(sum(1 << (n - 1 - j) for j in range(n) if (i, j) in g.edges) for i in range(n))
+
+
+def _is_lex_least(g: Graph) -> bool:
+    rows = _rows(g)
+    return all(
+        _rows(Graph.of(g.node_count, ((p[i], p[j]) for i, j in g.edges))) >= rows
+        for p in permutations(range(g.node_count))
+    )
+
+
+def test_graph_classes_on_four_nodes_are_increasing_and_lex_least():
+    four = [g for g in graph_classes(4) if g.node_count == 4]
+    assert len(four) == 3044
+    codes = [_rows(g) for g in four]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert all(_is_lex_least(g) for g in four)
+    sizes = [sum(1 for g in graph_classes(n) if g.node_count == n) for n in range(4)]
+    assert sizes == [1, 2, 10, 104]
+
+
+def test_universe_interns_one_graph_per_class():
     cat = GraphCategory()
     refs = list(cat.universe(3))
-    assert len(refs) == 531
-    assert len(set(refs)) == 531
+    assert [r.index for r in refs] == list(range(117))
+    assert [cat.graph_of(r) for r in refs] == [g for g in enumerate_graphs(3) if _is_lex_least(g)]
+
+
+def test_universe_rejects_a_negative_bound():
+    cat = GraphCategory()
+    with pytest.raises(ValueError, match="non-negative"):
+        cat.universe(-1)
+    assert [cat.graph_of(r) for r in cat.universe(0)] == [empty_graph()]
+
+
+def _random_mor(cat: GraphCategory, rng: random.Random, src: Graph, max_nodes: int):
+    for _ in range(10):
+        homs = cat.enumerate_homs(cat.obj(src), cat.obj(random_graph(rng, max_nodes=max_nodes)))
+        if homs:
+            return rng.choice(homs)
+    return None
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 10**6))
+def test_bounded_verdicts_agree_with_the_labeled_walk(seed):
+    rng = random.Random(seed)
+    cat = GraphCategory()
+    labeled = [cat.obj(g) for g in enumerate_graphs(3)]
+    mors = [_random_mor(cat, rng, random_graph(rng, max_nodes=2), 2) for _ in range(rng.randint(1, 4))]
+    mors = [m for m in mors if m is not None]
+    if not mors:
+        return
+    hyps = MorphismSet.of((f"h{k}", m) for k, m in enumerate(mors[1:]))
+    goal = mors[0]
+    assert semantic_consequence(cat, hyps, goal, cat.universe(3), exact=False, bound=3) == (
+        semantic_consequence(cat, hyps, goal, labeled, exact=False, bound=3)
+    )
+    # one leg of at most one node keeps the apex, and the cocone walk, small
+    dom = random_graph(rng, max_nodes=1)
+    h, f = _random_mor(cat, rng, dom, 2), _random_mor(cat, rng, dom, 1)
+    if h is not None and f is not None:
+        assert verify_pushout_square(cat, h, f, cat.universe(3)) == (
+            verify_pushout_square(cat, h, f, labeled)
+        )
+
+
+def test_trusted_homs_pass_the_public_validator(monkeypatch):
+    made = []
+    trusted = GraphHom._trusted
+
+    def recording(source, target, mapping):
+        hom = trusted(source, target, mapping)
+        made.append(hom)
+        return hom
+
+    monkeypatch.setattr(GraphHom, "_trusted", staticmethod(recording))
+    cat = GraphCategory()
+    zero = empty_graph()
+    hyps = MorphismSet.of(
+        (f"c{k}", cat.mor(GraphHom(zero, clique(k), ()))) for k in range(1, 4)
+    )
+    goal = cat.mor(GraphHom(zero, loop_point(), ()))
+    prove(cat, hyps, goal, node_cap=6, depth_cap=3)
+    reflect(cat, hyps, cat.obj(zero), max_rounds=4)
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = random_graph(rng, max_nodes=3), random_graph(rng, max_nodes=3)
+        for m in cat.enumerate_homs(cat.obj(a), cat.obj(b)):
+            cat.is_injective(cat.obj(random_graph(rng, max_nodes=3)), m)
+            f = _random_mor(cat, rng, a, 3)
+            if f is not None:
+                cat.pushout(m, f)
+    # sources with edges, edgeless ones and the empty graph all occur
+    kinds = {(len(h.source.edges) > 0, h.source.node_count > 0) for h in made}
+    assert len(made) > 1000 and len(kinds) == 3
+    for hom in made:
+        assert GraphHom(hom.source, hom.target, hom.mapping) == hom
 
 
 def test_foreign_references_are_rejected():

@@ -218,7 +218,11 @@ def _cmd_prove(args) -> tuple[int, dict, list[str]]:
     _same_category(cat, hset, f"hset {args.hset!r}")
     result = prove(cat, hset, goal, node_cap=node_cap, depth_cap=depth)
     proof_text = None if result.proof is None else proof_to_text(ws, result.proof)
-    lines = [f"verdict: {result.status}", f"rounds: {result.rounds_used}"]
+    lines = [
+        f"verdict: {result.status}",
+        f"rounds: {result.rounds_used}",
+        f"stopped: {result.stop_reason}",
+    ]
     if proof_text is not None:
         lines.append(f"proof: {proof_text}")
         if args.emit_proof:
@@ -229,6 +233,7 @@ def _cmd_prove(args) -> tuple[int, dict, list[str]]:
         "goal": cat.morphism_label(goal),
         "verdict": result.status,
         "rounds": result.rounds_used,
+        "stop_reason": result.stop_reason,
         "proof": proof_text,
     }
     code = {"found": 0, "refuted": 1}.get(result.status, 2)

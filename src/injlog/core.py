@@ -6,6 +6,7 @@ Objects and morphisms are referenced by value; all equality is on the nose.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -279,16 +280,25 @@ def verify_pushout_square(
     h_prime, f_prime = cat.pushout(h, f)
     apex = h_prime.cod
     for z in universe:
-        for u in cat.enumerate_homs(h.cod, z):
-            for v in cat.enumerate_homs(f.cod, z):
-                if cat.compose(u, h) != cat.compose(v, f):
+        us = cat.enumerate_homs(h.cod, z)
+        if not us:
+            continue
+        vs = [(v, cat.compose(v, f)) for v in cat.enumerate_homs(f.cod, z)]
+        # how many m : apex -> z give each cocone (m . f_prime, m . h_prime),
+        # counted once per z and only if some cocone commutes
+        mediators: Counter | None = None
+        for u in us:
+            uh = cat.compose(u, h)
+            for v, vf in vs:
+                if uh != vf:
                     continue
-                mediators = [
-                    m
-                    for m in cat.enumerate_homs(apex, z)
-                    if cat.compose(m, f_prime) == u and cat.compose(m, h_prime) == v
-                ]
-                if len(mediators) != 1:
-                    kind = "missing mediator" if not mediators else "mediator not unique"
+                if mediators is None:
+                    mediators = Counter(
+                        (cat.compose(m, f_prime), cat.compose(m, h_prime))
+                        for m in cat.enumerate_homs(apex, z)
+                    )
+                count = mediators[u, v]
+                if count != 1:
+                    kind = "missing mediator" if not count else "mediator not unique"
                     return CoconeCheckReport(False, CoconeFailure(z, kind, (u, v)))
     return CoconeCheckReport(True)

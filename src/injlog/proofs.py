@@ -13,7 +13,7 @@ WidePushN (wide pushout, staged through binary pushouts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef, wide_pushout
 
@@ -276,68 +276,20 @@ def saturate(
     Only complete lattices are supported: the morphism universe must be
     finite and pushouts total.  Round k adds everything derivable in one
     step from rounds < k, so recorded proofs have minimal depth; within a
-    round the rules run in RULES order over morphisms in canonical order.
+    round the rules run in RULES order over morphisms in the order they
+    became known.  The closure is the semi-naive engine `prove` also
+    runs, here with no goal and no budgets.
     """
     mask = frozenset(rule_mask)
     unknown = mask - set(RULES)
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
     cat.validate_for_colimits()
-    universe = cat.search_universe()
-    if universe is None:
+    if cat.search_universe() is None:
         raise CategoryError("saturation needs a finite closed category")
-
-    all_mors = [m for x in universe for m in _mors_from(cat, x, universe)]
-    known: dict[MorRef, ProofTerm] = {}
-    for name, m in hypotheses:
-        known.setdefault(m, Hyp(name))
-    if "identity" in mask:
-        for x in universe:
-            known.setdefault(cat.identity(x), Identity(x))
-
-    rounds = 0
-    while True:
-        fresh: dict[MorRef, ProofTerm] = {}
-
-        def offer(m: MorRef, term: ProofTerm) -> None:
-            if m not in known and m not in fresh:
-                fresh[m] = term
-
-        mors = list(known)
-        if "composition" in mask:
-            for g in mors:
-                for f in mors:
-                    if f.cod == g.dom:
-                        offer(cat.compose(g, f), Compose(known[g], known[f]))
-        if "cancellation" in mask:
-            for m in mors:
-                for first, rest in _factorizations(cat, m, universe):
-                    offer(first, Cancel(known[m], first=first, rest=rest))
-        if "pushout" in mask:
-            for h in mors:
-                for f in all_mors:
-                    if f.dom == h.dom:
-                        offer(cat.pushout(h, f)[0], Push(known[h], along=f))
-        if not fresh:
-            break
-        known.update(fresh)
-        rounds += 1
-
+    known, rounds, _ = _fixpoint(cat, hypotheses, mask)
     derived = tuple(sorted(known, key=lambda m: (m.dom.index, m.cod.index)))
     return SaturationResult(derived, known, rounds, mask)
-
-
-def _mors_from(cat: Category, x: ObjRef, universe: Sequence[ObjRef]) -> list[MorRef]:
-    return [m for y in universe for m in cat.enumerate_homs(x, y)]
-
-
-def _factorizations(cat: Category, m: MorRef, universe: Sequence[ObjRef]):
-    """All on-the-nose splittings m = rest . first, by intermediate object."""
-    for mid in universe:
-        for first in cat.enumerate_homs(m.dom, mid):
-            for rest in cat.enumerate_homs(mid, m.cod):
-                if cat.compose(rest, first) == m:
-                    yield first, rest
 
 
 @dataclass(frozen=True)
@@ -345,13 +297,10 @@ class ProveResult:
     status: str  # "found" | "refuted" | "inconclusive"
     proof: ProofTerm | None
     rounds_used: int
+    stop_reason: str  # "goal" | "fixpoint" | "depth_cap" | "mor_cap"
 
     def found(self) -> bool:
         return self.status == "found"
-
-
-class _BudgetStop(Exception):
-    pass
 
 
 def prove(
@@ -366,103 +315,151 @@ def prove(
 ) -> ProveResult:
     """Bounded forward search for a derivation of the goal.
 
-    Depth grows round by round, so the first hit has minimal derivation
-    depth; each round only recombines the previous round's additions
-    with everything older.  New objects enter only through pushouts and
-    are discarded above node_cap; attachment enumerations are skipped
-    past hom_cap maps; the run stops once mor_cap morphisms are known.
-    On a finite closed category reaching a fixpoint refutes the goal;
-    otherwise exhaustion is inconclusive, since derivability over an
-    open universe is only semi-decidable.
+    Runs the semi-naive engine behind `saturate` with every rule, so the
+    first hit has minimal derivation depth.  New objects enter only
+    through pushouts and are discarded above node_cap; attachment
+    enumerations are skipped past hom_cap maps; the run stops once
+    mor_cap morphisms are known or after depth_cap rounds.  On a finite
+    closed category reaching a fixpoint refutes the goal; otherwise
+    exhaustion is inconclusive, since derivability over an open universe
+    is only semi-decidable.  stop_reason names what ended the run.
     """
     cat.validate_for_colimits()
-    universe = cat.search_universe()
-    closed = universe is not None
+    known, rounds, reason = _fixpoint(
+        cat, hypotheses, frozenset(RULES), goal,
+        node_cap=node_cap, depth_cap=depth_cap, hom_cap=hom_cap, mor_cap=mor_cap,
+    )
+    if reason == "goal":
+        return ProveResult("found", known[goal], rounds, reason)
+    closed = cat.search_universe() is not None
+    status = "refuted" if reason == "fixpoint" and closed else "inconclusive"
+    return ProveResult(status, None, rounds, reason)
 
+
+class _BudgetStop(Exception):
+    pass
+
+
+def _fixpoint(
+    cat: Category,
+    hypotheses: MorphismSet,
+    mask: frozenset[str],
+    goal: MorRef | None = None,
+    *,
+    node_cap: int | None = None,
+    depth_cap: int | None = None,
+    hom_cap: int | None = None,
+    mor_cap: int | None = None,
+) -> tuple[dict[MorRef, ProofTerm], int, str]:
+    """Semi-naive closure of the hypotheses under the rules in mask.
+
+    Objects are in play from the start when the category is closed, and
+    otherwise enter with the morphisms that reach them (within node_cap).
+    A round only tries steps with a premise, or a cancellation or
+    pushout object, added by the round before: every other step was
+    tried in an earlier round and yields nothing new.  The steps it does
+    try keep the naive order (rules in RULES order, premises in known
+    order, partners in known or in-play order), so the first term
+    offered for each morphism, and the order of the returned dict, are
+    those of naive evaluation.  A budget of None is no budget.
+
+    Returns (known, rounds, stop_reason); stop_reason is "goal",
+    "fixpoint", "depth_cap" or "mor_cap".
+    """
     in_play: list[ObjRef] = []
+    in_play_set: set[ObjRef] = set()
 
     def admit(obj: ObjRef) -> bool:
-        if obj not in in_play and cat.object_size(obj) <= node_cap:
-            in_play.append(obj)
-            return True
-        return False
+        if obj in in_play_set or (node_cap is not None and cat.object_size(obj) > node_cap):
+            return False
+        in_play.append(obj)
+        in_play_set.add(obj)
+        return True
 
-    if closed:
-        for x in universe:
-            admit(x)
+    for x in cat.search_universe() or ():
+        admit(x)
     for _, m in hypotheses:
         admit(m.dom)
         admit(m.cod)
-    admit(goal.dom)
-    admit(goal.cod)
+    if goal is not None:
+        admit(goal.dom)
+        admit(goal.cod)
 
     known: dict[MorRef, ProofTerm] = {}
+    by_cod: dict[ObjRef, list[MorRef]] = {}  # known morphisms per codomain, in known order
+
+    def learn(m: MorRef, term: ProofTerm) -> None:
+        if m not in known:
+            known[m] = term
+            by_cod.setdefault(m.cod, []).append(m)
+
     for name, m in hypotheses:
-        known.setdefault(m, Hyp(name))
-    for x in in_play:
-        known.setdefault(cat.identity(x), Identity(x))
+        learn(m, Hyp(name))
+    if "identity" in mask:
+        for x in in_play:
+            learn(cat.identity(x), Identity(x))
     if goal in known:
-        return ProveResult("found", known[goal], 0)
+        return known, 0, "goal"
 
-    frontier = list(known)
-    new_objects = list(in_play)
+    # what predates the last round's additions: a prefix of known, of
+    # each codomain list, and of in_play
+    old_mors = old_objs = 0
+    old_by_cod: dict[ObjRef, int] = {}
 
-    for round_no in range(1, depth_cap + 1):
+    rounds = 0
+    while depth_cap is None or rounds < depth_cap:
         fresh: dict[MorRef, ProofTerm] = {}
 
         def offer(m: MorRef, term: ProofTerm) -> None:
             if m not in known and m not in fresh:
-                if len(known) + len(fresh) >= mor_cap:
+                if mor_cap is not None and len(known) + len(fresh) >= mor_cap:
                     raise _BudgetStop
                 fresh[m] = term
 
-        frontier_set = set(frontier)
-        new_object_set = set(new_objects)
         mors = list(known)
+        new_objs = in_play[old_objs:]
+
+        def attachments():
+            """(premise, homs premise.dom -> x) for the x it must visit."""
+            for i, m in enumerate(mors):
+                for x in in_play if i >= old_mors else new_objs:
+                    if hom_cap is None or cat.count_homs(m.dom, x, cap=hom_cap + 1) <= hom_cap:
+                        yield m, cat.enumerate_homs(m.dom, x)
+
         try:
-            for g in mors:
-                for f in mors:
-                    if f.cod == g.dom and (g in frontier_set or f in frontier_set):
+            if "composition" in mask:
+                for i, g in enumerate(mors):
+                    partners = by_cod.get(g.dom, [])
+                    if i < old_mors:
+                        partners = partners[old_by_cod.get(g.dom, 0) :]
+                    for f in partners:
                         offer(cat.compose(g, f), Compose(known[g], known[f]))
-            for m in mors:
-                for mid in in_play:
-                    if m not in frontier_set and mid not in new_object_set:
-                        continue
-                    if cat.count_homs(m.dom, mid, cap=hom_cap + 1) > hom_cap:
-                        continue
-                    for first in cat.enumerate_homs(m.dom, mid):
+            if "cancellation" in mask:
+                for m, homs in attachments():
+                    for first in homs:
                         rest = cat.find_factorization(first, m)
                         if rest is not None:
                             offer(first, Cancel(known[m], first=first, rest=rest))
-            for h in mors:
-                for x in in_play:
-                    if h not in frontier_set and x not in new_object_set:
-                        continue
-                    if cat.count_homs(h.dom, x, cap=hom_cap + 1) > hom_cap:
-                        continue
-                    for f in cat.enumerate_homs(h.dom, x):
+            if "pushout" in mask:
+                for h, homs in attachments():
+                    for f in homs:
                         h_prime, _ = cat.pushout(h, f)
-                        if cat.object_size(h_prime.cod) <= node_cap:
+                        if node_cap is None or cat.object_size(h_prime.cod) <= node_cap:
                             offer(h_prime, Push(known[h], along=f))
         except _BudgetStop:
-            return ProveResult("inconclusive", None, round_no)
+            return known, rounds + 1, "mor_cap"
 
         if not fresh:
-            status = "refuted" if closed else "inconclusive"
-            return ProveResult(status, None, round_no - 1)
-        known.update(fresh)
-        frontier = list(fresh)
-        new_objects = []
+            return known, rounds, "fixpoint"
+        rounds += 1
+        old_mors, old_objs = len(known), len(in_play)
+        old_by_cod = {c: len(ms) for c, ms in by_cod.items()}
+        for m, term in fresh.items():
+            learn(m, term)
         for m in fresh:
             for obj in (m.dom, m.cod):
-                if admit(obj):
-                    new_objects.append(obj)
-                    ident = cat.identity(obj)
-                    if ident not in known:
-                        known[ident] = Identity(obj)
-                        frontier.append(ident)
+                if admit(obj) and "identity" in mask:
+                    learn(cat.identity(obj), Identity(obj))
         if goal in known:
-            return ProveResult("found", known[goal], round_no)
-
-    return ProveResult("inconclusive", None, depth_cap)
-
+            return known, rounds, "goal"
+    return known, rounds, "depth_cap"

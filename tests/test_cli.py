@@ -124,7 +124,9 @@ def test_prove_finds_cancellation_through_the_point(ws_file, capsys):
     # the empty-to-loop arrow factors through the loopless point
     code, out = run(capsys, "prove", ws_file, "--hset", "HL", "--goal", "zp")
     assert code == 0
-    assert "verdict: found" in out
+    assert "verdict: found\nrounds: 1\nstopped: goal\n" in out
+    code, out = run(capsys, "prove", ws_file, "--hset", "HL", "--goal", "zp", "--json")
+    assert json.loads(out)["stop_reason"] == "goal"
 
 
 def test_prove_inconclusive_under_tight_budget(ws_file, capsys):
@@ -134,6 +136,8 @@ def test_prove_inconclusive_under_tight_budget(ws_file, capsys):
     )
     assert code == 2
     assert "verdict: inconclusive" in out
+    # graphs are an open universe: running dry within the node cap refutes nothing
+    assert "stopped: fixpoint" in out
 
 
 def test_check_proof_valid_and_invalid(ws_file, capsys):

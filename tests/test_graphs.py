@@ -321,6 +321,17 @@ def test_bounded_verdicts_agree_with_the_labeled_walk(seed):
         )
 
 
+def test_pushout_of_two_point_legs_agrees_with_the_labeled_walk():
+    cat = GraphCategory()
+    point = Graph.of(1)
+    h = cat.mor(GraphHom(point, Graph.of(2, [(0, 1)]), (0,)))
+    f = cat.mor(GraphHom(point, Graph.of(2), (0,)))
+    labeled = [cat.obj(g) for g in enumerate_graphs(3)]
+    report = verify_pushout_square(cat, h, f, labeled)
+    assert report.verified
+    assert verify_pushout_square(cat, h, f, cat.universe(3)) == report
+
+
 def test_trusted_homs_pass_the_public_validator(monkeypatch):
     made = []
     trusted = GraphHom._trusted

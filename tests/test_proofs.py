@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from injlog.proofs import (
     PushDomainMismatch,
     UnresolvedHypothesis,
     WidePushN,
+    _fixpoint,
     check_proof,
     elaborate_macro,
     prove,
@@ -250,6 +252,115 @@ def test_saturation_matches_semantics_on_random_lattices(seed):
     assert derived == semantic
 
 
+def naive_closure(cat, hypotheses, mask, node_cap=None, depth_cap=None):
+    """Reference closure: every round recombines every pair of known
+    morphisms, and every known morphism with every object in play."""
+    in_play = list(cat.search_universe() or ())
+
+    def admit(x):
+        if x in in_play or (node_cap is not None and cat.object_size(x) > node_cap):
+            return False
+        in_play.append(x)
+        return True
+
+    for _, m in hypotheses:
+        admit(m.dom)
+        admit(m.cod)
+    known = {}
+    for name, m in hypotheses:
+        known.setdefault(m, Hyp(name))
+    if "identity" in mask:
+        for x in in_play:
+            known.setdefault(cat.identity(x), Identity(x))
+    rounds = 0
+    while depth_cap is None or rounds < depth_cap:
+        mors = list(known)
+        homs_from = lambda a: [f for x in in_play for f in cat.enumerate_homs(a, x)]
+        offers = []
+        if "composition" in mask:
+            offers += [(cat.compose(g, f), Compose(known[g], known[f])) for g in mors for f in mors if f.cod == g.dom]
+        if "cancellation" in mask:
+            for m in mors:
+                for first in homs_from(m.dom):
+                    for rest in cat.enumerate_homs(first.cod, m.cod):
+                        if cat.compose(rest, first) == m:
+                            offers.append((first, Cancel(known[m], first=first, rest=rest)))
+        if "pushout" in mask:
+            for h in mors:
+                for f in homs_from(h.dom):
+                    h_prime = cat.pushout(h, f)[0]
+                    if node_cap is None or cat.object_size(h_prime.cod) <= node_cap:
+                        offers.append((h_prime, Push(known[h], along=f)))
+        fresh = {}
+        for m, term in offers:
+            if m not in known and m not in fresh:
+                fresh[m] = term
+        if not fresh:
+            break
+        known.update(fresh)
+        rounds += 1
+        for m in fresh:
+            for x in (m.dom, m.cod):
+                if admit(x) and "identity" in mask:
+                    known.setdefault(cat.identity(x), Identity(x))
+    return known, rounds
+
+
+MASKS = [mask for k in range(len(RULES) + 1) for mask in itertools.combinations(RULES, k)]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_saturation_matches_the_naive_closure_under_every_rule_mask(seed):
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=6)
+    h = random_hypotheses(rng, cat, max_count=4)
+    assert len(MASKS) == 16
+    for mask in MASKS:
+        result = saturate(cat, h, mask)
+        known, rounds = naive_closure(cat, h, mask)
+        assert list(result.provenance.items()) == list(known.items())
+        assert result.derived == tuple(sorted(known, key=lambda m: (m.dom.index, m.cod.index)))
+        assert result.rounds == rounds
+
+
+@pytest.mark.parametrize("names", [("zp", "pe"), ("zp", "te"), ("pe", "pl"), ("te",)])
+def test_bounded_closure_on_graphs_matches_the_naive_closure(names):
+    # on an open category objects enter during the run, so round 2 must
+    # also attach round-0 morphisms to the objects round 1 brought in
+    g = GraphCategory()
+    point, two = Graph.of(1), Graph.of(2)
+    edge = Graph.of(2, [(0, 1)])
+    homs = {
+        "zp": GraphHom(empty_graph(), point, ()),
+        "pe": GraphHom(point, edge, (0,)),
+        "pl": GraphHom(point, loop_point(), (0,)),
+        "te": GraphHom(two, edge, (0, 1)),
+    }
+    h = MorphismSet.of((n, g.mor(homs[n])) for n in names)
+    known, rounds, reason = _fixpoint(g, h, frozenset(RULES), node_cap=3, depth_cap=2)
+    want, want_rounds = naive_closure(g, h, RULES, node_cap=3, depth_cap=2)
+    assert list(known.items()) == list(want.items())
+    assert rounds == want_rounds == 2
+    assert reason == "depth_cap"
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20)
+def test_prove_agrees_with_saturation_on_random_lattices(seed):
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=6)
+    h = random_hypotheses(rng, cat, max_count=4)
+    closure = saturate(cat, h)
+    for g in cat.all_morphisms():
+        result = prove(cat, h, g)
+        if closure.has(g):
+            assert result.status == "found"
+            assert result.proof == closure.provenance[g]
+        else:
+            assert result.status == "refuted"
+
+
 # bounded search
 
 
@@ -260,6 +371,7 @@ def test_prove_finds_the_chain_cancellation():
     assert result.found()
     assert result.status == "found"
     assert result.rounds_used == 1
+    assert result.stop_reason == "goal"
     assert check_proof(cat, h, result.proof) == cat.mor("0", "1")
 
 
@@ -276,6 +388,7 @@ def test_prove_refutes_on_a_closed_category():
     h = MorphismSet.of([("p", cat.mor("0", "a"))])
     result = prove(cat, h, cat.mor("0", "b"))
     assert result.status == "refuted"
+    assert result.stop_reason == "fixpoint"
     assert result.proof is None
 
 
@@ -301,5 +414,6 @@ def test_prove_reports_inconclusive_on_the_clique_family():
     goal = g.mor(GraphHom(zero, loop_point(), ()))
     result = prove(g, h, goal, node_cap=6, depth_cap=3)
     assert result.status == "inconclusive"
+    assert result.stop_reason == "mor_cap"
     assert result.proof is None
     assert not result.found()

@@ -13,6 +13,7 @@ text report (or the same data as JSON with --json), and exits with:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -472,6 +473,7 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="injlog", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", parser_class=_ArgumentParser)

@@ -140,8 +140,8 @@ class Category(ABC):
         """g after f; raises CategoryError unless cod f = dom g on the nose."""
 
     @abstractmethod
-    def enumerate_homs(self, a: ObjRef, x: ObjRef) -> list[MorRef]:
-        """All morphisms a -> x in canonical order."""
+    def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
+        """Morphisms a -> x in canonical order; with limit, the first limit."""
 
     @abstractmethod
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
@@ -157,10 +157,6 @@ class Category(ABC):
         """Finite coproduct with injections; empty input gives the initial object."""
 
     @abstractmethod
-    def coproduct_morphism(self, mors: Sequence[MorRef]) -> MorRef:
-        """The canonical morphism between coproducts acting blockwise."""
-
-    @abstractmethod
     def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
         """Mediator out of the coproduct of the leg domains into target.
 
@@ -174,10 +170,14 @@ class Category(ABC):
     @abstractmethod
     def morphism_label(self, m: MorRef) -> str: ...
 
-    def count_homs(self, a: ObjRef, x: ObjRef, cap: int | None = None) -> int:
-        """Hom set size, counting at most cap when given."""
-        n = len(self.enumerate_homs(a, x))
-        return n if cap is None else min(n, cap)
+    def coproduct_morphism(self, mors: Sequence[MorRef]) -> MorRef:
+        """The canonical morphism between coproducts acting blockwise: the
+        cotuple of each morphism followed by its codomain injection."""
+        # made before the codomain coproduct, so that a category numbering
+        # objects as it makes them (graphs) numbers the domain first
+        self.coproduct([m.dom for m in mors])
+        target, injections = self.coproduct([m.cod for m in mors])
+        return self.cotuple([self.compose(inj, m) for inj, m in zip(injections, mors)], target)
 
     def object_size(self, obj: ObjRef) -> int:
         """Growth measure used by search budgets; 1 unless overridden."""

@@ -13,8 +13,6 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import kernels
 from .core import Category, CategoryError, InjectivityResult, MorRef, ObjRef
 
@@ -40,14 +38,6 @@ class Graph:
     def links(self) -> tuple[int, ...]:
         """Successor and predecessor bitsets, the form the kernel searches."""
         return kernels.links(self.node_count, self.edges)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.node_count, self.node_count), dtype=np.bool_)
-        for i, j in self.edges:
-            adj[i, j] = True
-        adj.setflags(write=False)
-        return adj
 
     def has_loop(self) -> bool:
         return any(i == j for i, j in self.edges)
@@ -149,7 +139,8 @@ def factor(f: GraphHom) -> FactorizationResult:
 
 def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
     """All labeled graphs ordered by node count, then lexicographically on
-    the adjacency matrix read row-major with bit (0, 0) most significant.
+    the edge matrix (bit (i, j) set for edge i->j) read row-major with bit
+    (0, 0) most significant.
 
     The labeled reference: ``GraphCategory.universe`` walks
     ``graph_classes``, and tests compare the two."""
@@ -175,8 +166,8 @@ def graph_classes(max_nodes: int) -> Iterator[Graph]:
     of ``enumerate_graphs``: 1, 2, 10, 104, 3,044 and 291,968 graphs on
     0..5 nodes (OEIS A000595), against 2^(n*n) labeled ones.
 
-    Orderly generation (Read 1978; McKay 1998).  Row i of the adjacency
-    matrix is an n-bit int with column 0 most significant, so lex order on
+    Orderly generation (Read 1978; McKay 1998).  Row i of the edge matrix
+    is an n-bit int with column 0 most significant, so lex order on
     the row tuple is the labeled walk's order.  The search fixes rows in
     turn, trying each row's values in increasing order, and drops a prefix
     as soon as some relabelling is lex-smaller on the rows it already
@@ -320,10 +311,13 @@ class GraphCategory(Category):
             raise CategoryError("composability mismatch: cod of inner != dom of outer")
         return self.mor(f.payload.then(g.payload))
 
-    def enumerate_homs(self, a: ObjRef, x: ObjRef) -> list[MorRef]:
+    def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
         src = self.graph_of(a)
         dst = self.graph_of(x)
-        return [MorRef(a, x, GraphHom._trusted(src, dst, row)) for row in kernels.hom_list(src, dst)]
+        return [
+            MorRef(a, x, GraphHom._trusted(src, dst, row))
+            for row in kernels.hom_list(src, dst, limit=limit)
+        ]
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         self._check_mor(h)
@@ -362,18 +356,6 @@ class GraphCategory(Category):
         ]
         return apex, injections
 
-    def coproduct_morphism(self, mors: Sequence[MorRef]) -> MorRef:
-        for m in mors:
-            self._check_mor(m)
-        src, _ = self.coproduct([m.dom for m in mors])
-        dst, dst_inj = self.coproduct([m.cod for m in mors])
-        mapping: list[int] = []
-        for m, inj in zip(mors, dst_inj):
-            hom: GraphHom = m.payload
-            block: GraphHom = inj.payload
-            mapping.extend(block.mapping[hom.mapping[v]] for v in range(hom.source.node_count))
-        return self.mor(GraphHom(self.graph_of(src), self.graph_of(dst), tuple(mapping)))
-
     def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
         mapping: list[int] = []
         for m in legs:
@@ -383,9 +365,6 @@ class GraphCategory(Category):
             mapping.extend(m.payload.mapping)
         src, _ = self.coproduct([m.dom for m in legs])
         return self.mor(GraphHom(self.graph_of(src), self.graph_of(target), tuple(mapping)))
-
-    def count_homs(self, a: ObjRef, x: ObjRef, cap: int | None = None) -> int:
-        return kernels.hom_count(self.graph_of(a), self.graph_of(x), cap=cap)
 
     def object_size(self, obj: ObjRef) -> int:
         return self.graph_of(obj).node_count

@@ -3,7 +3,7 @@
 One backtracking search with forward checking over bitset domains
 (Ullmann, J. ACM 1976; bitset domains as in the Glasgow Subgraph Solver)
 serves every query.  It yields node assignments in lexicographic order,
-node 0 most significant, so the first, the count and the full list all
+node 0 most significant, so the first hom and any prefix of the list
 come from the same sequence.
 
 A graph is read through its ``links`` tuple (see ``links``).  A pin
@@ -109,11 +109,8 @@ def hom_first(src: Graph, dst: Graph, pinned: Sequence[int] | None = None) -> tu
     return next(_homs(src, dst, _checked_pins(src, dst, pinned)), None)
 
 
-def hom_count(src: Graph, dst: Graph, pinned: Sequence[int] | None = None, cap: int | None = None) -> int:
-    """Number of pin-respecting homomorphisms; with cap, counts up to cap."""
-    return sum(1 for _ in islice(_homs(src, dst, _checked_pins(src, dst, pinned)), cap))
-
-
-def hom_list(src: Graph, dst: Graph, pinned: Sequence[int] | None = None) -> list[tuple[int, ...]]:
-    """All pin-respecting homomorphisms in lex order."""
-    return list(_homs(src, dst, _checked_pins(src, dst, pinned)))
+def hom_list(
+    src: Graph, dst: Graph, pinned: Sequence[int] | None = None, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Pin-respecting homomorphisms in lex order; with limit, the first limit."""
+    return list(islice(_homs(src, dst, _checked_pins(src, dst, pinned)), limit))

@@ -176,10 +176,10 @@ class LatticeCategory(Category):
             raise CategoryError("composability mismatch: cod of inner != dom of outer")
         return MorRef(f.dom, g.cod, (f.dom.index, g.cod.index))
 
-    def enumerate_homs(self, a: ObjRef, x: ObjRef) -> list[MorRef]:
+    def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
         self._check_obj(a)
         self._check_obj(x)
-        if self.p.leq[a.index, x.index]:
+        if self.p.leq[a.index, x.index] and limit != 0:
             return [MorRef(a, x, (a.index, x.index))]
         return []
 
@@ -202,16 +202,6 @@ class LatticeCategory(Category):
             acc = int(self.p.join[acc, o.index])
         apex = self.obj(acc)
         return apex, [MorRef(o, apex, (o.index, acc)) for o in objs]
-
-    def coproduct_morphism(self, mors) -> MorRef:
-        self._require_lattice()
-        src = self._bottom()
-        dst = self._bottom()
-        for m in mors:
-            self._check_mor(m)
-            src = int(self.p.join[src, m.dom.index])
-            dst = int(self.p.join[dst, m.cod.index])
-        return MorRef(self.obj(src), self.obj(dst), (src, dst))
 
     def cotuple(self, legs, target: ObjRef) -> MorRef:
         self._require_lattice()

@@ -101,8 +101,6 @@ class WidePushN:
 
 ProofTerm = Hyp | Identity | Compose | Cancel | Push | CoprodN | WidePushN
 
-PRIMITIVE_TERMS = (Hyp, Identity, Compose, Cancel, Push)
-
 
 def check_proof(cat: Category, hypotheses: MorphismSet, term: ProofTerm) -> MorRef:
     """Conclusion of the term, or a ProofError describing the first defect.
@@ -297,7 +295,7 @@ class ProveResult:
     status: str  # "found" | "refuted" | "inconclusive"
     proof: ProofTerm | None
     rounds_used: int
-    stop_reason: str  # "goal" | "fixpoint" | "depth_cap" | "mor_cap"
+    stop_reason: str  # "goal" | "fixpoint" | "depth_cap" | "mor_cap" | "node_cap" | "hom_cap"
 
     def found(self) -> bool:
         return self.status == "found"
@@ -320,9 +318,11 @@ def prove(
     through pushouts and are discarded above node_cap; attachment
     enumerations are skipped past hom_cap maps; the run stops once
     mor_cap morphisms are known or after depth_cap rounds.  On a finite
-    closed category reaching a fixpoint refutes the goal; otherwise
-    exhaustion is inconclusive, since derivability over an open universe
-    is only semi-decidable.  stop_reason names what ended the run.
+    closed category a fixpoint that no budget pruned refutes the goal;
+    otherwise exhaustion is inconclusive, since derivability over an open
+    universe is only semi-decidable.  stop_reason names what ended the
+    run: a run that ran dry after node_cap or hom_cap pruned a step stops
+    on that budget.
     """
     cat.validate_for_colimits()
     known, rounds, reason = _fixpoint(
@@ -364,13 +364,19 @@ def _fixpoint(
     those of naive evaluation.  A budget of None is no budget.
 
     Returns (known, rounds, stop_reason); stop_reason is "goal",
-    "fixpoint", "depth_cap" or "mor_cap".
+    "depth_cap" or "mor_cap" when that ended the run; on running dry it is
+    "node_cap" if that budget ever pruned a step, else "hom_cap" if that
+    one did, else "fixpoint".
     """
     in_play: list[ObjRef] = []
     in_play_set: set[ObjRef] = set()
+    pruned: set[str] = set()  # the budgets that have cut a step
 
     def admit(obj: ObjRef) -> bool:
-        if obj in in_play_set or (node_cap is not None and cat.object_size(obj) > node_cap):
+        if obj in in_play_set:
+            return False
+        if node_cap is not None and cat.object_size(obj) > node_cap:
+            pruned.add("node_cap")
             return False
         in_play.append(obj)
         in_play_set.add(obj)
@@ -406,6 +412,8 @@ def _fixpoint(
     old_mors = old_objs = 0
     old_by_cod: dict[ObjRef, int] = {}
 
+    # a listing that reaches hom_cap + 1 homs is over the cap
+    limit = None if hom_cap is None else hom_cap + 1
     rounds = 0
     while depth_cap is None or rounds < depth_cap:
         fresh: dict[MorRef, ProofTerm] = {}
@@ -423,8 +431,11 @@ def _fixpoint(
             """(premise, homs premise.dom -> x) for the x it must visit."""
             for i, m in enumerate(mors):
                 for x in in_play if i >= old_mors else new_objs:
-                    if hom_cap is None or cat.count_homs(m.dom, x, cap=hom_cap + 1) <= hom_cap:
-                        yield m, cat.enumerate_homs(m.dom, x)
+                    homs = cat.enumerate_homs(m.dom, x, limit)
+                    if len(homs) == limit:
+                        pruned.add("hom_cap")
+                    else:
+                        yield m, homs
 
         try:
             if "composition" in mask:
@@ -446,11 +457,13 @@ def _fixpoint(
                         h_prime, _ = cat.pushout(h, f)
                         if node_cap is None or cat.object_size(h_prime.cod) <= node_cap:
                             offer(h_prime, Push(known[h], along=f))
+                        else:
+                            pruned.add("node_cap")
         except _BudgetStop:
             return known, rounds + 1, "mor_cap"
 
         if not fresh:
-            return known, rounds, "fixpoint"
+            return known, rounds, next((b for b in ("node_cap", "hom_cap") if b in pruned), "fixpoint")
         rounds += 1
         old_mors, old_objs = len(known), len(in_play)
         old_by_cod = {c: len(ms) for c, ms in by_cod.items()}

@@ -56,6 +56,17 @@ def test_saturate_complete(ws_file, capsys):
     assert "verdict: complete" in out
 
 
+def test_disabled_rules_do_not_carry_over_to_the_next_call(ws_file, capsys):
+    code, out = run(
+        capsys, "saturate", ws_file, "--cat", "chain", "--hset", "H", "--disable", "cancellation"
+    )
+    assert code == 1
+    assert "verdict: incomplete" in out
+    code, out = run(capsys, "saturate", ws_file, "--cat", "chain", "--hset", "H")
+    assert code == 0
+    assert "verdict: complete" in out
+
+
 def test_saturate_without_cancellation_is_incomplete(ws_file, capsys):
     code, out = run(
         capsys, "saturate", ws_file, "--cat", "chain", "--hset", "H",
@@ -136,8 +147,17 @@ def test_prove_inconclusive_under_tight_budget(ws_file, capsys):
     )
     assert code == 2
     assert "verdict: inconclusive" in out
-    # graphs are an open universe: running dry within the node cap refutes nothing
-    assert "stopped: fixpoint" in out
+    # every pushout apex has more than 4 nodes, so the node cap emptied the search
+    assert "stopped: node_cap" in out
+
+
+def test_prove_pruned_by_the_node_cap_is_inconclusive(ws_file, capsys):
+    # the goal is derivable, but a node cap of 0 admits no lattice element
+    code, out = run(
+        capsys, "prove", ws_file, "--hset", "H", "--goal", "goal", "--node-cap", "0",
+    )
+    assert code == 2
+    assert "verdict: inconclusive\nrounds: 0\nstopped: node_cap\n" in out
 
 
 def test_check_proof_valid_and_invalid(ws_file, capsys):

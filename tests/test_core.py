@@ -12,7 +12,7 @@ from injlog.core import (
     verify_pushout_square,
     wide_pushout,
 )
-from injlog.graphs import Graph, GraphCategory, GraphHom, loop_point
+from injlog.graphs import Graph, GraphCategory, GraphHom, loop_point, random_graph
 from injlog.lattice import (
     LatticeCategory,
     presentation_from_pairs,
@@ -88,6 +88,19 @@ def test_wide_pushout_injections_close_the_fan(seed, count):
     res = wide_pushout(cat, mors)
     for inj, m in zip(res.injections, mors):
         assert cat.compose(inj, m) == res.composite
+    # the same fan of legs out of a random graph with at most two nodes
+    g = GraphCategory()
+    dom = g.obj(random_graph(rng, max_nodes=2))
+    legs = []
+    while len(legs) < count:
+        homs = g.enumerate_homs(dom, g.obj(random_graph(rng, max_nodes=3)))
+        if homs:
+            legs.append(rng.choice(homs))
+    res = wide_pushout(g, legs)
+    for inj, m in zip(res.injections, legs):
+        assert g.compose(inj, m) == res.composite
+    if count == 2:
+        assert res.apex == g.pushout(*legs)[0].cod
 
 
 def test_semantic_consequence_exact_labels():
@@ -181,12 +194,14 @@ def test_generic_injectivity_agrees_on_random_lattices(seed):
         assert cat.is_injective(x, h).holds == Category.is_injective(cat, x, h).holds
 
 
-def test_count_homs_respects_cap():
+def test_enumerate_homs_respects_limit():
     g = GraphCategory()
     a = g.obj(Graph.of(1))
     x = g.obj(Graph.of(3, [(i, j) for i in range(3) for j in range(3)]))
-    assert g.count_homs(a, x) == 3
-    assert g.count_homs(a, x, cap=2) == 2
+    homs = g.enumerate_homs(a, x)
+    assert len(homs) == 3
+    for k in range(5):
+        assert g.enumerate_homs(a, x, limit=k) == homs[:k]
 
 
 def test_object_size_and_labels():

@@ -94,6 +94,10 @@ def test_morphism_existence_follows_leq():
         cat.mor("a", "b")
     assert cat.enumerate_homs(cat.obj("a"), cat.obj("1")) == [cat.mor("a", "1")]
     assert cat.enumerate_homs(cat.obj("a"), cat.obj("b")) == []
+    for a, x in ((cat.obj("a"), cat.obj("1")), (cat.obj("a"), cat.obj("b"))):
+        homs = cat.enumerate_homs(a, x)
+        for k in range(3):
+            assert cat.enumerate_homs(a, x, limit=k) == homs[:k]
 
 
 def test_morphism_count_of_diamond_and_chain():

@@ -392,6 +392,41 @@ def test_prove_refutes_on_a_closed_category():
     assert result.proof is None
 
 
+@pytest.mark.parametrize("budget", ["node_cap", "hom_cap"])
+def test_prove_does_not_refute_when_a_budget_pruned_the_search(budget):
+    # node_cap=0 admits no object, hom_cap=0 skips every attachment; the
+    # default budgets derive the goal in one round
+    cat = chain3()
+    h = MorphismSet.of([("h", cat.mor("0", "2"))])
+    result = prove(cat, h, cat.mor("0", "1"), **{budget: 0})
+    assert result.status == "inconclusive"
+    assert result.stop_reason == budget
+    assert result.proof is None
+
+
+def test_prove_skips_an_attachment_past_hom_cap():
+    g = GraphCategory()
+    point, edge = Graph.of(1), Graph.of(2, [(0, 1)])
+    inc = g.mor(GraphHom(point, edge, (0,)))
+    h = MorphismSet.of([("inc", inc)])
+    goal = g.pushout(inc, g.mor(GraphHom(point, edge, (1,))))[0]
+    listed = []
+    enumerate_homs = g.enumerate_homs
+
+    def spy(a, x, limit=None):
+        homs = enumerate_homs(a, x, limit)
+        listed.append((limit, len(homs)))
+        return homs
+
+    g.enumerate_homs = spy
+    # the point maps into the edge twice, one hom past the cap
+    result = prove(g, h, goal, node_cap=3, hom_cap=1)
+    assert (result.status, result.stop_reason) == ("inconclusive", "hom_cap")
+    assert {limit for limit, _ in listed} == {2}
+    assert (2, 2) in listed
+    assert prove(g, h, goal, node_cap=3, hom_cap=2).found()
+
+
 def test_prove_finds_graph_compositions():
     g = GraphCategory()
     node = Graph.of(1)

@@ -23,7 +23,7 @@ from typing import Sequence
 from .core import Category, MorphismSet, MorRef, semantic_consequence
 from .dsl import DslError, Workspace, parse, proof_to_text
 from .graphs import GraphCategory, clique, empty_graph, loop_point, GraphHom
-from .lattice import LatticeCategory, presentation_from_pairs
+from .lattice import LatticeCategory, LatticeError, presentation_from_pairs
 from .proofs import (
     RULES,
     Cancel,
@@ -542,11 +542,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, report, lines = args.handler(args)
-    except UsageError as err:
+    except (UsageError, LatticeError) as err:
+        message = str(err)
+        if isinstance(err, LatticeError) and err.kind == "no-join":
+            # a colimit query on a declared poset that is not a complete lattice
+            joined = " and ".join(err.witness) or "no elements (there is no bottom)"
+            message = f"not a complete lattice: no join of {joined}"
         if getattr(args, "json", False):
-            print(json.dumps({"verdict": "usage-error", "error": str(err)}))
+            print(json.dumps({"verdict": "usage-error", "error": message}))
         else:
-            print(f"usage error: {err}", file=sys.stderr)
+            print(f"usage error: {message}", file=sys.stderr)
         return 64
     except DslError as err:
         diag = err.diagnostic

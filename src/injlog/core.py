@@ -125,10 +125,23 @@ class CategoryError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class WidePushoutResult:
+    """Apex composite plus the injection from each cocone leg codomain."""
+
+    composite: MorRef
+    injections: tuple[MorRef, ...]
+
+    @property
+    def apex(self) -> ObjRef:
+        return self.composite.cod
+
+
 class Category(ABC):
     """Finitely computable category: identities, composites, hom sets,
-    pushouts, finite coproducts.  Deterministic: equal inputs give equal
-    outputs, and hom enumeration follows a fixed canonical order."""
+    pushouts, wide pushouts, finite coproducts.  Deterministic: equal
+    inputs give equal outputs, and hom enumeration follows a fixed
+    canonical order."""
 
     cat_id: str
 
@@ -151,6 +164,11 @@ class Category(ABC):
         domain cod f, f_prime the leg opposite f with domain cod h.
         The square commutes on the nose.
         """
+
+    @abstractmethod
+    def wide_pushout(self, mors: Sequence[MorRef]) -> WidePushoutResult:
+        """Canonical wide pushout of a non-empty fan sharing a domain, built
+        in one step; ``core.wide_pushout`` checks the fan first."""
 
     @abstractmethod
     def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
@@ -212,25 +230,14 @@ class Category(ABC):
         return InjectivityResult(True)
 
 
-@dataclass(frozen=True)
-class WidePushoutResult:
-    """Apex composite plus the injection from each cocone leg codomain."""
-
-    composite: MorRef
-    injections: tuple[MorRef, ...]
-
-    @property
-    def apex(self) -> ObjRef:
-        return self.composite.cod
-
-
 def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:
     """Canonical wide pushout of morphisms sharing a domain.
 
-    Built by staging binary pushouts: fold each next leg into the running
-    composite and recompose.  The one-element case is the morphism itself
-    with an identity injection; the empty case is not defined (no domain
-    to read off), callers pass at least one leg.
+    The category glues the leg codomains along the shared domain at once:
+    one quotient of their disjoint union on graphs, one join on a lattice.
+    The one-element case is the morphism itself with an identity
+    injection; the empty case is not defined (no domain to read off),
+    callers pass at least one leg.
     """
     if not mors:
         raise CategoryError("wide pushout needs at least one morphism")
@@ -238,16 +245,7 @@ def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:
     for m in mors[1:]:
         if m.dom != dom:
             raise CategoryError("wide pushout legs must share a domain")
-    composite = mors[0]
-    injections: list[MorRef] = [cat.identity(mors[0].cod)]
-    for m in mors[1:]:
-        # pushout of the running composite along the next leg; the leg
-        # opposite the composite becomes that leg's injection
-        new_inj, connector = cat.pushout(composite, m)
-        injections = [cat.compose(connector, k) for k in injections]
-        injections.append(new_inj)
-        composite = cat.compose(new_inj, m)
-    return WidePushoutResult(composite, tuple(injections))
+    return cat.wide_pushout(mors)
 
 
 def semantic_consequence(

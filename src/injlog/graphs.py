@@ -14,7 +14,14 @@ from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
-from .core import Category, CategoryError, InjectivityResult, MorRef, ObjRef
+from .core import (
+    Category,
+    CategoryError,
+    InjectivityResult,
+    MorRef,
+    ObjRef,
+    WidePushoutResult,
+)
 
 
 @dataclass(frozen=True)
@@ -110,33 +117,6 @@ def clique(n: int) -> Graph:
     return Graph.of(n, ((i, j) for i in range(n) for j in range(n) if i != j))
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    """Surjection onto the induced image followed by an embedding."""
-
-    epi_part: GraphHom
-    mono_part: GraphHom
-
-    @property
-    def mid(self) -> Graph:
-        return self.epi_part.target
-
-
-def factor(f: GraphHom) -> FactorizationResult:
-    """Factor f through its image: node image with all target edges between
-    image nodes (the embedding is edge-reflecting).  Image nodes are
-    renumbered in increasing target order."""
-    image = sorted(set(f.mapping))
-    rename = {v: k for k, v in enumerate(image)}
-    mid = Graph.of(
-        len(image),
-        ((rename[i], rename[j]) for i, j in f.target.edges if i in rename and j in rename),
-    )
-    epi = GraphHom(f.source, mid, tuple(rename[v] for v in f.mapping))
-    mono = GraphHom(mid, f.target, tuple(image))
-    return FactorizationResult(epi, mono)
-
-
 def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
     """All labeled graphs ordered by node count, then lexicographically on
     the edge matrix (bit (i, j) set for edge i->j) read row-major with bit
@@ -217,62 +197,6 @@ def _lex_least_graphs(n: int) -> Iterator[Graph]:
     return extend(0)
 
 
-def isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism test, intended for test assertions only."""
-    if g.node_count != h.node_count or len(g.edges) != len(h.edges):
-        return False
-    n = g.node_count
-    for perm in permutations(range(n)):
-        if frozenset((perm[i], perm[j]) for i, j in g.edges) == h.edges:
-            return True
-    return False
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]  # path compression
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller index as representative
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _quotient(parts: Sequence[Graph], relations: Iterable[tuple[int, int]]):
-    """Glue a disjoint union along relations given in combined indices.
-
-    Classes are renumbered by minimal member.  Returns the quotient graph
-    and the map from combined index to class index.
-    """
-    offsets = []
-    total = 0
-    for g in parts:
-        offsets.append(total)
-        total += g.node_count
-    uf = _UnionFind(total)
-    for a, b in relations:
-        uf.union(a, b)
-    reps = sorted({uf.find(v) for v in range(total)})
-    cls = {rep: k for k, rep in enumerate(reps)}
-    index_map = [cls[uf.find(v)] for v in range(total)]
-    edges = set()
-    for g, off in zip(parts, offsets):
-        for i, j in g.edges:
-            edges.add((index_map[off + i], index_map[off + j]))
-    return Graph.of(len(reps), edges), index_map, offsets
-
-
 class GraphCategory(Category):
     """Ambient category of all finite graphs, with an interning registry so
     object references stay stable for the lifetime of the instance."""
@@ -324,37 +248,66 @@ class GraphCategory(Category):
         self._check_mor(f)
         if h.dom != f.dom:
             raise CategoryError("pushout span must share a domain")
-        hh: GraphHom = h.payload
-        ff: GraphHom = f.payload
-        off_f = hh.target.node_count
-        relations = [
-            (hh.mapping[v], off_f + ff.mapping[v]) for v in range(hh.source.node_count)
-        ]
-        apex, index_map, offsets = _quotient([hh.target, ff.target], relations)
-        h_prime = GraphHom._trusted(
-            ff.target, apex, tuple(index_map[offsets[1] + v] for v in range(ff.target.node_count))
-        )
-        f_prime = GraphHom._trusted(
-            hh.target, apex, tuple(index_map[offsets[0] + v] for v in range(hh.target.node_count))
-        )
-        return self.mor(h_prime), self.mor(f_prime)
+        _, (f_prime, h_prime) = self._glue([(h.cod, h.payload.mapping), (f.cod, f.payload.mapping)])
+        return h_prime, f_prime
+
+    def wide_pushout(self, mors: Sequence[MorRef]) -> WidePushoutResult:
+        for m in mors:
+            self._check_mor(m)
+        apex, injections = self._glue([(m.cod, m.payload.mapping) for m in mors])
+        leg: GraphHom = mors[0].payload
+        into = injections[0].payload
+        composite = GraphHom._trusted(leg.source, into.target, tuple(into.mapping[v] for v in leg.mapping))
+        return WidePushoutResult(MorRef(mors[0].dom, apex, composite), tuple(injections))
 
     def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
-        parts = [self.graph_of(o) for o in objs]
-        total = 0
-        offsets = []
-        edges: list[tuple[int, int]] = []
+        # legs out of the empty graph glue nothing
+        return self._glue([(o, ()) for o in objs])
+
+    def _glue(self, legs: Sequence[tuple[ObjRef, tuple[int, ...]]]) -> tuple[ObjRef, list[MorRef]]:
+        """Quotient of the disjoint union of the leg codomains, a leg being
+        a codomain and the node map into it from the shared domain: each
+        domain node's images under all legs become one node.  Nodes are
+        numbered by their class's least member in the union, as a staged
+        fold of binary gluings numbers them.  Returns the apex and the
+        injection from each leg codomain."""
+        parts = [self.graph_of(cod) for cod, _ in legs]
+        offsets = [0]
         for g in parts:
-            offsets.append(total)
-            edges.extend((total + i, total + j) for i, j in g.edges)
-            total += g.node_count
-        apex_graph = Graph.of(total, edges)
+            offsets.append(offsets[-1] + g.node_count)
+        parent = list(range(offsets[-1]))  # a class's root is its least member
+
+        def root(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        first = legs[0][1] if legs else ()
+        for (_, mapping), off in zip(legs[1:], offsets[1:]):
+            for v, image in enumerate(mapping):
+                a, b = root(first[v]), root(off + image)
+                if a < b:  # the smaller root stays a root
+                    parent[b] = a
+                else:
+                    parent[a] = b
+        index_map: list[int] = []
+        size = 0
+        for v in range(offsets[-1]):
+            r = root(v)
+            if r == v:  # the least member of its class opens the next node
+                index_map.append(size)
+                size += 1
+            else:
+                index_map.append(index_map[r])
+        apex_graph = Graph(size, frozenset(
+            (index_map[off + i], index_map[off + j]) for g, off in zip(parts, offsets) for i, j in g.edges
+        ))
         apex = self.obj(apex_graph)
-        injections = [
-            self.mor(GraphHom(g, apex_graph, tuple(range(off, off + g.node_count))))
-            for g, off in zip(parts, offsets)
+        return apex, [
+            MorRef(cod, apex, GraphHom._trusted(g, apex_graph, tuple(index_map[off : off + g.node_count])))
+            for (cod, _), g, off in zip(legs, parts, offsets)
         ]
-        return apex, injections
 
     def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
         mapping: list[int] = []

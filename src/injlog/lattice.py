@@ -14,7 +14,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Category, CategoryError, InjectivityResult, MorRef, MorphismSet, ObjRef
+from .core import (
+    Category,
+    CategoryError,
+    InjectivityResult,
+    MorphismSet,
+    MorRef,
+    ObjRef,
+    WidePushoutResult,
+)
 
 
 class LatticeError(ValueError):
@@ -61,8 +69,9 @@ def presentation_from_pairs(
     transitive closure is taken automatically, then validated."""
     elems = tuple(elements)
     n = len(elems)
-    if len(set(elems)) != n:
-        raise LatticeError("duplicate-element", (name,))
+    for i, e in enumerate(elems):
+        if e in elems[:i]:
+            raise LatticeError("duplicate-element", (e,))
     leq = np.eye(n, dtype=bool)
     idx = {e: i for i, e in enumerate(elems)}
     for a, b in pairs:
@@ -85,7 +94,8 @@ def validate(p: LatticePresentation, require_lattice: bool = False) -> LatticePr
     Raises LatticeError("not-reflexive"/"not-transitive"/"not-antisymmetric")
     with a witness pair on a broken order.  A poset lacking some join is
     accepted with is_complete_lattice False unless require_lattice is set,
-    in which case LatticeError("no-join", (a, b)) is raised.
+    in which case LatticeError("no-join", (a, b)) is raised (witness ()
+    when only the bottom is missing).
     """
     n = p.size
     leq = p.leq
@@ -122,15 +132,24 @@ def validate(p: LatticePresentation, require_lattice: bool = False) -> LatticePr
                 meet[a, b] = greatest[0]
     has_bottom = any(bool(leq[i].all()) for i in range(n)) if n else False
     complete = n > 0 and missing is None and has_bottom and (meet >= 0).all()
-    if require_lattice and not complete:
-        if missing is not None:
-            raise LatticeError("no-join", (p.elements[missing[0]], p.elements[missing[1]]))
-        raise LatticeError("no-join", ("<empty or unbounded poset>",))
     p.join = join if complete else None
     p.meet = meet if complete else None
     p.is_complete_lattice = complete
     p.missing_join = missing
+    if require_lattice and not complete:
+        raise _no_join(p)
     return p
+
+
+def _no_join(p: LatticePresentation) -> LatticeError:
+    """The no-join error for a poset that is not a complete lattice: its
+    witness names the first pair of elements without a join, or is empty
+    when every pair has one but the join of no elements, the bottom, is
+    missing."""
+    if p.missing_join is None:
+        return LatticeError("no-join", ())
+    a, b = p.missing_join
+    return LatticeError("no-join", (p.elements[a], p.elements[b]))
 
 
 class LatticeCategory(Category):
@@ -189,30 +208,41 @@ class LatticeCategory(Category):
         if h.dom != f.dom:
             raise CategoryError("pushout span must share a domain")
         self._require_lattice()
-        b, c = h.cod.index, f.cod.index
-        top = int(self.p.join[b, c])
-        apex = self.obj(top)
-        return MorRef(f.cod, apex, (c, top)), MorRef(h.cod, apex, (b, top))
+        _, (h_prime, f_prime) = self._join([f.cod, h.cod])
+        return h_prime, f_prime
+
+    def wide_pushout(self, mors: Sequence[MorRef]) -> WidePushoutResult:
+        for m in mors:
+            self._check_mor(m)
+        self._require_lattice()
+        apex, injections = self._join([m.cod for m in mors])
+        dom = mors[0].dom
+        return WidePushoutResult(MorRef(dom, apex, (dom.index, apex.index)), tuple(injections))
 
     def coproduct(self, objs) -> tuple[ObjRef, list[MorRef]]:
         self._require_lattice()
-        acc = self._bottom()
         for o in objs:
             self._check_obj(o)
-            acc = int(self.p.join[acc, o.index])
-        apex = self.obj(acc)
-        return apex, [MorRef(o, apex, (o.index, acc)) for o in objs]
+        return self._join(objs)
 
     def cotuple(self, legs, target: ObjRef) -> MorRef:
         self._require_lattice()
         self._check_obj(target)
-        src = self._bottom()
         for m in legs:
             self._check_mor(m)
             if m.cod != target:
                 raise CategoryError("cotuple legs must share the target")
-            src = int(self.p.join[src, m.dom.index])
-        return self.mor(src, target.index)
+        src, _ = self._join([m.dom for m in legs])
+        return self.mor(src.index, target.index)
+
+    def _join(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
+        """Join of objs (bottom when there are none) with the injection
+        from each; the one place a lattice glues objects."""
+        top = objs[0].index if objs else next(i for i in range(self.p.size) if self.p.leq[i].all())
+        for o in objs[1:]:
+            top = int(self.p.join[top, o.index])
+        apex = ObjRef(self.cat_id, top)
+        return apex, [MorRef(o, apex, (o.index, top)) for o in objs]
 
     def search_universe(self) -> list[ObjRef]:
         return self.objects()
@@ -244,15 +274,9 @@ class LatticeCategory(Category):
         self._check_mor(m)
         return f"{self.p.elements[m.dom.index]}->{self.p.elements[m.cod.index]}"
 
-    def _bottom(self) -> int:
-        for i in range(self.p.size):
-            if self.p.leq[i].all():
-                return i
-        raise LatticeError("no-join", ("<no bottom>",))
-
     def _require_lattice(self) -> None:
         if not self.p.is_complete_lattice:
-            raise LatticeError("no-join", self.p.missing_join or ("<not a complete lattice>",))
+            raise _no_join(self.p)
 
     def _check_obj(self, obj: ObjRef) -> None:
         if obj.cat_id != self.cat_id or not 0 <= obj.index < self.p.size:

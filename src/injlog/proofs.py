@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef, wide_pushout
+from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef
 
 
 class ProofError(Exception):

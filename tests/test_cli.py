@@ -254,6 +254,38 @@ def test_negative_budgets_are_usage_errors(ws_file, capsys, argv):
     assert argv[-2] in report["error"]
 
 
+NO_JOIN = """
+lattice P { elements: a b; }
+mor ida : a -> a;
+hset H { ida }
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reflect", "--cat", "P", "--object", "a", "--hset", "H"),
+        ("prove", "--hset", "H", "--goal", "ida"),
+        ("saturate", "--cat", "P", "--hset", "H"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_poset_without_a_join_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "nojoin.inj"
+    path.write_text(NO_JOIN)
+    assert main([argv[0], str(path), *argv[1:]]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: not a complete lattice: no join of a and b" in captured.err
+    code, out = run(capsys, argv[0], str(path), *argv[1:], "--json")
+    assert code == 64
+    report = json.loads(out)
+    assert report == {
+        "verdict": "usage-error",
+        "error": "not a complete lattice: no join of a and b",
+    }
+
+
 def test_parse_error_exit_code_and_json_shape(tmp_path, capsys):
     bad = tmp_path / "bad.inj"
     bad.write_text("lattice L { elements: a a; }")

@@ -8,11 +8,13 @@ from injlog.core import (
     CategoryError,
     MorphismSet,
     MorphismSetError,
+    WidePushoutResult,
     semantic_consequence,
     verify_pushout_square,
     wide_pushout,
 )
 from injlog.graphs import Graph, GraphCategory, GraphHom, loop_point, random_graph
+from injlog.proofs import Hyp, WidePushN, check_proof
 from injlog.lattice import (
     LatticeCategory,
     presentation_from_pairs,
@@ -78,17 +80,29 @@ def test_wide_pushout_single_morphism_is_identity_injection():
     assert res.injections == (cat.identity(cat.obj("2")),)
 
 
-@given(st.integers(0, 10**6), st.integers(1, 4))
-def test_wide_pushout_injections_close_the_fan(seed, count):
-    rng = random.Random(seed)
+def staged_wide_pushout(cat, mors):
+    """Reference: fold binary pushouts, recomposing every earlier injection
+    with each connector (quadratic in the legs)."""
+    composite = mors[0]
+    injections = [cat.identity(mors[0].cod)]
+    for m in mors[1:]:
+        # the leg opposite the running composite becomes m's injection
+        new_inj, connector = cat.pushout(composite, m)
+        injections = [cat.compose(connector, k) for k in injections]
+        injections.append(new_inj)
+        composite = cat.compose(new_inj, m)
+    return WidePushoutResult(composite, tuple(injections))
+
+
+def lattice_fan(rng, count):
     cat = random_lattice(rng, max_size=6)
     dom = rng.choice(cat.objects())
-    cods = [m for m in cat.all_morphisms() if m.dom == dom]
-    mors = [rng.choice(cods) for _ in range(count)]
-    res = wide_pushout(cat, mors)
-    for inj, m in zip(res.injections, mors):
-        assert cat.compose(inj, m) == res.composite
-    # the same fan of legs out of a random graph with at most two nodes
+    out = [m for m in cat.all_morphisms() if m.dom == dom]
+    return cat, [rng.choice(out) for _ in range(count)]
+
+
+def graph_fan(rng, count):
+    """Legs out of a random graph with at most two nodes."""
     g = GraphCategory()
     dom = g.obj(random_graph(rng, max_nodes=2))
     legs = []
@@ -96,11 +110,36 @@ def test_wide_pushout_injections_close_the_fan(seed, count):
         homs = g.enumerate_homs(dom, g.obj(random_graph(rng, max_nodes=3)))
         if homs:
             legs.append(rng.choice(homs))
-    res = wide_pushout(g, legs)
-    for inj, m in zip(res.injections, legs):
-        assert g.compose(inj, m) == res.composite
-    if count == 2:
-        assert res.apex == g.pushout(*legs)[0].cod
+    return g, legs
+
+
+@given(st.integers(0, 10**6), st.integers(1, 5))
+def test_wide_pushout_injections_close_the_fan(seed, count):
+    rng = random.Random(seed)
+    for cat, mors in (lattice_fan(rng, count), graph_fan(rng, count)):
+        res = wide_pushout(cat, mors)
+        assert res == staged_wide_pushout(cat, mors)
+        for inj, m in zip(res.injections, mors):
+            assert cat.compose(inj, m) == res.composite
+        if count == 2:
+            assert res.apex == cat.pushout(*mors)[0].cod
+        hyps = MorphismSet.of((f"m{i}", m) for i, m in enumerate(mors))
+        term = WidePushN(tuple(Hyp(name) for name in hyps.names()))
+        assert check_proof(cat, hyps, term) == res.composite
+
+
+def test_wide_pushout_glues_in_one_category_operation(monkeypatch):
+    rng = random.Random(5)
+    fans = [lattice_fan(rng, 4), graph_fan(rng, 4)]
+    expected = [staged_wide_pushout(cat, mors) for cat, mors in fans]
+
+    def refuse(self, *args):
+        raise AssertionError("wide pushout staged through pushout or compose")
+
+    for cls in (LatticeCategory, GraphCategory):
+        monkeypatch.setattr(cls, "pushout", refuse)
+        monkeypatch.setattr(cls, "compose", refuse)
+    assert [wide_pushout(cat, mors) for cat, mors in fans] == expected
 
 
 def test_semantic_consequence_exact_labels():

@@ -37,6 +37,7 @@ def test_duplicate_and_unknown_elements_are_rejected():
     with pytest.raises(LatticeError) as err:
         presentation_from_pairs("L", ["a", "a"], [])
     assert err.value.kind == "duplicate-element"
+    assert err.value.witness == ("a",)
     with pytest.raises(LatticeError) as err:
         presentation_from_pairs("L", ["a"], [("a", "zz")])
     assert err.value.kind == "unknown-element"
@@ -81,10 +82,33 @@ def test_antichain_with_bounds_missing_middle_joins():
 def test_poset_without_lattice_structure_refuses_pushouts():
     p = presentation_from_pairs("vee", ["bot", "b", "c"], [("bot", "b"), ("bot", "c")])
     cat = LatticeCategory(p)
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError) as err:
         cat.pushout(cat.mor("bot", "b"), cat.mor("bot", "c"))
+    assert err.value.kind == "no-join"
+    assert err.value.witness == ("b", "c")
     # injectivity queries still work on the plain poset
     assert cat.is_injective(cat.obj("b"), cat.mor("bot", "b")).holds
+
+
+def test_missing_joins_are_named_by_their_elements():
+    antichain = LatticeCategory(presentation_from_pairs("P", ["a", "b"], []))
+    for query in (
+        antichain.validate_for_colimits,
+        lambda: antichain.coproduct([]),
+        lambda: antichain.wide_pushout([antichain.mor("a", "a")]),
+    ):
+        with pytest.raises(LatticeError) as err:
+            query()
+        assert err.value.kind == "no-join"
+        assert err.value.witness == ("a", "b")
+    # every pair has a join, but the join of no elements, the bottom, is missing
+    roof = LatticeCategory(presentation_from_pairs("R", ["a", "b", "t"], [("a", "t"), ("b", "t")]))
+    with pytest.raises(LatticeError) as err:
+        roof.validate_for_colimits()
+    assert (err.value.kind, err.value.witness) == ("no-join", ())
+    with pytest.raises(LatticeError) as err:
+        validate(roof.p, require_lattice=True)
+    assert (err.value.kind, err.value.witness) == ("no-join", ())
 
 
 def test_morphism_existence_follows_leq():

@@ -127,7 +127,8 @@ class CategoryError(ValueError):
 
 @dataclass(frozen=True)
 class WidePushoutResult:
-    """Apex composite plus the injection from each cocone leg codomain."""
+    """Composite into the apex, from a fan's shared domain or the object
+    attached to, plus the injection from each glued-on codomain."""
 
     composite: MorRef
     injections: tuple[MorRef, ...]
@@ -139,9 +140,10 @@ class WidePushoutResult:
 
 class Category(ABC):
     """Finitely computable category: identities, composites, hom sets,
-    pushouts, wide pushouts, finite coproducts.  Deterministic: equal
-    inputs give equal outputs, and hom enumeration follows a fixed
-    canonical order."""
+    pushouts, attachments (a wide pushout, or a weak reflection round,
+    glues many codomains onto one object at once), finite coproducts.
+    Deterministic: equal inputs give equal outputs, and hom enumeration
+    follows a fixed canonical order."""
 
     cat_id: str
 
@@ -166,9 +168,10 @@ class Category(ABC):
         """
 
     @abstractmethod
-    def wide_pushout(self, mors: Sequence[MorRef]) -> WidePushoutResult:
-        """Canonical wide pushout of a non-empty fan sharing a domain, built
-        in one step; ``core.wide_pushout`` checks the fan first."""
+    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
+        """Pushout of each h along its f at once, for squares (h, f) with
+        dom h = dom f and cod f = x: every cod h glued onto x.  The
+        composite is x -> apex; the injections come from each cod h."""
 
     @abstractmethod
     def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
@@ -191,9 +194,6 @@ class Category(ABC):
     def coproduct_morphism(self, mors: Sequence[MorRef]) -> MorRef:
         """The canonical morphism between coproducts acting blockwise: the
         cotuple of each morphism followed by its codomain injection."""
-        # made before the codomain coproduct, so that a category numbering
-        # objects as it makes them (graphs) numbers the domain first
-        self.coproduct([m.dom for m in mors])
         target, injections = self.coproduct([m.cod for m in mors])
         return self.cotuple([self.compose(inj, m) for inj, m in zip(injections, mors)], target)
 
@@ -233,11 +233,10 @@ class Category(ABC):
 def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:
     """Canonical wide pushout of morphisms sharing a domain.
 
-    The category glues the leg codomains along the shared domain at once:
-    one quotient of their disjoint union on graphs, one join on a lattice.
-    The one-element case is the morphism itself with an identity
-    injection; the empty case is not defined (no domain to read off),
-    callers pass at least one leg.
+    One attachment of every leg codomain onto the shared domain along its
+    identity.  The one-element case is the morphism itself with an
+    identity injection; the empty case is not defined (no domain to read
+    off), callers pass at least one leg.
     """
     if not mors:
         raise CategoryError("wide pushout needs at least one morphism")
@@ -245,7 +244,8 @@ def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:
     for m in mors[1:]:
         if m.dom != dom:
             raise CategoryError("wide pushout legs must share a domain")
-    return cat.wide_pushout(mors)
+    identity = cat.identity(dom)
+    return cat.attach(dom, [(m, identity) for m in mors])
 
 
 def semantic_consequence(

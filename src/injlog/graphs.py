@@ -17,7 +17,6 @@ from . import kernels
 from .core import (
     Category,
     CategoryError,
-    InjectivityResult,
     MorRef,
     ObjRef,
     WidePushoutResult,
@@ -244,36 +243,39 @@ class GraphCategory(Category):
         ]
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
-        self._check_mor(h)
-        self._check_mor(f)
-        if h.dom != f.dom:
-            raise CategoryError("pushout span must share a domain")
-        _, (f_prime, h_prime) = self._glue([(h.cod, h.payload.mapping), (f.cod, f.payload.mapping)])
-        return h_prime, f_prime
+        wp = self.attach(f.cod, [(h, f)])
+        return wp.composite, wp.injections[0]
 
-    def wide_pushout(self, mors: Sequence[MorRef]) -> WidePushoutResult:
-        for m in mors:
-            self._check_mor(m)
-        apex, injections = self._glue([(m.cod, m.payload.mapping) for m in mors])
-        leg: GraphHom = mors[0].payload
-        into = injections[0].payload
-        composite = GraphHom._trusted(leg.source, into.target, tuple(into.mapping[v] for v in leg.mapping))
-        return WidePushoutResult(MorRef(mors[0].dom, apex, composite), tuple(injections))
+    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
+        self._check_obj(x)
+        for h, f in squares:
+            self._check_mor(h)
+            self._check_mor(f)
+            if h.dom != f.dom or f.cod != x:
+                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
+        # x after the first cod h, so no node of x glued to it is least in its
+        # class: a fan (each f an identity) is numbered as its leg codomains
+        at = min(1, len(squares))
+        parts = [h.cod for h, _ in squares]
+        parts.insert(at, x)
+        _, injections = self._glue(parts, [
+            (i + (i >= at), at, h.payload.mapping, f.payload.mapping)
+            for i, (h, f) in enumerate(squares)
+        ])
+        composite = injections.pop(at)
+        return WidePushoutResult(composite, tuple(injections))
 
     def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
-        # legs out of the empty graph glue nothing
-        return self._glue([(o, ()) for o in objs])
+        return self._glue(objs, ())
 
-    def _glue(self, legs: Sequence[tuple[ObjRef, tuple[int, ...]]]) -> tuple[ObjRef, list[MorRef]]:
-        """Quotient of the disjoint union of the leg codomains, a leg being
-        a codomain and the node map into it from the shared domain: each
-        domain node's images under all legs become one node.  Nodes are
-        numbered by their class's least member in the union, as a staged
-        fold of binary gluings numbers them.  Returns the apex and the
-        injection from each leg codomain."""
-        parts = [self.graph_of(cod) for cod, _ in legs]
+    def _glue(self, parts: Sequence[ObjRef], seams: Iterable[tuple]) -> tuple[ObjRef, list[MorRef]]:
+        """Quotient of the disjoint union of parts: a seam (i, j, p, q) makes
+        node p[v] of part i and node q[v] of part j one node, for every v.
+        Nodes are numbered by their class's least member in the union.
+        Returns the apex and the injection from each part."""
+        graphs = [self.graph_of(o) for o in parts]
         offsets = [0]
-        for g in parts:
+        for g in graphs:
             offsets.append(offsets[-1] + g.node_count)
         parent = list(range(offsets[-1]))  # a class's root is its least member
 
@@ -283,10 +285,10 @@ class GraphCategory(Category):
                 v = parent[v]
             return v
 
-        first = legs[0][1] if legs else ()
-        for (_, mapping), off in zip(legs[1:], offsets[1:]):
-            for v, image in enumerate(mapping):
-                a, b = root(first[v]), root(off + image)
+        for i, j, p, q in seams:
+            oi, oj = offsets[i], offsets[j]
+            for u, v in zip(p, q):
+                a, b = root(oi + u), root(oj + v)
                 if a < b:  # the smaller root stays a root
                     parent[b] = a
                 else:
@@ -301,12 +303,12 @@ class GraphCategory(Category):
             else:
                 index_map.append(index_map[r])
         apex_graph = Graph(size, frozenset(
-            (index_map[off + i], index_map[off + j]) for g, off in zip(parts, offsets) for i, j in g.edges
+            (index_map[off + i], index_map[off + j]) for g, off in zip(graphs, offsets) for i, j in g.edges
         ))
         apex = self.obj(apex_graph)
         return apex, [
-            MorRef(cod, apex, GraphHom._trusted(g, apex_graph, tuple(index_map[off : off + g.node_count])))
-            for (cod, _), g, off in zip(legs, parts, offsets)
+            MorRef(o, apex, GraphHom._trusted(g, apex_graph, tuple(index_map[off : off + g.node_count])))
+            for o, g, off in zip(parts, graphs, offsets)
         ]
 
     def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
@@ -342,17 +344,6 @@ class GraphCategory(Category):
         if row is None:
             return None
         return self.mor(GraphHom._trusted(mid, ff.target, row))
-
-    def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
-        self._check_mor(h)
-        xg = self.graph_of(x)
-        hh: GraphHom = h.payload
-        src = hh.source
-        for row in kernels.hom_list(src, xg):
-            f = self.mor(GraphHom._trusted(src, xg, row))
-            if self.find_factorization(h, f) is None:
-                return InjectivityResult(False, f)
-        return InjectivityResult(True)
 
     def universe(self, max_nodes: int) -> Iterator[ObjRef]:
         """One object per isomorphism class of graphs with at most

@@ -211,13 +211,16 @@ class LatticeCategory(Category):
         _, (h_prime, f_prime) = self._join([f.cod, h.cod])
         return h_prime, f_prime
 
-    def wide_pushout(self, mors: Sequence[MorRef]) -> WidePushoutResult:
-        for m in mors:
-            self._check_mor(m)
+    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
+        self._check_obj(x)
+        for h, f in squares:
+            self._check_mor(h)
+            self._check_mor(f)
+            if h.dom != f.dom or f.cod != x:
+                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
         self._require_lattice()
-        apex, injections = self._join([m.cod for m in mors])
-        dom = mors[0].dom
-        return WidePushoutResult(MorRef(dom, apex, (dom.index, apex.index)), tuple(injections))
+        _, (composite, *injections) = self._join([x, *(h.cod for h, _ in squares)])
+        return WidePushoutResult(composite, tuple(injections))
 
     def coproduct(self, objs) -> tuple[ObjRef, list[MorRef]]:
         self._require_lattice()

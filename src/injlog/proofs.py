@@ -111,45 +111,56 @@ def check_proof(cat: Category, hypotheses: MorphismSet, term: ProofTerm) -> MorR
 
 
 def _check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> MorRef:
-    if isinstance(term, Hyp):
-        m = hyps.get(term.name)
-        if m is None:
-            raise UnresolvedHypothesis(f"hypothesis {term.name!r} is not in the set")
-        return m
-    if isinstance(term, Identity):
-        return cat.identity(term.obj)
-    if isinstance(term, Compose):
-        outer = _check(cat, hyps, term.outer)
-        inner = _check(cat, hyps, term.inner)
-        if inner.cod != outer.dom:
-            raise ComposabilityError(
-                f"cannot compose: inner ends at {cat.object_label(inner.cod)}, "
-                f"outer starts at {cat.object_label(outer.dom)}"
-            )
-        return cat.compose(outer, inner)
-    if isinstance(term, Cancel):
-        whole = _check(cat, hyps, term.whole)
-        if term.first.cod != term.rest.dom:
-            raise CancelMismatch("claimed factors do not compose")
-        try:
-            recomposed = cat.compose(term.rest, term.first)
-        except CategoryError as e:
-            raise CancelMismatch(str(e)) from None
-        if recomposed != whole:
-            raise CancelMismatch(
-                f"factorization equation fails: rest.first is "
-                f"{cat.morphism_label(recomposed)}, derived {cat.morphism_label(whole)}"
-            )
-        return term.first
-    if isinstance(term, Push):
-        inner = _check(cat, hyps, term.proof)
-        if term.along.dom != inner.dom:
-            raise PushDomainMismatch(
-                f"pushout attachment starts at {cat.object_label(term.along.dom)}, "
-                f"derived morphism at {cat.object_label(inner.dom)}"
-            )
-        return cat.pushout(inner, term.along)[0]
-    raise MacroShapeError(f"unelaborated macro {type(term).__name__} reached the checker")
+    # premises wait on a stack, not in recursion (an elaborated wide pushout
+    # nests two terms per part), checked outer before inner as recursion would
+    todo: list[tuple[ProofTerm, bool]] = [(term, False)]  # (term, premises checked)
+    done: list[MorRef] = []  # conclusions of the checked terms
+    while todo:
+        t, ready = todo.pop()
+        if isinstance(t, Hyp):
+            m = hyps.get(t.name)
+            if m is None:
+                raise UnresolvedHypothesis(f"hypothesis {t.name!r} is not in the set")
+            done.append(m)
+        elif isinstance(t, Identity):
+            done.append(cat.identity(t.obj))
+        elif not ready and isinstance(t, Compose):
+            todo += [(t, True), (t.inner, False), (t.outer, False)]
+        elif not ready and isinstance(t, (Cancel, Push)):
+            todo += [(t, True), (t.whole if isinstance(t, Cancel) else t.proof, False)]
+        elif isinstance(t, Compose):
+            inner, outer = done.pop(), done.pop()
+            if inner.cod != outer.dom:
+                raise ComposabilityError(
+                    f"cannot compose: inner ends at {cat.object_label(inner.cod)}, "
+                    f"outer starts at {cat.object_label(outer.dom)}"
+                )
+            done.append(cat.compose(outer, inner))
+        elif isinstance(t, Cancel):
+            whole = done.pop()
+            if t.first.cod != t.rest.dom:
+                raise CancelMismatch("claimed factors do not compose")
+            try:
+                recomposed = cat.compose(t.rest, t.first)
+            except CategoryError as e:
+                raise CancelMismatch(str(e)) from None
+            if recomposed != whole:
+                raise CancelMismatch(
+                    f"factorization equation fails: rest.first is "
+                    f"{cat.morphism_label(recomposed)}, derived {cat.morphism_label(whole)}"
+                )
+            done.append(t.first)
+        elif isinstance(t, Push):
+            inner = done.pop()
+            if t.along.dom != inner.dom:
+                raise PushDomainMismatch(
+                    f"pushout attachment starts at {cat.object_label(t.along.dom)}, "
+                    f"derived morphism at {cat.object_label(inner.dom)}"
+                )
+            done.append(cat.pushout(inner, t.along)[0])
+        else:
+            raise MacroShapeError(f"unelaborated macro {type(t).__name__} reached the checker")
+    return done.pop()
 
 
 def used_hypotheses(term: ProofTerm) -> list[str]:

@@ -1,9 +1,9 @@
 """Weak reflections into the injectivity class of a hypothesis set.
 
 Each round attaches every hypothesis along every map from its domain
-into the current object, all at once: the pushed-out squares are glued
-by one wide pushout.  On a complete lattice this converges to the meet
-of the injective elements above the start; over graphs the rounds may
+into the current object, all at once, by one ``Category.attach``.  On
+a complete lattice this converges to the meet of the injective
+elements above the start; over graphs the rounds may
 grow forever, so a round budget is mandatory and non-convergence is a
 legitimate, explicitly reported outcome.
 """
@@ -19,17 +19,16 @@ from .core import (
     MorphismSet,
     MorRef,
     ObjRef,
-    wide_pushout,
 )
 from .proofs import Cancel, Compose, Hyp, Identity, ProofTerm, Push, WidePushN
 
 
 @dataclass(frozen=True)
 class ReflectionRound:
-    """One simultaneous attachment round.
+    """One simultaneous attachment round, built by one ``attach``.
 
     squares lists (hypothesis name, attaching map) in hypothesis order
-    then canonical hom order; connecting is the wide pushout composite
+    then canonical hom order; connecting is the attachment's composite
     from the round's input object to its output object.
     """
 
@@ -65,16 +64,11 @@ def reflect(
     for _ in range(max_rounds):
         if injective(current):
             return ReflectionTrace(start, tuple(rounds), True, composite)
-        squares: list[tuple[str, MorRef]] = []
-        pushed: list[MorRef] = []
-        for name, h in hypotheses:
-            for f in cat.enumerate_homs(h.dom, current):
-                squares.append((name, f))
-                pushed.append(cat.pushout(h, f)[0])
-        wp = wide_pushout(cat, pushed)
-        rounds.append(ReflectionRound(tuple(squares), wp.composite))
-        composite = cat.compose(wp.composite, composite)
-        current = wp.composite.cod
+        squares = [(name, h, f) for name, h in hypotheses for f in cat.enumerate_homs(h.dom, current)]
+        connecting = cat.attach(current, [(h, f) for _, h, f in squares]).composite
+        rounds.append(ReflectionRound(tuple((name, f) for name, _, f in squares), connecting))
+        composite = cat.compose(connecting, composite)
+        current = connecting.cod
     return ReflectionTrace(start, tuple(rounds), injective(current), composite)
 
 

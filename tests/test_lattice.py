@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from injlog.core import CategoryError
+from injlog.core import CategoryError, wide_pushout
 from injlog.lattice import (
     LatticeCategory,
     LatticeError,
@@ -95,7 +95,7 @@ def test_missing_joins_are_named_by_their_elements():
     for query in (
         antichain.validate_for_colimits,
         lambda: antichain.coproduct([]),
-        lambda: antichain.wide_pushout([antichain.mor("a", "a")]),
+        lambda: wide_pushout(antichain, [antichain.mor("a", "a")]),
     ):
         with pytest.raises(LatticeError) as err:
             query()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injlog.core import MorphismSet
-from injlog.graphs import GraphCategory, GraphHom, clique, empty_graph, loop_point
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
 from injlog.proofs import Cancel, Identity, check_proof, saturate
 from injlog.reflection import (
@@ -15,6 +15,7 @@ from injlog.reflection import (
     trace_to_text,
     verify_weak_reflection,
 )
+from test_core import staged_wide_pushout
 
 
 def chain3() -> LatticeCategory:
@@ -180,3 +181,59 @@ def test_trace_rendering_is_stable():
         "  square p along 0->0\n"
         "reflection 0->a\n"
     )
+
+
+def test_a_round_is_one_attachment_and_no_pushout(monkeypatch):
+    lat = diamond()
+    lat_h = MorphismSet.of([("p", lat.mor("0", "a")), ("q", lat.mor("0", "b"))])
+    g = GraphCategory()
+    graph_h = MorphismSet.of([("e", g.mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (0,))))])
+    cases = [(lat, lat_h, lat.obj("0")), (g, graph_h, g.obj(Graph.of(2)))]
+    expected = [trace_to_text(cat, reflect(cat, h, start, max_rounds=3)) for cat, h, start in cases]
+
+    def refuse(self, *args):
+        raise AssertionError("reflection round staged through per-square pushouts")
+
+    for cls in (LatticeCategory, GraphCategory):
+        monkeypatch.setattr(cls, "pushout", refuse)
+    assert [trace_to_text(cat, reflect(cat, h, start, max_rounds=3)) for cat, h, start in cases] == expected
+
+
+def random_graph_reflection(rng):
+    """A graph reflection of at most two rounds whose first round has
+    several squares, from one or two hypotheses out of at most two nodes."""
+    while True:
+        g = GraphCategory()
+        hyps = []
+        for i in range(rng.randint(1, 2)):
+            dom = g.obj(random_graph(rng, max_nodes=2))
+            homs = g.enumerate_homs(dom, g.obj(random_graph(rng, max_nodes=3)))
+            if homs:
+                hyps.append((f"h{i}", rng.choice(homs)))
+        h = MorphismSet.of(hyps)
+        trace = reflect(g, h, g.obj(random_graph(rng, max_nodes=3)), max_rounds=2)
+        if trace.rounds and len(trace.rounds[0].squares) > 1:
+            return g, h, trace
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30)
+def test_graph_rounds_are_the_staged_wide_pushout_of_their_squares(seed):
+    g, h, trace = random_graph_reflection(random.Random(seed))
+    for rnd in trace.rounds:
+        pushed = [g.pushout(h.get(name), f)[0] for name, f in rnd.squares]
+        assert rnd.connecting == staged_wide_pushout(g, pushed).composite
+        assert check_proof(g, h, round_proof(rnd)) == rnd.connecting
+
+
+def test_a_round_of_600_squares_rechecks():
+    # each of the 600 nodes gets a loop in one round; the elaborated
+    # round nests two terms per square
+    n = 600
+    g = GraphCategory()
+    h = MorphismSet.of([("loop", g.mor(GraphHom(Graph.of(1), loop_point(), (0,))))])
+    goal = g.mor(GraphHom(Graph.of(n), Graph.of(n, [(i, i) for i in range(n)]), tuple(range(n))))
+    out = consequence_via_reflection(g, h, goal)
+    assert out.status == "derived"
+    assert [len(rnd.squares) for rnd in out.trace.rounds] == [n]
+    assert check_proof(g, h, out.proof) == goal

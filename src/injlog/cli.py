@@ -335,16 +335,18 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
     max_rounds = _budget(args.max_rounds, "--max-rounds")
+    node_cap = _budget(args.node_cap, "--node-cap")
     ws = _load(args.file)
     cat = _category_arg(ws, args.cat)
     obj = _object_arg(ws, cat, args.object)
     hset = _hset_arg(ws, args.hset)
     _same_category(cat, hset, f"hset {args.hset!r}")
-    trace = reflect(cat, hset, obj, max_rounds=max_rounds)
+    trace = reflect(cat, hset, obj, max_rounds=max_rounds, node_cap=node_cap)
     text = trace_to_text(cat, trace)
     verdict = "converged" if trace.converged else "not-converged"
     lines = text.rstrip("\n").split("\n")
     lines.append(f"verdict: {verdict}")
+    lines.append(f"stopped: {trace.stop_reason}")
     if args.emit_trace:
         Path(args.emit_trace).write_text(text)
         lines.append(f"wrote {args.emit_trace}")
@@ -354,6 +356,7 @@ def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
         "apex": cat.object_label(trace.apex),
         "rounds": len(trace.rounds),
         "verdict": verdict,
+        "stop_reason": trace.stop_reason,
         "trace": text,
     }
     return (0 if trace.converged else 2), report, lines
@@ -518,6 +521,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--object", required=True)
     p.add_argument("--hset", required=True)
     p.add_argument("--max-rounds", type=int, default=16)
+    p.add_argument("--node-cap", type=int, default=1024, help="largest apex a round may build")
     p.add_argument("--emit-trace", metavar="OUT")
 
     p = add("sentence", _cmd_sentence)

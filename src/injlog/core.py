@@ -201,6 +201,11 @@ class Category(ABC):
         """Growth measure used by search budgets; 1 unless overridden."""
         return 1
 
+    def attach_size(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> int:
+        """An upper bound on the object_size of attach(x, squares)'s apex,
+        read without building it; 1, as object_size, unless overridden."""
+        return 1
+
     def search_universe(self) -> list[ObjRef] | None:
         """All objects when the category is finite and closed, else None."""
         return None

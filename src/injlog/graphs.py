@@ -324,6 +324,15 @@ class GraphCategory(Category):
     def object_size(self, obj: ObjRef) -> int:
         return self.graph_of(obj).node_count
 
+    def attach_size(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> int:
+        # a node of cod h lands on x when it is in the image of h and is new
+        # otherwise; gluing can only merge nodes of x further
+        size = self.object_size(x)
+        for h, _ in squares:
+            hom = self.hom_of(h)
+            size += hom.target.node_count - len(set(hom.mapping))
+        return size
+
     def find_factorization(self, h: MorRef, f: MorRef) -> MorRef | None:
         # search g with g . h = f directly: pin g on the image of h
         self._check_mor(h)

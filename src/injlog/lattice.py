@@ -95,50 +95,79 @@ def validate(p: LatticePresentation, require_lattice: bool = False) -> LatticePr
     with a witness pair on a broken order.  A poset lacking some join is
     accepted with is_complete_lattice False unless require_lattice is set,
     in which case LatticeError("no-join", (a, b)) is raised (witness ()
-    when only the bottom is missing).
+    when only the bottom is missing).  Every check reads one up-set bitset
+    per element; each witness is the first that a row-major scan of the
+    matrix meets.
     """
     n = p.size
     leq = p.leq
     if leq.shape != (n, n):
         raise LatticeError("bad-shape", leq.shape)
+    up = _up_sets(leq)
+    els = p.elements
     for i in range(n):
-        if not leq[i, i]:
-            raise LatticeError("not-reflexive", (p.elements[i],))
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i, j] and leq[j, i]:
-                raise LatticeError("not-antisymmetric", (p.elements[i], p.elements[j]))
-            if leq[i, j]:
-                for k in range(n):
-                    if leq[j, k] and not leq[i, k]:
-                        raise LatticeError(
-                            "not-transitive", (p.elements[i], p.elements[j], p.elements[k])
-                        )
+        if not up[i] >> i & 1:
+            raise LatticeError("not-reflexive", (els[i],))
+    for i, above in enumerate(up):
+        for j in _bits(above):
+            if j != i and up[j] >> i & 1:
+                raise LatticeError("not-antisymmetric", (els[i], els[j]))
+            beyond = up[j] & ~above
+            if beyond:
+                raise LatticeError("not-transitive", (els[i], els[j], els[next(_bits(beyond))]))
 
-    join = np.full((n, n), -1, dtype=np.int64)
-    meet = np.full((n, n), -1, dtype=np.int64)
-    missing: tuple[int, int] | None = None
-    for a in range(n):
-        for b in range(n):
-            uppers = [c for c in range(n) if leq[a, c] and leq[b, c]]
-            least = [c for c in uppers if all(leq[c, d] for d in uppers)]
-            if len(least) == 1:
-                join[a, b] = least[0]
-            elif missing is None:
-                missing = (a, b)
-            lowers = [c for c in range(n) if leq[c, a] and leq[c, b]]
-            greatest = [c for c in lowers if all(leq[d, c] for d in lowers)]
-            if len(greatest) == 1:
-                meet[a, b] = greatest[0]
-    has_bottom = any(bool(leq[i].all()) for i in range(n)) if n else False
-    complete = n > 0 and missing is None and has_bottom and (meet >= 0).all()
-    p.join = join if complete else None
-    p.meet = meet if complete else None
+    join, missing = _join_table(up)
+    has_bottom = (1 << n) - 1 in up  # some element is below every element
+    # binary joins and a bottom give every finite join, hence every meet
+    complete = n > 0 and missing is None and has_bottom
+    p.join = p.meet = None
+    if complete:
+        down = _up_sets(leq.T)
+        meet = [[_least(down[a] & down[b], down) for b in range(n)] for a in range(n)]
+        p.join = np.array(join, dtype=np.int64)
+        p.meet = np.array(meet, dtype=np.int64)
     p.is_complete_lattice = complete
     p.missing_join = missing
     if require_lattice and not complete:
         raise _no_join(p)
     return p
+
+
+def _up_sets(leq: np.ndarray) -> tuple[int, ...]:
+    """Row a of a bool matrix as a bitset: bit b is set iff leq[a, b]."""
+    return tuple(sum(1 << b for b, v in enumerate(row) if v) for row in leq.tolist())
+
+
+def _bits(s: int):
+    """The set bits of s, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _join_table(up: Sequence[int]) -> tuple[list[list[int]], tuple[int, int] | None]:
+    """The join table over up-sets, or, when some pair has no join, the
+    first such pair in row-major order (it has a <= b, as the join is
+    symmetric) and no table past it."""
+    n = len(up)
+    join = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            c = _least(up[a] & up[b], up)
+            if c < 0:
+                return join, (a, b)
+            join[a][b] = join[b][a] = c
+    return join, None
+
+
+def _least(common: int, sets: Sequence[int]) -> int:
+    """The member c of common whose set holds all of common, else -1: over
+    up-sets the least upper bound, over down-sets the greatest lower one."""
+    for c in _bits(common):
+        if not common & ~sets[c]:
+            return c
+    return -1
 
 
 def _no_join(p: LatticePresentation) -> LatticeError:
@@ -152,37 +181,54 @@ def _no_join(p: LatticePresentation) -> LatticeError:
     return LatticeError("no-join", (p.elements[a], p.elements[b]))
 
 
+_HOLDS = InjectivityResult(True)
+
+
 class LatticeCategory(Category):
-    """Thin category of a validated presentation."""
+    """Thin category of a validated presentation.
+
+    Queries read plain-int tables built once from the presentation: one
+    up-set bitset per element, the join table (None unless the poset is
+    a complete lattice), the bottom and the element count.  Every public
+    operation still checks the refs it is handed, since proof checking
+    passes user terms straight through.
+    """
 
     def __init__(self, presentation: LatticePresentation):
         self.p = presentation
         self.cat_id = f"lattice:{presentation.name}"
+        self._n = len(presentation.elements)
+        self._up = _up_sets(presentation.leq)
+        join = presentation.join
+        self._joins = None if join is None else tuple(map(tuple, join.tolist()))
+        full = (1 << self._n) - 1
+        self._bottom = next((i for i, u in enumerate(self._up) if u == full), None)
 
     def obj(self, element: str | int) -> ObjRef:
         i = element if isinstance(element, int) else self.p.index(element)
-        if not 0 <= i < self.p.size:
+        if not 0 <= i < self._n:
             raise CategoryError(f"no element with index {i}")
         return ObjRef(self.cat_id, i)
 
     def objects(self) -> list[ObjRef]:
-        return [ObjRef(self.cat_id, i) for i in range(self.p.size)]
+        return [ObjRef(self.cat_id, i) for i in range(self._n)]
 
     def mor(self, a: str | int, b: str | int) -> MorRef:
         ra, rb = self.obj(a), self.obj(b)
-        if not self.p.leq[ra.index, rb.index]:
+        if not self._up[ra.index] >> rb.index & 1:
             raise CategoryError(
                 f"no morphism {self.p.elements[ra.index]} -> {self.p.elements[rb.index]}"
             )
         return MorRef(ra, rb, (ra.index, rb.index))
 
     def all_morphisms(self) -> list[MorRef]:
-        out = []
-        for a in range(self.p.size):
-            for b in range(self.p.size):
-                if self.p.leq[a, b]:
-                    out.append(self.mor(a, b))
-        return out
+        objs = self.objects()
+        return [
+            MorRef(a, b, (a.index, b.index))
+            for a, above in zip(objs, self._up)
+            for b in objs
+            if above >> b.index & 1
+        ]
 
     def identity(self, obj: ObjRef) -> MorRef:
         self._check_obj(obj)
@@ -191,25 +237,40 @@ class LatticeCategory(Category):
     def compose(self, g: MorRef, f: MorRef) -> MorRef:
         self._check_mor(g)
         self._check_mor(f)
-        if f.cod != g.dom:
+        # both refs are checked, so their objects compare by index
+        if f.cod.index != g.dom.index:
             raise CategoryError("composability mismatch: cod of inner != dom of outer")
         return MorRef(f.dom, g.cod, (f.dom.index, g.cod.index))
 
     def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
-        self._check_obj(a)
-        self._check_obj(x)
-        if self.p.leq[a.index, x.index] and limit != 0:
-            return [MorRef(a, x, (a.index, x.index))]
+        i, j, n = a.index, x.index, self._n
+        if not (a.cat_id == x.cat_id == self.cat_id and 0 <= i < n and 0 <= j < n):
+            self._check_obj(a)
+            self._check_obj(x)
+        if self._up[i] >> j & 1 and limit != 0:
+            return [MorRef(a, x, (i, j))]
         return []
+
+    def find_factorization(self, h: MorRef, f: MorRef) -> MorRef | None:
+        # thin shortcut: the one map cod h -> cod f, if cod h <= cod f
+        self._check_mor(h)
+        self._check_mor(f)
+        if h.dom.index != f.dom.index:
+            raise CategoryError("factorization query needs a common domain")
+        b, x = h.cod, f.cod
+        if self._up[b.index] >> x.index & 1:
+            return MorRef(b, x, (b.index, x.index))
+        return None
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         self._check_mor(h)
         self._check_mor(f)
-        if h.dom != f.dom:
+        if h.dom.index != f.dom.index:
             raise CategoryError("pushout span must share a domain")
-        self._require_lattice()
-        _, (h_prime, f_prime) = self._join([f.cod, h.cod])
-        return h_prime, f_prime
+        b, x = h.cod, f.cod
+        top = self._lattice_joins()[x.index][b.index]
+        apex = ObjRef(self.cat_id, top)
+        return MorRef(x, apex, (x.index, top)), MorRef(b, apex, (b.index, top))
 
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
         self._check_obj(x)
@@ -218,18 +279,17 @@ class LatticeCategory(Category):
             self._check_mor(f)
             if h.dom != f.dom or f.cod != x:
                 raise CategoryError("attachment squares need dom h = dom f and cod f = x")
-        self._require_lattice()
         _, (composite, *injections) = self._join([x, *(h.cod for h, _ in squares)])
         return WidePushoutResult(composite, tuple(injections))
 
     def coproduct(self, objs) -> tuple[ObjRef, list[MorRef]]:
-        self._require_lattice()
+        self._lattice_joins()
         for o in objs:
             self._check_obj(o)
         return self._join(objs)
 
     def cotuple(self, legs, target: ObjRef) -> MorRef:
-        self._require_lattice()
+        self._lattice_joins()
         self._check_obj(target)
         for m in legs:
             self._check_mor(m)
@@ -240,10 +300,12 @@ class LatticeCategory(Category):
 
     def _join(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
         """Join of objs (bottom when there are none) with the injection
-        from each; the one place a lattice glues objects."""
-        top = objs[0].index if objs else next(i for i in range(self.p.size) if self.p.leq[i].all())
+        from each; the one place a lattice glues objects besides the
+        one-entry pushout."""
+        joins = self._lattice_joins()
+        top = objs[0].index if objs else self._bottom
         for o in objs[1:]:
-            top = int(self.p.join[top, o.index])
+            top = joins[top][o.index]
         apex = ObjRef(self.cat_id, top)
         return apex, [MorRef(o, apex, (o.index, top)) for o in objs]
 
@@ -251,15 +313,16 @@ class LatticeCategory(Category):
         return self.objects()
 
     def validate_for_colimits(self) -> None:
-        self._require_lattice()
+        self._lattice_joins()
 
     def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
         # thin shortcut: x is h-injective iff dom h <= x implies cod h <= x
         self._check_obj(x)
         self._check_mor(h)
-        if self.p.leq[h.dom.index, x.index] and not self.p.leq[h.cod.index, x.index]:
-            return InjectivityResult(False, MorRef(h.dom, x, (h.dom.index, x.index)))
-        return InjectivityResult(True)
+        a, i = h.dom.index, x.index
+        if self._up[a] >> i & 1 and not self._up[h.cod.index] >> i & 1:
+            return InjectivityResult(False, MorRef(h.dom, x, (a, i)))
+        return _HOLDS
 
     def injectives(self, hypotheses: MorphismSet) -> list[ObjRef]:
         """Elements injective for every hypothesis, in element order."""
@@ -277,19 +340,31 @@ class LatticeCategory(Category):
         self._check_mor(m)
         return f"{self.p.elements[m.dom.index]}->{self.p.elements[m.cod.index]}"
 
-    def _require_lattice(self) -> None:
-        if not self.p.is_complete_lattice:
+    def _lattice_joins(self) -> tuple[tuple[int, ...], ...]:
+        """The join table; raises the no-join error on a poset that is not
+        a complete lattice."""
+        if self._joins is None:
             raise _no_join(self.p)
+        return self._joins
 
     def _check_obj(self, obj: ObjRef) -> None:
-        if obj.cat_id != self.cat_id or not 0 <= obj.index < self.p.size:
+        if obj.cat_id != self.cat_id or not 0 <= obj.index < self._n:
             raise CategoryError(f"object {obj} is not from {self.cat_id}")
 
     def _check_mor(self, m: MorRef) -> None:
-        self._check_obj(m.dom)
-        self._check_obj(m.cod)
-        if m.payload != (m.dom.index, m.cod.index) or not self.p.leq[m.dom.index, m.cod.index]:
-            raise CategoryError(f"morphism {m} is not from {self.cat_id}")
+        dom, cod = m.dom, m.cod
+        i, j, n = dom.index, cod.index, self._n
+        if (
+            dom.cat_id == cod.cat_id == self.cat_id
+            and m.payload == (i, j)
+            and 0 <= i < n
+            and 0 <= j < n
+            and self._up[i] >> j & 1
+        ):
+            return
+        self._check_obj(dom)
+        self._check_obj(cod)
+        raise CategoryError(f"morphism {m} is not from {self.cat_id}")
 
 
 def random_lattice(rng: random.Random, max_size: int = 7, name: str = "L") -> LatticeCategory:

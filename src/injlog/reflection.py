@@ -4,8 +4,9 @@ Each round attaches every hypothesis along every map from its domain
 into the current object, all at once, by one ``Category.attach``.  On
 a complete lattice this converges to the meet of the injective
 elements above the start; over graphs the rounds may
-grow forever, so a round budget is mandatory and non-convergence is a
-legitimate, explicitly reported outcome.
+grow forever, so a round budget and a node budget bound them, and
+non-convergence is a legitimate, explicitly reported outcome that names
+the budget that ended it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ class ReflectionRound:
 class ReflectionTrace:
     start: ObjRef
     rounds: tuple[ReflectionRound, ...]
-    converged: bool
     reflection: MorRef
+    stop_reason: str  # "converged" | "max_rounds" | "node_cap"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def apex(self) -> ObjRef:
@@ -49,10 +54,16 @@ class ReflectionTrace:
 
 
 def reflect(
-    cat: Category, hypotheses: MorphismSet, start: ObjRef, max_rounds: int = 16
+    cat: Category,
+    hypotheses: MorphismSet,
+    start: ObjRef,
+    max_rounds: int = 16,
+    node_cap: int = 1024,
 ) -> ReflectionTrace:
     """Iterate attachment rounds from start until the current object is
-    injective for every hypothesis, or the round budget runs out."""
+    injective for every hypothesis, or a budget ends the run: the round
+    budget, or node_cap, which stops before a round whose apex could
+    exceed it (``Category.attach_size``), so no such apex is built."""
     cat.validate_for_colimits()
     current = start
     composite = cat.identity(start)
@@ -61,15 +72,21 @@ def reflect(
     def injective(x: ObjRef) -> bool:
         return all(cat.is_injective(x, m) for m in hypotheses.morphisms())
 
+    def stop(reason: str) -> ReflectionTrace:
+        return ReflectionTrace(start, tuple(rounds), composite, reason)
+
     for _ in range(max_rounds):
         if injective(current):
-            return ReflectionTrace(start, tuple(rounds), True, composite)
+            return stop("converged")
         squares = [(name, h, f) for name, h in hypotheses for f in cat.enumerate_homs(h.dom, current)]
-        connecting = cat.attach(current, [(h, f) for _, h, f in squares]).composite
+        attached = [(h, f) for _, h, f in squares]
+        if cat.attach_size(current, attached) > node_cap:
+            return stop("node_cap")
+        connecting = cat.attach(current, attached).composite
         rounds.append(ReflectionRound(tuple((name, f) for name, _, f in squares), connecting))
         composite = cat.compose(connecting, composite)
         current = connecting.cod
-    return ReflectionTrace(start, tuple(rounds), injective(current), composite)
+    return stop("converged" if injective(current) else "max_rounds")
 
 
 def round_proof(rnd: ReflectionRound) -> ProofTerm:
@@ -122,7 +139,11 @@ class ReflectionConsequence:
 
 
 def consequence_via_reflection(
-    cat: Category, hypotheses: MorphismSet, goal: MorRef, max_rounds: int = 16
+    cat: Category,
+    hypotheses: MorphismSet,
+    goal: MorRef,
+    max_rounds: int = 16,
+    node_cap: int = 1024,
 ) -> ReflectionConsequence:
     """Build the reflection of the goal's domain and cancel through it.
 
@@ -132,7 +153,7 @@ def consequence_via_reflection(
     an open universe it stays inconclusive, as does a non-converged
     reflection.
     """
-    trace = reflect(cat, hypotheses, goal.dom, max_rounds)
+    trace = reflect(cat, hypotheses, goal.dom, max_rounds, node_cap)
     if not trace.converged:
         return ReflectionConsequence("inconclusive", None, trace, None)
     u = cat.find_factorization(goal, trace.reflection)

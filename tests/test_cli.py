@@ -335,3 +335,30 @@ def test_demo_section7_passes(capsys):
     assert "verdict: pass" in out
     assert "FAIL" not in out
     assert "holds-up-to(N) is never reported as holds" in out
+
+
+POINT_TO_EDGE = """
+graph pt { nodes: p; }
+graph edge { nodes: u v; edges: u->v; }
+mor inc : pt -> edge { p |-> u }
+hset HI { inc }
+"""
+
+
+def test_reflect_reports_what_stopped_it(ws_file, tmp_path, capsys):
+    path = tmp_path / "grow.inj"
+    path.write_text(POINT_TO_EDGE)
+    base = ("reflect", str(path), "--cat", "graphs", "--object", "pt", "--hset", "HI")
+    code, out = run(capsys, *base, "--max-rounds", "2")
+    assert code == 2
+    assert out.endswith("verdict: not-converged\nstopped: max_rounds\n")
+    # each round doubles the object, so a cap of 4 nodes allows two rounds
+    code, out = run(capsys, *base, "--node-cap", "4", "--json")
+    report = json.loads(out)
+    assert code == 2
+    assert (report["verdict"], report["stop_reason"], report["rounds"]) == ("not-converged", "node_cap", 2)
+    assert main([*base, "--node-cap", "-1"]) == 64
+    assert "--node-cap must be non-negative" in capsys.readouterr().err
+    code, out = run(capsys, "reflect", ws_file, "--cat", "chain", "--object", "0", "--hset", "H")
+    assert code == 0
+    assert out.endswith("verdict: converged\nstopped: converged\n")

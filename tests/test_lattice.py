@@ -2,9 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from injlog.core import CategoryError, wide_pushout
+from injlog.core import Category, CategoryError, MorphismSet, MorRef, ObjRef, wide_pushout
 from injlog.lattice import (
     LatticeCategory,
     LatticeError,
@@ -14,6 +14,7 @@ from injlog.lattice import (
     random_lattice,
     validate,
 )
+from injlog.proofs import Cancel, Hyp, ProofError, check_proof
 
 
 def diamond() -> LatticeCategory:
@@ -202,3 +203,224 @@ def test_join_and_meet_tables_are_lattice_operations(seed):
             assert p.leq[m, a] and p.leq[m, b]
             assert p.join[a, a] == a and p.meet[a, a] == a
             assert p.join[a, b] == p.join[b, a]
+
+
+# --- oracles for the int-table fast paths -----------------------------------
+
+
+def brute_validate(elements, leq):
+    """The cubic reference for validate: the kind and witness of the first
+    broken order axiom, else (join, meet, complete, missing) with the
+    tables as lists, None unless complete."""
+    n = len(elements)
+    for i in range(n):
+        if not leq[i][i]:
+            return "not-reflexive", (elements[i],)
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return "not-antisymmetric", (elements[i], elements[j])
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        return "not-transitive", (elements[i], elements[j], elements[k])
+    join = [[-1] * n for _ in range(n)]
+    meet = [[-1] * n for _ in range(n)]
+    missing = None
+    for a in range(n):
+        for b in range(n):
+            uppers = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            least = [c for c in uppers if all(leq[c][d] for d in uppers)]
+            if len(least) == 1:
+                join[a][b] = least[0]
+            elif missing is None:
+                missing = (a, b)
+            lowers = [c for c in range(n) if leq[c][a] and leq[c][b]]
+            greatest = [c for c in lowers if all(leq[d][c] for d in lowers)]
+            if len(greatest) == 1:
+                meet[a][b] = greatest[0]
+    has_bottom = any(all(row) for row in leq)
+    complete = n > 0 and missing is None and has_bottom and all(m >= 0 for row in meet for m in row)
+    return (join, meet, True, missing) if complete else (None, None, False, missing)
+
+
+@st.composite
+def orders(draw, flips: int = 3):
+    """A square bool matrix near a partial order: the closure of a random
+    relation along a random linear order (with a forced bottom and top
+    sometimes), then up to `flips` flipped entries, which may break
+    reflexivity, antisymmetry or transitivity."""
+    n = draw(st.integers(0, 7))
+    perm = draw(st.permutations(range(n)))
+    bounded = draw(st.booleans())
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    leq = [
+        [i == j or (i < j and (bits[i * n + j] or (bounded and (i == 0 or j == n - 1)))) for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    leq[i][j] = leq[i][j] or leq[k][j]
+    leq = [[leq[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    if n:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=flips)):
+            leq[i][j] = not leq[i][j]
+    return leq
+
+
+def presented(leq, name="V") -> LatticePresentation:
+    n = len(leq)
+    matrix = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        matrix[i] = leq[i]
+    return LatticePresentation(name, tuple(f"x{i}" for i in range(n)), matrix)
+
+
+@given(orders(), st.booleans())
+@settings(max_examples=400)
+def test_validate_matches_the_cubic_reference(leq, require_lattice):
+    p = presented(leq)
+    want = brute_validate(p.elements, leq)
+    if isinstance(want[0], str):
+        with pytest.raises(LatticeError) as err:
+            validate(p, require_lattice)
+        assert (err.value.kind, err.value.witness) == want
+        return
+    join, meet, complete, missing = want
+    if require_lattice and not complete:
+        with pytest.raises(LatticeError) as err:
+            validate(p, require_lattice)
+        witness = () if missing is None else (p.elements[missing[0]], p.elements[missing[1]])
+        assert (err.value.kind, err.value.witness) == ("no-join", witness)
+        return
+    assert validate(p, require_lattice) is p
+    assert (p.is_complete_lattice, p.missing_join) == (complete, missing)
+    assert (None if p.join is None else p.join.tolist()) == join
+    assert (None if p.meet is None else p.meet.tolist()) == meet
+
+
+def test_validate_rejects_a_matrix_of_the_wrong_shape():
+    p = LatticePresentation("L", ("a", "b"), np.ones((2, 3), dtype=bool))
+    with pytest.raises(LatticeError) as err:
+        validate(p)
+    assert (err.value.kind, err.value.witness) == ("bad-shape", (2, 3))
+
+
+def poset_category(leq) -> LatticeCategory:
+    return LatticeCategory(validate(presented(leq)))
+
+
+@given(orders(flips=0))
+def test_thin_shortcuts_match_the_generic_searches(leq):
+    cat = poset_category(leq)
+    mors = cat.all_morphisms()
+    for h in mors:
+        for x in cat.objects():
+            assert cat.is_injective(x, h) == Category.is_injective(cat, x, h)
+        for f in mors:
+            if h.dom == f.dom:
+                assert cat.find_factorization(h, f) == Category.find_factorization(cat, h, f)
+            else:
+                with pytest.raises(CategoryError):
+                    cat.find_factorization(h, f)
+
+
+@given(st.integers(0, 10**6))
+def test_pushout_and_attach_read_the_join_table(seed):
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=7)
+    join = cat.p.join
+    mors = cat.all_morphisms()
+
+    def mor(a, b):
+        return MorRef(ObjRef(cat.cat_id, a), ObjRef(cat.cat_id, b), (a, b))
+
+    for h in mors:
+        for f in mors:
+            if h.dom == f.dom:
+                top = int(join[f.cod.index, h.cod.index])
+                assert cat.pushout(h, f) == (mor(f.cod.index, top), mor(h.cod.index, top))
+    for x in cat.objects():
+        squares = [(h, f) for h in mors for f in cat.enumerate_homs(h.dom, x) if rng.random() < 0.3]
+        top = x.index
+        for h, _ in squares:
+            top = int(join[top, h.cod.index])
+        result = cat.attach(x, squares)
+        assert result.composite == mor(x.index, top)
+        assert result.injections == tuple(mor(h.cod.index, top) for h, _ in squares)
+
+
+# --- every public operation checks the refs it is handed --------------------
+
+
+def twin_of_diamond() -> LatticeCategory:
+    p = diamond().p
+    return LatticeCategory(validate(LatticePresentation("twin", p.elements, p.leq.copy())))
+
+
+def forged_objects(cat):
+    """A foreign object and two out-of-range indices."""
+    return [twin_of_diamond().obj("a"), ObjRef(cat.cat_id, cat.p.size), ObjRef(cat.cat_id, -1)]
+
+
+def forged_morphisms(cat):
+    """A foreign morphism, one into an out-of-range index, payloads that do
+    not match their endpoints, and pairs that are not in leq."""
+    o = cat.objects()
+    return [
+        twin_of_diamond().mor("0", "a"),
+        MorRef(o[0], ObjRef(cat.cat_id, cat.p.size), (0, cat.p.size)),
+        MorRef(o[0], o[1], (0, 3)),
+        MorRef(o[0], o[1], "0->a"),
+        MorRef(o[1], o[2], (1, 2)),
+        MorRef(o[3], o[0], (3, 0)),
+    ]
+
+
+def loop_at(obj: ObjRef) -> MorRef:
+    """An identity-shaped ref at obj, made without asking the category."""
+    return MorRef(obj, obj, (obj.index, obj.index))
+
+
+def test_every_operation_refuses_forged_refs():
+    cat = diamond()
+    good = cat.obj("a")
+    cases = []
+    for x in forged_objects(cat):
+        cases += [
+            lambda x=x: cat.enumerate_homs(x, good),
+            lambda x=x: cat.enumerate_homs(good, x),
+            lambda x=x: cat.is_injective(x, cat.mor("0", "a")),
+            lambda x=x: cat.attach(x, []),
+            lambda x=x: cat.identity(x),
+        ]
+    for m in forged_morphisms(cat):
+        cases += [
+            lambda m=m: cat.compose(m, loop_at(m.dom)),
+            lambda m=m: cat.compose(loop_at(m.cod), m),
+            lambda m=m: cat.find_factorization(m, loop_at(m.dom)),
+            lambda m=m: cat.find_factorization(loop_at(m.dom), m),
+            lambda m=m: cat.pushout(m, loop_at(m.dom)),
+            lambda m=m: cat.pushout(loop_at(m.dom), m),
+            lambda m=m: cat.attach(m.dom, [(m, loop_at(m.dom))]),
+            lambda m=m: cat.attach(m.cod, [(loop_at(m.dom), m)]),
+            lambda m=m: cat.is_injective(good, m),
+            lambda m=m: cat.is_injective(m.cod, m),
+        ]
+    for case in cases:
+        with pytest.raises(CategoryError):
+            case()
+
+
+def test_check_proof_rejects_a_cancellation_through_a_forged_rest():
+    cat = diamond()
+    hyps = MorphismSet.of([("p", cat.mor("0", "a"))])
+    o = cat.objects()
+    first = cat.mor("0", "1")
+    # rest . first would be 0->a, but 1 -> a is not in leq: accepting it
+    # would derive 0->1, which {0->a} does not entail
+    for rest in (MorRef(o[3], o[1], (3, 1)), MorRef(o[3], o[1], (0, 1))):
+        with pytest.raises(ProofError):
+            check_proof(cat, hyps, Cancel(Hyp("p"), first=first, rest=rest))

@@ -29,6 +29,7 @@ from injlog.proofs import (
     saturate,
     used_hypotheses,
 )
+from injlog.reflection import consequence_via_reflection
 
 
 def chain3() -> LatticeCategory:
@@ -452,3 +453,80 @@ def test_prove_reports_inconclusive_on_the_clique_family():
     assert result.stop_reason == "mor_cap"
     assert result.proof is None
     assert not result.found()
+
+
+# --- mutation fuzzing of lattice proof terms ---------------------------------
+
+
+def one_step_mutants(term, mors, names):
+    """Every term one edit away: first and rest swapped in a Cancel, a Push
+    retargeted along another morphism, a Hyp renamed (to another
+    hypothesis or to none), the parts of a macro reordered."""
+    if isinstance(term, Hyp):
+        for name in [*names, "nowhere"]:
+            if name != term.name:
+                yield Hyp(name)
+    elif isinstance(term, Compose):
+        for outer in one_step_mutants(term.outer, mors, names):
+            yield Compose(outer, term.inner)
+        for inner in one_step_mutants(term.inner, mors, names):
+            yield Compose(term.outer, inner)
+    elif isinstance(term, Cancel):
+        yield Cancel(term.whole, first=term.rest, rest=term.first)
+        for whole in one_step_mutants(term.whole, mors, names):
+            yield Cancel(whole, term.first, term.rest)
+    elif isinstance(term, Push):
+        for m in mors:
+            if m != term.along:
+                yield Push(term.proof, along=m)
+        for proof in one_step_mutants(term.proof, mors, names):
+            yield Push(proof, term.along)
+    elif isinstance(term, (WidePushN, CoprodN)):
+        parts = term.parts
+        for k in range(1, len(parts)):
+            yield type(term)(parts[k:] + parts[:k])
+        if len(parts) > 1:
+            yield type(term)(parts[::-1])
+        for i, p in enumerate(parts):
+            for q in one_step_mutants(p, mors, names):
+                yield type(term)(parts[:i] + (q,) + parts[i + 1 :])
+
+
+def entailed(leq, hyps, a, b) -> bool:
+    """Whether a -> b holds in every element injective for all hyps, read
+    off the leq matrix alone."""
+    def injective(x, c, d):
+        return not leq[c][x] or leq[d][x]
+
+    return all(
+        injective(x, a, b)
+        for x in range(len(leq))
+        if all(injective(x, c, d) for c, d in hyps)
+    )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25)
+def test_mutated_lattice_proofs_fail_or_stay_sound(seed):
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=6)
+    hyps = random_hypotheses(rng, cat, max_count=4)
+    leq = cat.p.leq.tolist()
+    pairs = [(m.dom.index, m.cod.index) for m in hyps.morphisms()]
+    mors = cat.all_morphisms()
+    terms = list(saturate(cat, hyps).provenance.values())
+    # reflection proofs are where WidePushN parts come from
+    for goal in mors:
+        out = consequence_via_reflection(cat, hyps, goal)
+        if out.proof is not None:
+            terms.append(out.proof)
+    for term in terms:
+        mutants = list(one_step_mutants(term, mors, hyps.names()))
+        for mutant in rng.sample(mutants, min(12, len(mutants))):
+            try:
+                m = check_proof(cat, hyps, mutant)
+            except (ProofError, CategoryError):
+                continue
+            assert m.dom.cat_id == cat.cat_id and m.payload == (m.dom.index, m.cod.index)
+            assert leq[m.dom.index][m.cod.index]
+            assert entailed(leq, pairs, m.dom.index, m.cod.index), mutant

@@ -237,3 +237,67 @@ def test_a_round_of_600_squares_rechecks():
     assert out.status == "derived"
     assert [len(rnd.squares) for rnd in out.trace.rounds] == [n]
     assert check_proof(g, h, out.proof) == goal
+
+
+def point_to_edge():
+    g = GraphCategory()
+    h = MorphismSet.of([("e", g.mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (0,))))])
+    return g, h, g.obj(Graph.of(1))
+
+
+@pytest.mark.parametrize("node_cap, rounds", [(16, 4), (15, 3), (1, 0)])
+def test_node_cap_stops_before_a_round_whose_apex_could_exceed_it(node_cap, rounds):
+    # every round doubles the object: 1, 2, 4, 8, 16, ... nodes
+    g, h, start = point_to_edge()
+    known = len(g._graphs)
+    trace = reflect(g, h, start, node_cap=node_cap)
+    assert trace.stop_reason == "node_cap"
+    assert not trace.converged
+    assert len(trace.rounds) == rounds
+    assert g.object_size(trace.apex) == 2**rounds
+    # no graph the reflection made exceeds the cap
+    assert all(graph.node_count <= node_cap for graph in g._graphs[known:])
+    assert check_proof(g, h, reflection_proof(trace)) == trace.reflection
+
+
+def test_stop_reasons_name_the_budget_or_the_fixpoint():
+    g, h, start = point_to_edge()
+    assert reflect(g, h, start, max_rounds=3).stop_reason == "max_rounds"
+    assert reflect(g, h, start, max_rounds=0).stop_reason == "max_rounds"
+    cat = diamond()
+    p = MorphismSet.of([("p", cat.mor("0", "a"))])
+    for max_rounds in (1, 16):
+        trace = reflect(cat, p, cat.obj("0"), max_rounds=max_rounds)
+        assert (trace.stop_reason, trace.converged) == ("converged", True)
+    assert reflect(cat, p, cat.obj("0"), max_rounds=0).stop_reason == "max_rounds"
+
+
+def test_the_default_node_cap_bounds_the_point_to_edge_trace():
+    # unbounded, 16 rounds reach 65,536 nodes and a trace of about 13 GB
+    g, h, start = point_to_edge()
+    trace = reflect(g, h, start)
+    assert (trace.stop_reason, len(trace.rounds)) == ("node_cap", 10)
+    assert g.object_size(trace.apex) == 1024
+    assert len(trace_to_text(g, trace)) < 3 * 2**20
+    out = consequence_via_reflection(g, h, h.get("e"), node_cap=8)
+    assert out.status == "inconclusive" and out.trace.stop_reason == "node_cap"
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_attach_size_bounds_the_apex(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    x = g.obj(random_graph(rng, max_nodes=3))
+    squares = []
+    for _ in range(rng.randint(0, 3)):
+        dom = g.obj(random_graph(rng, max_nodes=2))
+        hs = g.enumerate_homs(dom, g.obj(random_graph(rng, max_nodes=3)))
+        fs = g.enumerate_homs(dom, x)
+        if hs and fs:
+            squares.append((rng.choice(hs), rng.choice(fs)))
+    bound = g.attach_size(x, squares)
+    size = g.object_size(g.attach(x, squares).composite.cod)
+    assert size <= bound
+    if all(len(set(h.payload.mapping)) == len(h.payload.mapping) for h, _ in squares):
+        assert size == bound  # no node of x merges unless some h merges nodes

@@ -143,7 +143,6 @@ def consequence_via_reflection(
     hypotheses: MorphismSet,
     goal: MorRef,
     max_rounds: int = 16,
-    node_cap: int = 1024,
 ) -> ReflectionConsequence:
     """Build the reflection of the goal's domain and cancel through it.
 
@@ -153,7 +152,7 @@ def consequence_via_reflection(
     an open universe it stays inconclusive, as does a non-converged
     reflection.
     """
-    trace = reflect(cat, hypotheses, goal.dom, max_rounds, node_cap)
+    trace = reflect(cat, hypotheses, goal.dom, max_rounds)
     if not trace.converged:
         return ReflectionConsequence("inconclusive", None, trace, None)
     u = cat.find_factorization(goal, trace.reflection)

@@ -279,7 +279,7 @@ def test_the_default_node_cap_bounds_the_point_to_edge_trace():
     assert (trace.stop_reason, len(trace.rounds)) == ("node_cap", 10)
     assert g.object_size(trace.apex) == 1024
     assert len(trace_to_text(g, trace)) < 3 * 2**20
-    out = consequence_via_reflection(g, h, h.get("e"), node_cap=8)
+    out = consequence_via_reflection(g, h, h.get("e"))
     assert out.status == "inconclusive" and out.trace.stop_reason == "node_cap"
 
 

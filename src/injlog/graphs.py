@@ -17,6 +17,7 @@ from . import kernels
 from .core import (
     Category,
     CategoryError,
+    InjectivityResult,
     MorRef,
     ObjRef,
     WidePushoutResult,
@@ -41,9 +42,9 @@ class Graph:
         return sorted(self.edges)
 
     @cached_property
-    def links(self) -> tuple[int, ...]:
-        """Successor and predecessor bitsets, the form the kernel searches."""
-        return kernels.links(self.node_count, self.edges)
+    def plan(self) -> kernels.Plan:
+        """What the kernel reads of this graph, built on first search."""
+        return kernels.plan(self.node_count, self.edges)
 
     def has_loop(self) -> bool:
         return any(i == j for i, j in self.edges)
@@ -232,7 +233,11 @@ class GraphCategory(Category):
         self._check_mor(f)
         if f.cod != g.dom:
             raise CategoryError("composability mismatch: cod of inner != dom of outer")
-        return self.mor(f.payload.then(g.payload))
+        # both refs match the registry, so f's target is g's source
+        inner, outer = f.payload, g.payload
+        return MorRef(f.dom, g.cod, GraphHom._trusted(
+            inner.source, outer.target, tuple(outer.mapping[v] for v in inner.mapping)
+        ))
 
     def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
         src = self.graph_of(a)
@@ -247,12 +252,7 @@ class GraphCategory(Category):
         return wp.composite, wp.injections[0]
 
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
-        self._check_obj(x)
-        for h, f in squares:
-            self._check_mor(h)
-            self._check_mor(f)
-            if h.dom != f.dom or f.cod != x:
-                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
+        self._check_squares(x, squares)
         # x after the first cod h, so no node of x glued to it is least in its
         # class: a fan (each f an identity) is numbered as its leg codomains
         at = min(1, len(squares))
@@ -306,6 +306,7 @@ class GraphCategory(Category):
             (index_map[off + i], index_map[off + j]) for g, off in zip(graphs, offsets) for i, j in g.edges
         ))
         apex = self.obj(apex_graph)
+        apex_graph = self._graphs[apex.index]
         return apex, [
             MorRef(o, apex, GraphHom._trusted(g, apex_graph, tuple(index_map[off : off + g.node_count])))
             for o, g, off in zip(parts, graphs, offsets)
@@ -327,11 +328,16 @@ class GraphCategory(Category):
     def attach_size(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> int:
         # a node of cod h lands on x when it is in the image of h and is new
         # otherwise; gluing can only merge nodes of x further
+        self._check_squares(x, squares)
         size = self.object_size(x)
         for h, _ in squares:
-            hom = self.hom_of(h)
-            size += hom.target.node_count - len(set(hom.mapping))
+            size += h.payload.target.node_count - len(set(h.payload.mapping))
         return size
+
+    def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
+        # h is checked even when no map dom h -> x reaches find_factorization
+        self._check_mor(h)
+        return super().is_injective(x, h)
 
     def find_factorization(self, h: MorRef, f: MorRef) -> MorRef | None:
         # search g with g . h = f directly: pin g on the image of h
@@ -352,7 +358,7 @@ class GraphCategory(Category):
         row = kernels.hom_first(mid, ff.target, pins)
         if row is None:
             return None
-        return self.mor(GraphHom._trusted(mid, ff.target, row))
+        return MorRef(h.cod, f.cod, GraphHom._trusted(mid, ff.target, row))
 
     def universe(self, max_nodes: int) -> Iterator[ObjRef]:
         """One object per isomorphism class of graphs with at most
@@ -379,8 +385,28 @@ class GraphCategory(Category):
         if obj.cat_id != self.cat_id or not 0 <= obj.index < len(self._graphs):
             raise CategoryError(f"object {obj} is not from {self.cat_id}")
 
+    def _check_squares(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> None:
+        self._check_obj(x)
+        for h, f in squares:
+            self._check_mor(h)
+            self._check_mor(f)
+            if h.dom != f.dom or f.cod != x:
+                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
+
     def _check_mor(self, m: MorRef) -> None:
-        if not isinstance(m.payload, GraphHom):
+        # the common case in one test: a ref this category made holds its
+        # interned graphs, so ``is`` answers before ``==`` is asked
+        hom, dom, cod, graphs = m.payload, m.dom, m.cod, self._graphs
+        if (
+            isinstance(hom, GraphHom)
+            and dom.cat_id == cod.cat_id == self.cat_id
+            and 0 <= dom.index < len(graphs)
+            and 0 <= cod.index < len(graphs)
+            and (graphs[dom.index] is hom.source or graphs[dom.index] == hom.source)
+            and (graphs[cod.index] is hom.target or graphs[cod.index] == hom.target)
+        ):
+            return
+        if not isinstance(hom, GraphHom):
             raise CategoryError(f"morphism {m} is not a graph morphism")
         self._check_obj(m.dom)
         self._check_obj(m.cod)

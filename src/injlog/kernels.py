@@ -6,29 +6,52 @@ serves every query.  It yields node assignments in lexicographic order,
 node 0 most significant, so the first hom and any prefix of the list
 come from the same sequence.
 
-A graph is read through its ``links`` tuple (see ``links``).  A pin
-sequence has one entry per source node: ``pinned[i] >= 0`` forces node i
-to that target node, -1 leaves it free.
+A graph is read through its search plan (see ``Plan``), built once per
+graph and cached on it.  A pin sequence has one entry per source node:
+``pinned[i] >= 0`` forces node i to that target node, -1 leaves it free.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .graphs import Graph
 
 
-def links(node_count: int, edges) -> tuple[int, ...]:
-    """Successor bitsets of nodes 0..n-1 followed by their predecessor
-    bitsets: bit j of ``links[i]`` is edge i->j, bit j of ``links[n + i]``
-    is edge j->i."""
-    bits = [0] * (2 * node_count)
+class Plan(NamedTuple):
+    """What the search reads of one graph, as source or as target.
+
+    Bit j of ``succ[i]`` is edge i->j and bit j of ``pred[i]`` is edge
+    j->i; bit i of ``looped`` and ``loops[i]`` say node i has a loop.
+    ``later_out[i]`` and ``later_in[i]`` list the nodes j > i with edge
+    i->j and j->i: assigning i narrows their domains."""
+
+    succ: tuple[int, ...]
+    pred: tuple[int, ...]
+    looped: int
+    loops: tuple[bool, ...]
+    later_out: tuple[tuple[int, ...], ...]
+    later_in: tuple[tuple[int, ...], ...]
+
+
+def plan(node_count: int, edges) -> Plan:
+    """The plan of the graph with nodes 0..node_count-1 and these edges."""
+    succ = [0] * node_count
+    pred = [0] * node_count
     for i, j in edges:
-        bits[i] |= 1 << j
-        bits[node_count + j] |= 1 << i
-    return tuple(bits)
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+    looped = sum(1 << i for i in range(node_count) if succ[i] >> i & 1)
+    return Plan(
+        tuple(succ),
+        tuple(pred),
+        looped,
+        tuple(bool(looped >> i & 1) for i in range(node_count)),
+        tuple(tuple(_bits(succ[i] >> i + 1 << i + 1)) for i in range(node_count)),
+        tuple(tuple(_bits(pred[i] >> i + 1 << i + 1)) for i in range(node_count)),
+    )
 
 
 def _checked_pins(src: Graph, dst: Graph, pinned: Sequence[int] | None) -> list[int]:
@@ -47,28 +70,22 @@ def _checked_pins(src: Graph, dst: Graph, pinned: Sequence[int] | None) -> list[
 
 def _homs(src: Graph, dst: Graph, pins: list[int]) -> Iterator[tuple[int, ...]]:
     """Every pin-respecting homomorphism src -> dst, in lex order."""
-    s, t = src.node_count, dst.node_count
+    s = src.node_count
     if s == 0:
         yield ()
         return
-    sl, dl = src.links, dst.links
-    looped = sum(1 << v for v in range(t) if dl[v] >> v & 1)
+    sp, dp = src.plan, dst.plan
+    later_out, later_in = sp.later_out, sp.later_in
+    succ, pred, looped = dp.succ, dp.pred, dp.looped
+    full = (1 << dst.node_count) - 1
     domain = []
-    # checks[i]: (j, offset) for each edge between i and a later node j;
-    # assigning i to c narrows j's domain to dl[offset + c], the
-    # successors (offset 0) or predecessors (offset t) of c.
-    checks = []
-    for i in range(s):
-        d = (1 << t) - 1 if pins[i] < 0 else 1 << pins[i]
-        if sl[i] >> i & 1:
+    for pin, loop in zip(pins, sp.loops):
+        d = full if pin < 0 else 1 << pin
+        if loop:
             d &= looped
+        if not d:
+            return
         domain.append(d)
-        later = ~((2 << i) - 1)
-        checks.append(
-            [(j, 0) for j in _bits(sl[i] & later)] + [(j, t) for j in _bits(sl[s + i] & later)]
-        )
-    if not all(domain):
-        return
     assign = [0] * s
     domains = [domain] + [None] * (s - 1)
     left = [domain[0]] + [0] * (s - 1)
@@ -82,11 +99,26 @@ def _homs(src: Graph, dst: Graph, pins: list[int]) -> Iterator[tuple[int, ...]]:
         left[i] = rest ^ low
         c = low.bit_length() - 1
         d = domains[i]
-        if checks[i]:
+        outs, ins = later_out[i], later_in[i]
+        if outs or ins:
+            # assigning i to c narrows each later neighbour's domain to the
+            # successors or predecessors of c; only those can run empty
             d = d[:]
-            for j, offset in checks[i]:
-                d[j] &= dl[offset + c]
-            if not all(d[i + 1 :]):
+            dead = False
+            row = succ[c]
+            for j in outs:
+                d[j] &= row
+                if not d[j]:
+                    dead = True
+                    break
+            if not dead:
+                row = pred[c]
+                for j in ins:
+                    d[j] &= row
+                    if not d[j]:
+                        dead = True
+                        break
+            if dead:
                 continue
         assign[i] = c
         if i + 1 == s:

@@ -16,7 +16,14 @@ from injlog.graphs import (
     loop_point,
     random_graph,
 )
-from injlog.core import CategoryError, MorphismSet, semantic_consequence, verify_pushout_square
+from injlog.core import (
+    CategoryError,
+    MorphismSet,
+    MorRef,
+    ObjRef,
+    semantic_consequence,
+    verify_pushout_square,
+)
 from injlog.proofs import prove
 from injlog.reflection import reflect
 
@@ -323,3 +330,92 @@ def test_foreign_references_are_rejected():
     x = other.obj(loop_point())
     with pytest.raises(CategoryError):
         cat.identity(x)
+
+
+def forged_graph_refs(cat: GraphCategory, edge: Graph, swapped: Graph):
+    """Objects from another category or out of range, and would-be
+    morphisms edge -> edge: foreign, with an out-of-range end, with a payload
+    that is no graph hom, or whose source or target is another graph with
+    the same node count."""
+    e = cat.obj(edge)
+    other = GraphCategory(cat_id="other")
+    beyond = ObjRef(cat.cat_id, 99)
+    objects = [other.obj(edge), beyond, ObjRef(cat.cat_id, -1)]
+    ident = GraphHom.identity(edge)
+    morphisms = [
+        other.mor(ident),
+        MorRef(e, beyond, ident),
+        MorRef(beyond, e, ident),
+        MorRef(e, e, (0, 1)),
+        MorRef(e, e, GraphHom(swapped, edge, (1, 0))),
+        MorRef(e, e, GraphHom(edge, swapped, (1, 0))),
+    ]
+    return objects, morphisms
+
+
+def test_every_graph_operation_refuses_forged_refs():
+    cat = GraphCategory()
+    edge, swapped = Graph.of(2, [(0, 1)]), Graph.of(2, [(1, 0)])
+    e = cat.obj(edge)
+    cat.obj(swapped)
+    point = cat.obj(Graph.of(1))  # no map from edge reaches it
+    good = cat.identity(e)
+
+    def loop_at(obj: ObjRef) -> MorRef:
+        """An identity-shaped ref at obj, made without asking the category."""
+        return MorRef(obj, obj, GraphHom.identity(edge))
+
+    objects, morphisms = forged_graph_refs(cat, edge, swapped)
+    cases = []
+    for x in objects:
+        cases += [
+            lambda x=x: cat.enumerate_homs(x, e),
+            lambda x=x: cat.enumerate_homs(e, x),
+            lambda x=x: cat.is_injective(x, good),
+            lambda x=x: cat.attach(x, []),
+            lambda x=x: cat.attach_size(x, []),
+            lambda x=x: cat.cotuple([], x),
+        ]
+    for m in morphisms:
+        cases += [
+            lambda m=m: cat.compose(m, loop_at(m.dom)),
+            lambda m=m: cat.compose(loop_at(m.cod), m),
+            lambda m=m: cat.find_factorization(m, loop_at(m.dom)),
+            lambda m=m: cat.find_factorization(loop_at(m.dom), m),
+            lambda m=m: cat.pushout(m, loop_at(m.dom)),
+            lambda m=m: cat.pushout(loop_at(m.dom), m),
+            lambda m=m: cat.attach(m.dom, [(m, loop_at(m.dom))]),
+            lambda m=m: cat.attach(m.cod, [(loop_at(m.dom), m)]),
+            lambda m=m: cat.attach_size(m.dom, [(m, loop_at(m.dom))]),
+            lambda m=m: cat.attach_size(m.cod, [(loop_at(m.dom), m)]),
+            lambda m=m: cat.cotuple([m], m.cod),
+            lambda m=m: cat.cotuple([loop_at(m.cod), m], m.cod),
+            lambda m=m: cat.is_injective(e, m),
+            lambda m=m: cat.is_injective(point, m),
+            lambda m=m: cat.is_injective(m.cod, m),
+            lambda m=m: cat.hom_of(m),
+            lambda m=m: cat.morphism_label(m),
+        ]
+    for case in cases:
+        with pytest.raises(CategoryError):
+            case()
+
+
+def test_a_payload_holding_an_equal_graph_is_accepted():
+    cat = GraphCategory()
+    edge = Graph.of(2, [(0, 1)])
+    e = cat.obj(edge)
+    twin = Graph.of(2, [(0, 1)])
+    assert twin == edge and twin is not edge
+    genuine = cat.identity(e)
+    m = MorRef(e, e, GraphHom.identity(twin))
+    assert m == genuine and m.payload.source is not cat.graph_of(e)
+    assert cat.hom_of(m) is m.payload
+    assert cat.morphism_label(m) == cat.morphism_label(genuine)
+    assert cat.compose(m, m) == cat.compose(genuine, genuine) == genuine
+    assert cat.find_factorization(m, m) == genuine
+    assert cat.pushout(m, m) == cat.pushout(genuine, genuine)
+    assert cat.attach(e, [(m, m)]) == cat.attach(e, [(genuine, genuine)])
+    assert cat.attach_size(e, [(m, m)]) == cat.attach_size(e, [(genuine, genuine)])
+    assert cat.cotuple([m], e) == cat.cotuple([genuine], e)
+    assert cat.is_injective(e, m).holds

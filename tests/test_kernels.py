@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from injlog import kernels
-from injlog.graphs import Graph, clique, random_graph
+from injlog.graphs import Graph, clique, loop_point, random_graph
 
 
 def product_homs(src: Graph, dst: Graph, pinned: list[int]) -> list[tuple[int, ...]]:
@@ -20,35 +20,80 @@ def product_homs(src: Graph, dst: Graph, pinned: list[int]) -> list[tuple[int, .
 
 
 @st.composite
-def graphs(draw, max_nodes: int) -> Graph:
-    n = draw(st.integers(0, max_nodes))
+def graphs(draw, max_nodes: int, min_nodes: int = 0) -> Graph:
+    n = draw(st.integers(min_nodes, max_nodes))
     cells = [(i, j) for i in range(n) for j in range(n)]
     return Graph.of(n, [c for c in cells if draw(st.booleans())])
 
 
+def loops(g: Graph) -> frozenset[int]:
+    return frozenset(i for i, j in g.edges if i == j)
+
+
 @st.composite
 def queries(draw):
-    src = draw(graphs(4))
-    dst = draw(graphs(4))
-    pinned = [draw(st.integers(-1, dst.node_count - 1)) for _ in range(src.node_count)]
+    """One source against two targets of different sizes and loop sets, so
+    that a plan cached on the source from the first target would show on
+    the second."""
+    src = draw(graphs(5))
+    small = draw(graphs(3))
+    big = draw(graphs(4, min_nodes=small.node_count + 1))
+    if loops(big) == loops(small):
+        # small has no node there, so the loop sets now differ
+        last = big.node_count - 1
+        big = Graph.of(big.node_count, big.edges | {(last, last)})
+    targets = [small, big] if draw(st.booleans()) else [big, small]
+    pins = [[draw(st.integers(-1, t.node_count - 1)) for _ in range(src.node_count)] for t in targets]
     limit = draw(st.none() | st.integers(0, 6))
-    return src, dst, pinned, limit
+    return src, list(zip(targets, pins)), limit
 
 
 @settings(max_examples=400)
 @given(queries())
-@example((Graph.of(0), clique(3), [], None))
-@example((Graph.of(0), Graph.of(0), [], 0))
-@example((Graph.of(2, [(0, 1)]), Graph.of(0), [-1, -1], None))
-@example((Graph.of(3, [(0, 0), (1, 2)]), Graph.of(3, [(1, 1), (1, 2), (2, 0)]), [-1, 2, -1], 2))
+@example((Graph.of(0), [(clique(3), []), (Graph.of(0), [])], None))
+@example((Graph.of(0), [(Graph.of(0), []), (loop_point(), [])], 0))
+@example((Graph.of(2, [(0, 1)]), [(Graph.of(0), [-1, -1]), (loop_point(), [0, -1])], None))
+@example((
+    Graph.of(3, [(0, 0), (1, 2)]),
+    [(Graph.of(3, [(1, 1), (1, 2), (2, 0)]), [-1, 2, -1]), (Graph.of(2, [(0, 1)]), [-1, -1, -1])],
+    2,
+))
 def test_kernel_matches_product_oracle(query):
-    src, dst, pinned, limit = query
-    expected = product_homs(src, dst, pinned)
-    assert kernels.hom_list(src, dst, pinned) == expected
-    assert kernels.hom_first(src, dst, pinned) == (expected[0] if expected else None)
-    assert kernels.hom_list(src, dst, pinned, limit=limit) == expected[:limit]
-    if not any(p >= 0 for p in pinned):
-        assert kernels.hom_list(src, dst) == expected
+    src, targets, limit = query
+    for dst, pinned in targets:
+        expected = product_homs(src, dst, pinned)
+        assert kernels.hom_list(src, dst, pinned) == expected
+        assert kernels.hom_first(src, dst, pinned) == (expected[0] if expected else None)
+        assert kernels.hom_list(src, dst, pinned, limit=limit) == expected[:limit]
+        if not any(p >= 0 for p in pinned):
+            assert kernels.hom_list(src, dst) == expected
+
+
+class CountingRows(tuple):
+    """A tuple of bitset rows that counts how often the search reads one."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        CountingRows.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def test_an_emptied_later_domain_prunes_at_once(monkeypatch):
+    # source node 0 has an edge to node 1 and one from node 13, and nodes
+    # 1..12 form a path; no edge of the target enters target node 0, so
+    # mapping source node 0 there empties node 13's domain, and the search
+    # must drop that branch before it walks the 2**11 paths of nodes 1..12
+    # through target nodes 1 and 2
+    k = 12
+    src = Graph.of(k + 2, [(0, 1), (k + 1, 0), *((i, i + 1) for i in range(1, k))])
+    dst = Graph.of(3, [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
+    plan = dst.plan
+    counting = plan._replace(succ=CountingRows(plan.succ), pred=CountingRows(plan.pred))
+    monkeypatch.setitem(dst.__dict__, "plan", counting)
+    monkeypatch.setattr(CountingRows, "reads", 0)
+    assert kernels.hom_first(src, dst) == (1,) * (k + 1) + (0,)
+    assert CountingRows.reads <= 4 * src.node_count
 
 
 def test_counts_on_cliques():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injlog.core import CategoryError, MorphismSet, semantic_consequence, wide_pushout
-from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
 from injlog.proofs import (
     RULES,
@@ -29,7 +29,7 @@ from injlog.proofs import (
     saturate,
     used_hypotheses,
 )
-from injlog.reflection import consequence_via_reflection
+from injlog.reflection import consequence_via_reflection, reflect, reflection_proof
 
 
 def chain3() -> LatticeCategory:
@@ -77,6 +77,16 @@ def test_cancel_demands_the_exact_composite():
     bad = Cancel(Hyp("h"), first=cat.mor("0", "0"), rest=cat.mor("1", "2"))
     with pytest.raises(CancelMismatch):
         check_proof(cat, h, bad)
+    # factors that compose, but not to the derived morphism
+    miss = Cancel(Hyp("h"), first=cat.mor("0", "1"), rest=cat.mor("1", "1"))
+    with pytest.raises(CancelMismatch):
+        check_proof(cat, h, miss)
+    g = GraphCategory()
+    point, edge = Graph.of(1), Graph.of(2, [(0, 1)])
+    tail = MorphismSet.of([("tail", g.mor(GraphHom(point, edge, (0,))))])
+    head = g.mor(GraphHom(point, edge, (1,)))
+    with pytest.raises(CancelMismatch):
+        check_proof(g, tail, Cancel(Hyp("tail"), first=head, rest=g.identity(g.obj(edge))))
 
 
 def test_push_requires_shared_domain_and_concludes_the_opposite_leg():
@@ -530,3 +540,44 @@ def test_mutated_lattice_proofs_fail_or_stay_sound(seed):
             assert m.dom.cat_id == cat.cat_id and m.payload == (m.dom.index, m.cod.index)
             assert leq[m.dom.index][m.cod.index]
             assert entailed(leq, pairs, m.dom.index, m.cod.index), mutant
+
+
+def graph_theory(rng: random.Random):
+    """A graph category, one to three hypotheses among graphs of at most
+    three nodes (the empty graph among them), and every morphism among
+    those graphs."""
+    cat = GraphCategory()
+    objs = [cat.obj(g) for g in [empty_graph(), *(random_graph(rng, max_nodes=3) for _ in range(3))]]
+    mors = [m for a in objs for x in objs for m in cat.enumerate_homs(a, x)]
+    hyps = MorphismSet.of((f"h{i}", rng.choice(mors)) for i in range(rng.randint(1, 3)))
+    return cat, hyps, objs, mors
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_mutated_graph_proofs_fail_or_stay_sound(seed):
+    rng = random.Random(seed)
+    cat, hyps, objs, mors = graph_theory(rng)
+    terms = []
+    for goal in rng.sample(mors, min(4, len(mors))):
+        out = prove(cat, hyps, goal, node_cap=6, depth_cap=2, mor_cap=400)
+        if out.proof is not None:
+            terms.append(out.proof)
+    for start in objs:
+        terms.append(reflection_proof(reflect(cat, hyps, start, max_rounds=2, node_cap=8)))
+    # a mutant is the term one edit away, or the term checked against the
+    # hypotheses with one of them dropped
+    mutants = [(mutant, hyps) for term in terms for mutant in one_step_mutants(term, mors, hyps.names())]
+    for name in hyps.names():
+        fewer = MorphismSet.of((n, m) for n, m in hyps if n != name)
+        mutants += [(term, fewer) for term in terms]
+    universe = list(cat.universe(3))
+    for mutant, given_hyps in rng.sample(mutants, min(40, len(mutants))):
+        try:
+            m = check_proof(cat, given_hyps, mutant)
+        except (ProofError, CategoryError):
+            continue
+        hom = cat.hom_of(m)
+        assert GraphHom(hom.source, hom.target, hom.mapping) == hom
+        verdict = semantic_consequence(cat, given_hyps, m, universe, exact=False, bound=3)
+        assert verdict.holds, mutant

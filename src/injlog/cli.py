@@ -29,7 +29,6 @@ from .proofs import (
     Cancel,
     Compose,
     CoprodN,
-    Hyp,
     Identity,
     ProofError,
     ProofTerm,

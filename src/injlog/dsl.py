@@ -16,7 +16,8 @@ must be unique across the declared lattices.
 Proof bodies are s-expressions over the forms hyp, id, comp, cancel, push,
 coprod, widepush.  Morphism arguments are declared names or the literals
 (lmor a b) and (gmor SRC DST (i j ...)); graph positions accept a declared
-name or (g N ((u v) ...)) with numeric nodes.
+name or (g N ((u v) ...)) with numeric nodes.  Proofs nest at most
+MAX_PROOF_DEPTH forms, so walks over terms fit Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .proofs import (
     Push,
     WidePushN,
 )
+
+MAX_PROOF_DEPTH = 500
 
 __all__ = [
     "Diagnostic",
@@ -155,7 +158,6 @@ def _tokenize(source: str) -> list[_Token]:
 class LatticeDecl:
     name: str
     category: LatticeCategory
-    line: int
 
 
 @dataclass
@@ -164,28 +166,24 @@ class GraphDecl:
     node_names: tuple[str, ...]
     graph: Graph
     obj: ObjRef
-    line: int
 
 
 @dataclass
 class MorDecl:
     name: str
     ref: MorRef
-    line: int
 
 
 @dataclass
 class HsetDecl:
     name: str
     morphisms: MorphismSet
-    line: int
 
 
 @dataclass
 class ProofDecl:
     name: str
     term: ProofTerm
-    line: int
 
 
 @dataclass
@@ -269,13 +267,13 @@ class _Parser:
             if tok.text == "lattice":
                 self.lattice_decl(tok)
             elif tok.text == "graph":
-                self.graph_decl(tok)
+                self.graph_decl()
             elif tok.text == "mor":
-                self.mor_decl(tok)
+                self.mor_decl()
             elif tok.text == "hset":
                 self.hset_decl(tok)
             elif tok.text == "proof":
-                self.proof_decl(tok)
+                self.proof_decl()
             else:
                 raise _fail(
                     tok,
@@ -340,10 +338,10 @@ class _Parser:
             presentation = presentation_from_pairs(name, elements, pairs)
         except LatticeError as err:
             raise _fail(kw, f"not a partial order: {err}", "check the leq pairs") from err
-        self.ws.lattices[name] = LatticeDecl(name, LatticeCategory(presentation), kw.line)
+        self.ws.lattices[name] = LatticeDecl(name, LatticeCategory(presentation))
         self.ws.order.append(("lattice", name))
 
-    def graph_decl(self, kw: _Token) -> None:
+    def graph_decl(self) -> None:
         name_tok = self.expect("ident")
         name = self.fresh_name(name_tok)
         self.expect("{")
@@ -378,7 +376,7 @@ class _Parser:
         self.expect("}")
         graph = Graph.of(len(node_names), edges)
         obj = self.ws.graph_category.obj(graph)
-        self.ws.graphs[name] = GraphDecl(name, node_names, graph, obj, kw.line)
+        self.ws.graphs[name] = GraphDecl(name, node_names, graph, obj)
         self.ws.order.append(("graph", name))
 
     def resolve_element(self, tok: _Token) -> tuple[LatticeCategory, str]:
@@ -405,7 +403,7 @@ class _Parser:
             )
         return hits[0], tok.text
 
-    def mor_decl(self, kw: _Token) -> None:
+    def mor_decl(self) -> None:
         name_tok = self.expect("ident")
         name = self.fresh_name(name_tok)
         self.expect(":")
@@ -423,7 +421,7 @@ class _Parser:
                 "expected ';' or a '{ ... }' map",
                 "lattice morphisms end with ';', graph morphisms map every node",
             )
-        self.ws.morphisms[name] = MorDecl(name, ref, kw.line)
+        self.ws.morphisms[name] = MorDecl(name, ref)
         self.ws.order.append(("mor", name))
 
     def lattice_mor(self, src: _Token, dst: _Token) -> MorRef:
@@ -503,16 +501,16 @@ class _Parser:
             hset = MorphismSet.of(pairs)
         except ValueError as err:
             raise _fail(kw, str(err), "an hset lives in a single category") from err
-        self.ws.hsets[name] = HsetDecl(name, hset, kw.line)
+        self.ws.hsets[name] = HsetDecl(name, hset)
         self.ws.order.append(("hset", name))
 
-    def proof_decl(self, kw: _Token) -> None:
+    def proof_decl(self) -> None:
         name_tok = self.expect("ident")
         name = self.fresh_name(name_tok)
         self.expect("{")
         term = self.proof_term()
         self.expect("}")
-        self.ws.proofs[name] = ProofDecl(name, term, kw.line)
+        self.ws.proofs[name] = ProofDecl(name, term)
         self.ws.order.append(("proof", name))
 
     def int_tok(self) -> int:
@@ -591,8 +589,10 @@ class _Parser:
             return self.ws.graph_category.mor(hom)
         raise _fail(head, f"expected a morphism, found ({head.text} ...)", "use a name, (lmor a b), or (gmor ...)")
 
-    def proof_term(self) -> ProofTerm:
-        self.expect("(", "proof terms are s-expressions")
+    def proof_term(self, depth: int = 1) -> ProofTerm:
+        opening = self.expect("(", "proof terms are s-expressions")
+        if depth > MAX_PROOF_DEPTH:
+            raise _fail(opening, f"proof nested deeper than {MAX_PROOF_DEPTH} forms")
         head = self.expect("ident")
         if head.text == "hyp":
             name = self.expect("ident")
@@ -603,25 +603,25 @@ class _Parser:
             self.expect(")")
             return Identity(obj)
         if head.text == "comp":
-            outer = self.proof_term()
-            inner = self.proof_term()
+            outer = self.proof_term(depth + 1)
+            inner = self.proof_term(depth + 1)
             self.expect(")")
             return Compose(outer, inner)
         if head.text == "cancel":
-            whole = self.proof_term()
+            whole = self.proof_term(depth + 1)
             first = self.morphism_operand()
             rest = self.morphism_operand()
             self.expect(")")
             return Cancel(whole, first, rest)
         if head.text == "push":
-            proof = self.proof_term()
+            proof = self.proof_term(depth + 1)
             along = self.morphism_operand()
             self.expect(")")
             return Push(proof, along)
         if head.text in ("coprod", "widepush"):
             parts = []
             while self.peek().kind == "(":
-                parts.append(self.proof_term())
+                parts.append(self.proof_term(depth + 1))
             self.expect(")")
             form = CoprodN if head.text == "coprod" else WidePushN
             return form(tuple(parts))
@@ -710,9 +710,10 @@ def proof_to_text(ws: Workspace, term: ProofTerm) -> str:
     if isinstance(term, Push):
         return f"(push {proof_to_text(ws, term.proof)} {_morphism_text(ws, term.along)})"
     if isinstance(term, (CoprodN, WidePushN)):
-        head = "coprod" if isinstance(term, CoprodN) else "widepush"
-        parts = " ".join(proof_to_text(ws, p) for p in term.parts)
-        return f"({head} {parts})" if parts else f"({head})"
+        words = ["coprod" if isinstance(term, CoprodN) else "widepush"]
+        for p in term.parts:  # a loop, not a generator: one frame per level
+            words.append(proof_to_text(ws, p))
+        return f"({' '.join(words)})"
     raise TypeError(f"not a proof term: {term!r}")
 
 

@@ -355,7 +355,8 @@ class GraphCategory(Category):
             if pins[at] >= 0 and pins[at] != want:
                 return None  # h merges nodes that f separates
             pins[at] = want
-        row = kernels.hom_first(mid, ff.target, pins)
+        # the pins index mid's nodes and hold f's images: in range as built
+        row = next(kernels._homs(mid, ff.target, pins), None)
         if row is None:
             return None
         return MorRef(h.cod, f.cod, GraphHom._trusted(mid, ff.target, row))

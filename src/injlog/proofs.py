@@ -5,9 +5,10 @@ The primitive rules are: identity (axiom), composition, cancellation
 derived morphism along an arbitrary morphism.  Checking recomputes every
 canonical construction; nothing in a term is trusted.
 
-Two macros elaborate into the primitives: CoprodN (finite coproduct of
-morphisms, staged through pushouts along coproduct injections) and
-WidePushN (wide pushout, staged through binary pushouts).
+Two macros elaborate into the primitives: WidePushN (wide pushout, staged
+through binary pushouts) and CoprodN (each part pushed out along its
+injection into the coproduct of the domains, staged as a WidePushN, then
+cancelled onto the canonical coproduct morphism if numbered otherwise).
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class PushDomainMismatch(ProofError):
 
 class MacroShapeError(ProofError):
     pass
+
+
+class RefusedReference(ProofError):
+    """A reference the category refuses: foreign, forged or out of range."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,10 @@ def check_proof(cat: Category, hypotheses: MorphismSet, term: ProofTerm) -> MorR
 
     Macros are elaborated to primitives before checking.
     """
-    return _check(cat, hypotheses, elaborate_macro(cat, hypotheses, term))
+    try:
+        return _check(cat, hypotheses, elaborate_macro(cat, hypotheses, term))
+    except CategoryError as err:
+        raise RefusedReference(str(err)) from None
 
 
 def _check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> MorRef:
@@ -197,18 +205,20 @@ def elaborate_macro(cat: Category, hyps: MorphismSet, term: ProofTerm) -> ProofT
         return Cancel(elaborate_macro(cat, hyps, term.whole), term.first, term.rest)
     if isinstance(term, Push):
         return Push(elaborate_macro(cat, hyps, term.proof), term.along)
+    if not isinstance(term, (CoprodN, WidePushN)):
+        raise MacroShapeError(f"unknown proof term {type(term).__name__}")
+    parts: list[ProofTerm] = []
+    for p in term.parts:  # a loop, not a comprehension: one frame per level
+        parts.append(elaborate_macro(cat, hyps, p))
     if isinstance(term, WidePushN):
-        return _elaborate_widepush(cat, hyps, term)
-    if isinstance(term, CoprodN):
-        return _elaborate_coprod(cat, hyps, term)
-    raise MacroShapeError(f"unknown proof term {type(term).__name__}")
+        return _elaborate_widepush(cat, parts, [_check(cat, hyps, p) for p in parts])
+    return _elaborate_coprod(cat, hyps, parts)
 
 
-def _elaborate_widepush(cat: Category, hyps: MorphismSet, term: WidePushN) -> ProofTerm:
-    if not term.parts:
+def _elaborate_widepush(cat: Category, parts: list[ProofTerm], concls: list[MorRef]) -> ProofTerm:
+    """Wide pushout of the parts (concluding concls) as binary pushouts."""
+    if not parts:
         raise MacroShapeError("wide pushout macro needs at least one part")
-    parts = [elaborate_macro(cat, hyps, p) for p in term.parts]
-    concls = [_check(cat, hyps, p) for p in parts]
     dom = concls[0].dom
     for c in concls[1:]:
         if c.dom != dom:
@@ -219,43 +229,29 @@ def _elaborate_widepush(cat: Category, hyps: MorphismSet, term: WidePushN) -> Pr
     return cur
 
 
-def _elaborate_coprod(cat: Category, hyps: MorphismSet, term: CoprodN) -> ProofTerm:
+def _elaborate_coprod(cat: Category, hyps: MorphismSet, parts: list[ProofTerm]) -> ProofTerm:
+    """Coproduct of the parts, staged as the wide pushout of their pushouts."""
     cat.validate_for_colimits()
-    if not term.parts:
+    if not parts:
         initial, _ = cat.coproduct([])
         return Identity(initial)
-    parts = [elaborate_macro(cat, hyps, p) for p in term.parts]
     if len(parts) == 1:
         return parts[0]
     concls = [_check(cat, hyps, p) for p in parts]
     canonical = cat.coproduct_morphism(concls)
-
-    # Stage pushouts along the still-mixed coproduct injections.  tau maps
-    # the true mixed coproduct onto the object the derivation has actually
-    # built, absorbing any renumbering the pushout quotients introduce.
-    n = len(parts)
-    blocks = [c.dom for c in concls]
-    mixed, injs = cat.coproduct(blocks)
-    tau = cat.identity(mixed)
-    cur: ProofTerm | None = None
-    cur_concl: MorRef | None = None
-    for j in range(n):
-        along = cat.compose(tau, injs[j])
-        step, glue = cat.pushout(concls[j], along)
-        cur = Push(parts[j], along=along) if cur is None else Compose(Push(parts[j], along=along), cur)
-        cur_concl = step if cur_concl is None else cat.compose(step, cur_concl)
-        legs = [
-            glue if i == j else cat.compose(step, cat.compose(tau, injs[i])) for i in range(n)
-        ]
-        blocks[j] = concls[j].cod
-        _, injs = cat.coproduct(blocks)
-        tau = cat.cotuple(legs, step.cod)
-    assert cur is not None and cur_concl is not None
-    if cur_concl == canonical:
-        return cur
-    if cat.compose(tau, canonical) != cur_concl:
-        raise MacroShapeError("coproduct staging lost track of the renumbering")
-    return Cancel(cur, first=canonical, rest=tau)
+    _, injections = cat.coproduct([c.dom for c in concls])
+    pushed = [cat.pushout(c, i)[0] for c, i in zip(concls, injections)]
+    staged = _elaborate_widepush(cat, [Push(p, along=i) for p, i in zip(parts, injections)], pushed)
+    built = pushed[0]  # the staged conclusion, folded as the checker folds it
+    for c in pushed[1:]:
+        built = cat.compose(cat.pushout(built, c)[0], c)
+    if built == canonical:
+        return staged
+    # the staged apex is the coproduct of the codomains up to renumbering
+    rest = cat.find_factorization(canonical, built)
+    if rest is None:
+        raise MacroShapeError("the staged coproduct does not factor through the canonical one")
+    return Cancel(staged, first=canonical, rest=rest)
 
 
 RULES = ("identity", "composition", "cancellation", "pushout")

@@ -142,7 +142,6 @@ def consequence_via_reflection(
     cat: Category,
     hypotheses: MorphismSet,
     goal: MorRef,
-    max_rounds: int = 16,
 ) -> ReflectionConsequence:
     """Build the reflection of the goal's domain and cancel through it.
 
@@ -152,7 +151,7 @@ def consequence_via_reflection(
     an open universe it stays inconclusive, as does a non-converged
     reflection.
     """
-    trace = reflect(cat, hypotheses, goal.dom, max_rounds)
+    trace = reflect(cat, hypotheses, goal.dom)
     if not trace.converged:
         return ReflectionConsequence("inconclusive", None, trace, None)
     u = cat.find_factorization(goal, trace.reflection)

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from injlog.cli import main
+from injlog.dsl import MAX_PROOF_DEPTH, parse, print_workspace
 
 WORKSPACE = """
 lattice chain {
@@ -35,6 +38,7 @@ hset HC { zc4 }
 
 proof step { (cancel (hyp h) goal rest) }
 proof broken { (cancel (hyp h) rest goal) }
+proof mixed { (comp (id 0) (id pt)) }
 """
 
 
@@ -168,6 +172,74 @@ def test_check_proof_valid_and_invalid(ws_file, capsys):
     code, out = run(capsys, "check-proof", ws_file, "--proof", "broken", "--hset", "H")
     assert code == 1
     assert "verdict: invalid" in out
+
+
+def test_a_proof_mixing_categories_is_invalid(ws_file, capsys):
+    # the lattice refuses the graph object pt: an invalid proof, not a crash
+    argv = ("check-proof", ws_file, "--proof", "mixed", "--hset", "H")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("verdict: invalid\nerror: ") and "is not from lattice:chain" in out
+    code, out = run(capsys, *argv, "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["verdict"], report["conclusion"]) == ("invalid", None)
+    assert "is not from lattice:chain" in report["error"]
+
+
+def nested(wrap: str, depth: int) -> str:
+    """A proof of the given depth: (id 2) wrapped depth - 1 times."""
+    term = "(id 2)"
+    for _ in range(depth - 1):
+        term = wrap.format(term)
+    return term
+
+
+@pytest.mark.parametrize("wrap", [
+    "(comp (id 2) {})",
+    "(push {} (lmor 2 2))",
+    "(cancel {} (lmor 2 2) (lmor 2 2))",
+    "(coprod {})",
+    "(widepush {})",
+], ids=lambda w: w.split()[0][1:])
+def test_proofs_nest_up_to_the_depth_limit(tmp_path, capsys, wrap):
+    path = tmp_path / "deep.inj"
+    argv = ("check-proof", str(path), "--proof", "deep", "--hset", "H", "--json")
+    path.write_text(f"{WORKSPACE}proof deep {{ {nested(wrap, MAX_PROOF_DEPTH)} }}\n")
+    code, out = run(capsys, *argv)
+    assert (code, json.loads(out)["verdict"]) == (0, "valid")
+    printed = print_workspace(parse(path.read_text()))
+    assert print_workspace(parse(printed)) == printed
+
+    line = nested(wrap, MAX_PROOF_DEPTH + 1)
+    path.write_text(f"{WORKSPACE}proof deep {{ {line} }}\n")
+    code, out = run(capsys, *argv)
+    assert code == 65
+    report = json.loads(out)
+    depth = 0  # the first form past the limit is the first "(" that deep
+    for col, ch in enumerate(line, start=len("proof deep { ") + 1):
+        depth += (ch == "(") - (ch == ")")
+        if depth > MAX_PROOF_DEPTH:
+            break
+    assert (report["line"], report["col"]) == (WORKSPACE.count("\n") + 1, col)
+    assert f"nested deeper than {MAX_PROOF_DEPTH} forms" in report["error"]
+
+
+def test_the_readme_workspace_and_commands(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    path = tmp_path / "readme.inj"
+    path.write_text(section.split("```")[1])
+    listed = [
+        re.sub(r"\[[^]]*\]", "", command).split()
+        for command in re.findall(r"^- `injlog (.*?)`", section, flags=re.M | re.S)
+    ]
+    on_file = [argv for argv in listed if "FILE" in argv]
+    assert len(on_file) == 7
+    # as the README says: each exits 0 there, but check-inj exits 1
+    for argv in on_file:
+        code, _ = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        assert code == (1 if argv[0] == "check-inj" else 0), argv
 
 
 def test_check_inj_lattice(ws_file, capsys):

@@ -20,6 +20,7 @@ from injlog.proofs import (
     ProofError,
     Push,
     PushDomainMismatch,
+    RefusedReference,
     UnresolvedHypothesis,
     WidePushN,
     _fixpoint,
@@ -105,7 +106,10 @@ def test_used_hypotheses_is_sorted_and_deduplicated():
 
 
 def test_errors_share_the_proof_error_base():
-    for err in (UnresolvedHypothesis, ComposabilityError, CancelMismatch, PushDomainMismatch, MacroShapeError):
+    for err in (
+        UnresolvedHypothesis, ComposabilityError, CancelMismatch, PushDomainMismatch, MacroShapeError,
+        RefusedReference,
+    ):
         assert issubclass(err, ProofError)
 
 
@@ -190,6 +194,38 @@ def test_macros_match_category_core_on_random_lattices(seed, count):
     parts = tuple(Hyp(f"m{i}") for i in range(count))
     assert check_proof(cat, h, CoprodN(parts)) == cat.coproduct_morphism(mors)
     assert check_proof(cat, h, WidePushN(parts)) == wide_pushout(cat, mors).composite
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4))
+@settings(max_examples=25)
+def test_macros_match_category_core_on_random_graph_legs(seed, count):
+    rng = random.Random(seed)
+    cat = GraphCategory()
+
+    def domain() -> Graph:
+        while not (g := random_graph(rng, max_nodes=3)).node_count:
+            pass
+        return g
+
+    def leg(src: Graph):
+        for _ in range(30):
+            homs = cat.enumerate_homs(cat.obj(src), cat.obj(random_graph(rng, max_nodes=4)))
+            if homs:
+                return rng.choice(homs)
+        return cat.identity(cat.obj(src))
+
+    legs = [leg(domain()) for _ in range(count)]
+    h = MorphismSet.of([(f"m{i}", m) for i, m in enumerate(legs)])
+    term = CoprodN(tuple(Hyp(f"m{i}") for i in range(count)))
+    # the staging numbers its apex otherwise in most cases; the
+    # elaboration must cancel back onto the canonical morphism
+    assert check_proof(cat, h, term) == cat.coproduct_morphism(legs)
+    assert check_proof(cat, h, elaborate_macro(cat, h, term)) == cat.coproduct_morphism(legs)
+    src = domain()
+    fan = [leg(src) for _ in range(count)]
+    h = MorphismSet.of([(f"m{i}", m) for i, m in enumerate(fan)])
+    term = WidePushN(tuple(Hyp(f"m{i}") for i in range(count)))
+    assert check_proof(cat, h, term) == wide_pushout(cat, fan).composite
 
 
 # saturation

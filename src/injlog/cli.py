@@ -27,14 +27,12 @@ from .lattice import LatticeCategory, LatticeError, presentation_from_pairs
 from .proofs import (
     RULES,
     Cancel,
-    Compose,
-    CoprodN,
     Identity,
     ProofError,
     ProofTerm,
     Push,
-    WidePushN,
     check_proof,
+    fold,
     prove,
     saturate,
     used_hypotheses,
@@ -120,20 +118,15 @@ def _hset_category(ws: Workspace, hset: MorphismSet, fallback: MorRef | None = N
 
 
 def _term_category(ws: Workspace, term: ProofTerm) -> Category | None:
-    if isinstance(term, Identity):
-        return ws.category_of(term.obj)
-    if isinstance(term, Compose):
-        return _term_category(ws, term.outer) or _term_category(ws, term.inner)
-    if isinstance(term, Cancel):
-        return ws.category_of(term.first)
-    if isinstance(term, Push):
-        return _term_category(ws, term.proof) or ws.category_of(term.along)
-    if isinstance(term, (CoprodN, WidePushN)):
-        for part in term.parts:
-            cat = _term_category(ws, part)
-            if cat is not None:
-                return cat
-    return None
+    """The category of the first reference met, a Push's premise before its along."""
+
+    def category(t: ProofTerm, cats: list[Category | None]) -> Category | None:
+        if isinstance(t, (Identity, Cancel)):
+            return ws.category_of(t.obj if isinstance(t, Identity) else t.first)
+        found = next(filter(None, cats), None)
+        return found or (ws.category_of(t.along) if isinstance(t, Push) else None)
+
+    return fold(term, category)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +239,7 @@ def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
     if decl is None:
         raise UsageError(f"unknown proof {args.proof!r}")
     hset = _hset_arg(ws, args.hset)
-    cat = _term_category(ws, decl.term)
-    if cat is None:
-        cat = _hset_category(ws, hset)
+    cat = _term_category(ws, decl.term) or _hset_category(ws, hset)
     _same_category(cat, hset, f"hset {args.hset!r}")
     try:
         conclusion = check_proof(cat, hset, decl.term)

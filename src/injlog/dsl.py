@@ -17,7 +17,8 @@ Proof bodies are s-expressions over the forms hyp, id, comp, cancel, push,
 coprod, widepush.  Morphism arguments are declared names or the literals
 (lmor a b) and (gmor SRC DST (i j ...)); graph positions accept a declared
 name or (g N ((u v) ...)) with numeric nodes.  Proofs nest at most
-MAX_PROOF_DEPTH forms, so walks over terms fit Python's recursion limit.
+MAX_PROOF_DEPTH forms, which keeps the recursive-descent parser within
+Python's recursion limit; every walk over a parsed term keeps its own stack.
 """
 
 from __future__ import annotations
@@ -29,16 +30,7 @@ import numpy as np
 from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef
 from .graphs import Graph, GraphCategory, GraphHom
 from .lattice import LatticeCategory, LatticeError, presentation_from_pairs
-from .proofs import (
-    Cancel,
-    Compose,
-    CoprodN,
-    Hyp,
-    Identity,
-    ProofTerm,
-    Push,
-    WidePushN,
-)
+from .proofs import Cancel, Compose, CoprodN, Hyp, Identity, ProofTerm, Push, WidePushN, fold
 
 MAX_PROOF_DEPTH = 500
 
@@ -698,23 +690,20 @@ def _morphism_text(ws: Workspace, ref: MorRef) -> str:
 
 def proof_to_text(ws: Workspace, term: ProofTerm) -> str:
     """Serialize a proof term; parse_proof_text inverts it."""
-    if isinstance(term, Hyp):
-        return f"(hyp {term.name})"
-    if isinstance(term, Identity):
-        return f"(id {_object_text(ws, term.obj)})"
-    if isinstance(term, Compose):
-        return f"(comp {proof_to_text(ws, term.outer)} {proof_to_text(ws, term.inner)})"
-    if isinstance(term, Cancel):
-        whole = proof_to_text(ws, term.whole)
-        return f"(cancel {whole} {_morphism_text(ws, term.first)} {_morphism_text(ws, term.rest)})"
-    if isinstance(term, Push):
-        return f"(push {proof_to_text(ws, term.proof)} {_morphism_text(ws, term.along)})"
-    if isinstance(term, (CoprodN, WidePushN)):
-        words = ["coprod" if isinstance(term, CoprodN) else "widepush"]
-        for p in term.parts:  # a loop, not a generator: one frame per level
-            words.append(proof_to_text(ws, p))
-        return f"({' '.join(words)})"
-    raise TypeError(f"not a proof term: {term!r}")
+
+    def text(t: ProofTerm, parts: list[str]) -> str:
+        if isinstance(t, Hyp):
+            return f"(hyp {t.name})"
+        if isinstance(t, Identity):
+            return f"(id {_object_text(ws, t.obj)})"
+        if isinstance(t, Cancel):
+            return f"(cancel {parts[0]} {_morphism_text(ws, t.first)} {_morphism_text(ws, t.rest)})"
+        if isinstance(t, Push):
+            return f"(push {parts[0]} {_morphism_text(ws, t.along)})"
+        head = {Compose: "comp", CoprodN: "coprod", WidePushN: "widepush"}[type(t)]
+        return f"({' '.join([head, *parts])})"
+
+    return fold(term, text)
 
 
 def _lattice_lines(decl: LatticeDecl) -> list[str]:

@@ -2,21 +2,27 @@
 
 The primitive rules are: identity (axiom), composition, cancellation
 (from a derivation of rest . first conclude first), and pushout of a
-derived morphism along an arbitrary morphism.  Checking recomputes every
-canonical construction; nothing in a term is trusted.
+derived morphism along an arbitrary morphism.  Two macros stand for
+primitive steps: WidePushN (wide pushout, staged through binary pushouts)
+and CoprodN (each part pushed out along its injection into the coproduct
+of the domains, staged as a WidePushN, then cancelled onto the canonical
+coproduct morphism if numbered otherwise).
 
-Two macros elaborate into the primitives: WidePushN (wide pushout, staged
-through binary pushouts) and CoprodN (each part pushed out along its
-injection into the coproduct of the domains, staged as a WidePushN, then
-cancelled onto the canonical coproduct morphism if numbered otherwise).
+Walks over terms keep their own stack: `fold` visits premises first,
+outer before inner, and `subterms` each term before its premises.
+Checking is one fold that yields each subterm's elaborated form and
+conclusion once; a macro stages its steps from its parts' conclusions
+and checks each step as any other.  Nothing in a term is trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef
+
+T = TypeVar("T")
 
 
 class ProofError(Exception):
@@ -47,30 +53,47 @@ class RefusedReference(ProofError):
     """A reference the category refuses: foreign, forged or out of range."""
 
 
-@dataclass(frozen=True)
-class Hyp:
+class _Term:
+    """Equality and hash compare the pre-order sequence of (type, arity,
+    non-term fields), so terms of any depth compare without recursion."""
+
+    def _nodes(self) -> list[tuple]:
+        return [
+            (type(t), len(premises(t)), *(v for v in vars(t).values() if not isinstance(v, (_Term, tuple))))
+            for t in subterms(self)
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        return self._nodes() == other._nodes() if isinstance(other, _Term) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._nodes()))
+
+
+@dataclass(frozen=True, eq=False)
+class Hyp(_Term):
     """Named hypothesis leaf."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Identity:
+@dataclass(frozen=True, eq=False)
+class Identity(_Term):
     """Identity axiom at an object."""
 
     obj: ObjRef
 
 
-@dataclass(frozen=True)
-class Compose:
+@dataclass(frozen=True, eq=False)
+class Compose(_Term):
     """Concludes outer composed after inner."""
 
     outer: "ProofTerm"
     inner: "ProofTerm"
 
 
-@dataclass(frozen=True)
-class Cancel:
+@dataclass(frozen=True, eq=False)
+class Cancel(_Term):
     """From a derivation of rest . first, conclude first.
 
     Both factors are carried explicitly; the checker verifies the
@@ -82,70 +105,112 @@ class Cancel:
     rest: MorRef
 
 
-@dataclass(frozen=True)
-class Push:
+@dataclass(frozen=True, eq=False)
+class Push(_Term):
     """Concludes the canonical pushout of the sub-derivation along `along`."""
 
     proof: "ProofTerm"
     along: MorRef
 
 
-@dataclass(frozen=True)
-class CoprodN:
+@dataclass(frozen=True, eq=False)
+class CoprodN(_Term):
     """Macro: coproduct of the concluded morphisms."""
 
     parts: tuple["ProofTerm", ...]
 
 
-@dataclass(frozen=True)
-class WidePushN:
+@dataclass(frozen=True, eq=False)
+class WidePushN(_Term):
     """Macro: wide pushout composite of the concluded morphisms."""
 
     parts: tuple["ProofTerm", ...]
 
 
 ProofTerm = Hyp | Identity | Compose | Cancel | Push | CoprodN | WidePushN
+Checked = tuple[ProofTerm, MorRef]  # (elaborated form, conclusion)
+
+
+def premises(t: ProofTerm) -> tuple[ProofTerm, ...]:
+    """The subterms a term concludes from, outer before inner."""
+    if isinstance(t, (Hyp, Identity)):
+        return ()
+    if isinstance(t, Compose):
+        return (t.outer, t.inner)
+    if isinstance(t, (Cancel, Push)):
+        return (t.whole if isinstance(t, Cancel) else t.proof,)
+    if isinstance(t, (CoprodN, WidePushN)):
+        return t.parts
+    raise MacroShapeError(f"unknown proof term {type(t).__name__}")
+
+
+def subterms(term: ProofTerm) -> Iterator[ProofTerm]:
+    """Every subterm, each before its premises (pre-order)."""
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        yield t
+        todo += reversed(premises(t))
+
+
+def fold(term: ProofTerm, step: Callable[[ProofTerm, list[T]], T]) -> T:
+    """step(t, the values of t's premises) over every subterm, premises
+    first and outer before inner; returns the value of the term."""
+    todo: list[tuple[ProofTerm, int]] = [(term, -1)]  # (term, premise count, or -1 until queued)
+    done: list[T] = []
+    while todo:
+        t, n = todo.pop()
+        if n > 0:
+            done[-n:] = [step(t, done[-n:])]
+        elif ps := premises(t):
+            todo += [(t, len(ps))] + [(p, -1) for p in reversed(ps)]
+        else:
+            done.append(step(t, []))
+    return done[0]
 
 
 def check_proof(cat: Category, hypotheses: MorphismSet, term: ProofTerm) -> MorRef:
     """Conclusion of the term, or a ProofError describing the first defect.
 
-    Macros are elaborated to primitives before checking.
+    One pass checks the term and its macros' steps, premises first and
+    outer before inner: in a Compose, a defect of the outer part is
+    reported before one of the inner part, even when that is a macro.
     """
-    try:
-        return _check(cat, hypotheses, elaborate_macro(cat, hypotheses, term))
-    except CategoryError as err:
-        raise RefusedReference(str(err)) from None
+    return _elaborate_and_check(cat, hypotheses, term)[1]
 
 
-def _check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> MorRef:
-    # premises wait on a stack, not in recursion (an elaborated wide pushout
-    # nests two terms per part), checked outer before inner as recursion would
-    todo: list[tuple[ProofTerm, bool]] = [(term, False)]  # (term, premises checked)
-    done: list[MorRef] = []  # conclusions of the checked terms
-    while todo:
-        t, ready = todo.pop()
+def elaborate_macro(cat: Category, hyps: MorphismSet, term: ProofTerm) -> ProofTerm:
+    """The term with its macros rewritten into primitive steps, checked on the way."""
+    return _elaborate_and_check(cat, hyps, term)[0]
+
+
+def used_hypotheses(term: ProofTerm) -> list[str]:
+    """Sorted names of the Hyp leaves."""
+    return sorted({t.name for t in subterms(term) if isinstance(t, Hyp)})
+
+
+def _elaborate_and_check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> Checked:
+    """(elaborated form, conclusion) of the term, from one fold."""
+
+    def step(t: ProofTerm, done: list[Checked]) -> Checked:
         if isinstance(t, Hyp):
             m = hyps.get(t.name)
             if m is None:
                 raise UnresolvedHypothesis(f"hypothesis {t.name!r} is not in the set")
-            done.append(m)
-        elif isinstance(t, Identity):
-            done.append(cat.identity(t.obj))
-        elif not ready and isinstance(t, Compose):
-            todo += [(t, True), (t.inner, False), (t.outer, False)]
-        elif not ready and isinstance(t, (Cancel, Push)):
-            todo += [(t, True), (t.whole if isinstance(t, Cancel) else t.proof, False)]
-        elif isinstance(t, Compose):
-            inner, outer = done.pop(), done.pop()
+            return t, m
+        if isinstance(t, Identity):
+            return t, cat.identity(t.obj)
+        if isinstance(t, Compose):
+            (outer_t, outer), (inner_t, inner) = done
             if inner.cod != outer.dom:
                 raise ComposabilityError(
                     f"cannot compose: inner ends at {cat.object_label(inner.cod)}, "
                     f"outer starts at {cat.object_label(outer.dom)}"
                 )
-            done.append(cat.compose(outer, inner))
-        elif isinstance(t, Cancel):
-            whole = done.pop()
+            same = outer_t is t.outer and inner_t is t.inner
+            return t if same else Compose(outer_t, inner_t), cat.compose(outer, inner)
+        if isinstance(t, Cancel):
+            [(whole_t, whole)] = done
             if t.first.cod != t.rest.dom:
                 raise CancelMismatch("claimed factors do not compose")
             try:
@@ -157,101 +222,56 @@ def _check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> MorRef:
                     f"factorization equation fails: rest.first is "
                     f"{cat.morphism_label(recomposed)}, derived {cat.morphism_label(whole)}"
                 )
-            done.append(t.first)
-        elif isinstance(t, Push):
-            inner = done.pop()
+            return t if whole_t is t.whole else Cancel(whole_t, t.first, t.rest), t.first
+        if isinstance(t, Push):
+            [(inner_t, inner)] = done
             if t.along.dom != inner.dom:
                 raise PushDomainMismatch(
                     f"pushout attachment starts at {cat.object_label(t.along.dom)}, "
                     f"derived morphism at {cat.object_label(inner.dom)}"
                 )
-            done.append(cat.pushout(inner, t.along)[0])
-        else:
-            raise MacroShapeError(f"unelaborated macro {type(t).__name__} reached the checker")
-    return done.pop()
+            return t if inner_t is t.proof else Push(inner_t, t.along), cat.pushout(inner, t.along)[0]
+        return _widepush(step, done) if isinstance(t, WidePushN) else _coprod(cat, step, done)
+
+    try:
+        return fold(term, step)
+    except CategoryError as err:
+        raise RefusedReference(str(err)) from None
 
 
-def used_hypotheses(term: ProofTerm) -> list[str]:
-    """Sorted names of the Hyp leaves."""
-    names: set[str] = set()
-
-    def walk(t: ProofTerm) -> None:
-        if isinstance(t, Hyp):
-            names.add(t.name)
-        elif isinstance(t, Compose):
-            walk(t.outer)
-            walk(t.inner)
-        elif isinstance(t, Cancel):
-            walk(t.whole)
-        elif isinstance(t, Push):
-            walk(t.proof)
-        elif isinstance(t, (CoprodN, WidePushN)):
-            for p in t.parts:
-                walk(p)
-
-    walk(term)
-    return sorted(names)
-
-
-def elaborate_macro(cat: Category, hyps: MorphismSet, term: ProofTerm) -> ProofTerm:
-    """Rewrite macros into primitive terms, bottom up."""
-    if isinstance(term, (Hyp, Identity)):
-        return term
-    if isinstance(term, Compose):
-        return Compose(
-            elaborate_macro(cat, hyps, term.outer), elaborate_macro(cat, hyps, term.inner)
-        )
-    if isinstance(term, Cancel):
-        return Cancel(elaborate_macro(cat, hyps, term.whole), term.first, term.rest)
-    if isinstance(term, Push):
-        return Push(elaborate_macro(cat, hyps, term.proof), term.along)
-    if not isinstance(term, (CoprodN, WidePushN)):
-        raise MacroShapeError(f"unknown proof term {type(term).__name__}")
-    parts: list[ProofTerm] = []
-    for p in term.parts:  # a loop, not a comprehension: one frame per level
-        parts.append(elaborate_macro(cat, hyps, p))
-    if isinstance(term, WidePushN):
-        return _elaborate_widepush(cat, parts, [_check(cat, hyps, p) for p in parts])
-    return _elaborate_coprod(cat, hyps, parts)
-
-
-def _elaborate_widepush(cat: Category, parts: list[ProofTerm], concls: list[MorRef]) -> ProofTerm:
-    """Wide pushout of the parts (concluding concls) as binary pushouts."""
+def _widepush(step: Callable[..., Checked], parts: list[Checked]) -> Checked:
+    """Wide pushout of the checked (part, conclusion) pairs, staged
+    through binary pushouts that step checks one by one."""
     if not parts:
         raise MacroShapeError("wide pushout macro needs at least one part")
-    dom = concls[0].dom
-    for c in concls[1:]:
-        if c.dom != dom:
-            raise MacroShapeError("wide pushout parts must share a domain")
+    if any(c.dom != parts[0][1].dom for _, c in parts):
+        raise MacroShapeError("wide pushout parts must share a domain")
     cur = parts[0]
-    for p, c in zip(parts[1:], concls[1:]):
-        cur = Compose(Push(cur, along=c), p)
+    for p, c in parts[1:]:
+        pushed = step(Push(cur[0], along=c), [cur])
+        cur = step(Compose(pushed[0], p), [pushed, (p, c)])
     return cur
 
 
-def _elaborate_coprod(cat: Category, hyps: MorphismSet, parts: list[ProofTerm]) -> ProofTerm:
-    """Coproduct of the parts, staged as the wide pushout of their pushouts."""
+def _coprod(cat: Category, step: Callable[..., Checked], parts: list[Checked]) -> Checked:
+    """Coproduct of the checked (part, conclusion) pairs: each part pushed
+    out along its injection, staged as a wide pushout, checked by step."""
     cat.validate_for_colimits()
-    if not parts:
-        initial, _ = cat.coproduct([])
-        return Identity(initial)
     if len(parts) == 1:
         return parts[0]
-    concls = [_check(cat, hyps, p) for p in parts]
+    if not parts:
+        return step(Identity(cat.coproduct([])[0]), [])
+    concls = [c for _, c in parts]
     canonical = cat.coproduct_morphism(concls)
     _, injections = cat.coproduct([c.dom for c in concls])
-    pushed = [cat.pushout(c, i)[0] for c, i in zip(concls, injections)]
-    staged = _elaborate_widepush(cat, [Push(p, along=i) for p, i in zip(parts, injections)], pushed)
-    built = pushed[0]  # the staged conclusion, folded as the checker folds it
-    for c in pushed[1:]:
-        built = cat.compose(cat.pushout(built, c)[0], c)
-    if built == canonical:
+    staged = _widepush(step, [step(Push(p[0], along=i), [p]) for p, i in zip(parts, injections)])
+    if staged[1] == canonical:
         return staged
     # the staged apex is the coproduct of the codomains up to renumbering
-    rest = cat.find_factorization(canonical, built)
+    rest = cat.find_factorization(canonical, staged[1])
     if rest is None:
         raise MacroShapeError("the staged coproduct does not factor through the canonical one")
-    return Cancel(staged, first=canonical, rest=rest)
+    return step(Cancel(staged[0], first=canonical, rest=rest), [staged])
 
 
 RULES = ("identity", "composition", "cancellation", "pushout")

@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from injlog.cli import main
-from injlog.dsl import MAX_PROOF_DEPTH, parse, print_workspace
+from injlog.dsl import MAX_PROOF_DEPTH, parse, print_workspace, proof_to_text
+from injlog.proofs import check_proof, used_hypotheses
 
 WORKSPACE = """
 lattice chain {
@@ -210,6 +212,23 @@ def test_proofs_nest_up_to_the_depth_limit(tmp_path, capsys, wrap):
     assert (code, json.loads(out)["verdict"]) == (0, "valid")
     printed = print_workspace(parse(path.read_text()))
     assert print_workspace(parse(printed)) == printed
+    ws, again = parse(path.read_text()), parse(path.read_text())
+    term, cat, hset = ws.proofs["deep"].term, ws.lattices["chain"].category, ws.hsets["H"].morphisms
+    # every walk over a parsed term keeps its own stack: with room for
+    # 100 more frames, none may recurse once per level
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert check_proof(cat, hset, term) == cat.identity(cat.obj("2"))
+        assert f"proof deep {{ {proof_to_text(ws, term)} }}" in printed
+        assert used_hypotheses(term) == []
+        assert ws == again
+        assert term == again.proofs["deep"].term and hash(term) == hash(again.proofs["deep"].term)
+    finally:
+        sys.setrecursionlimit(limit)
 
     line = nested(wrap, MAX_PROOF_DEPTH + 1)
     path.write_text(f"{WORKSPACE}proof deep {{ {line} }}\n")

@@ -28,6 +28,7 @@ from injlog.proofs import (
     elaborate_macro,
     prove,
     saturate,
+    subterms,
     used_hypotheses,
 )
 from injlog.reflection import consequence_via_reflection, reflect, reflection_proof
@@ -226,6 +227,107 @@ def test_macros_match_category_core_on_random_graph_legs(seed, count):
     h = MorphismSet.of([(f"m{i}", m) for i, m in enumerate(fan)])
     term = WidePushN(tuple(Hyp(f"m{i}") for i in range(count)))
     assert check_proof(cat, h, term) == wide_pushout(cat, fan).composite
+
+
+class PushoutCountingLattice(LatticeCategory):
+    pushouts = 0
+
+    def pushout(self, h, f):
+        self.pushouts += 1
+        return super().pushout(h, f)
+
+
+def test_nested_macros_check_in_linearly_many_pushouts():
+    def pushouts(n: int) -> int:
+        cat = PushoutCountingLattice(chain3().p)
+        h = MorphismSet.of([("h", cat.mor("0", "2"))])
+        term = Hyp("h")
+        for _ in range(n):
+            term = CoprodN((term, Identity(cat.obj("0"))))
+        assert check_proof(cat, h, term) == cat.mor("0", "2")
+        return cat.pushouts
+
+    calls = {n: pushouts(n) for n in (50, 100, 200)}
+    # re-checking each macro's parts at every level would make this quadratic
+    assert calls[100] <= 2 * calls[50] + 4
+    assert calls[200] <= 2 * calls[100] + 4
+
+
+def test_a_defect_of_the_outer_part_is_reported_before_one_inside_a_macro():
+    cat = diamond()
+    h = MorphismSet.of([("p", cat.mor("0", "a"))])
+    bad_macro = CoprodN((Push(Hyp("p"), along=cat.mor("a", "1")), Hyp("p")))
+    with pytest.raises(PushDomainMismatch):
+        check_proof(cat, h, bad_macro)
+    # premises are checked outer before inner, macros in the same pass
+    with pytest.raises(UnresolvedHypothesis):
+        check_proof(cat, h, Compose(Hyp("nowhere"), bad_macro))
+
+
+def holds_a_macro(term) -> bool:
+    return any(isinstance(s, (CoprodN, WidePushN)) for s in subterms(term))
+
+
+def nested_macro_terms(rng: random.Random, cat, hyps, objs, steps: int = 8, max_nodes: int = 6) -> list:
+    """Valid terms built at random from the hypotheses and identities by
+    composition, cancellation, pushout and both macros, so that macros
+    land under comp, push and cancel and inside other macros; the terms
+    that hold a macro."""
+    pool = [(Hyp(name), m) for name, m in hyps] + [(Identity(x), cat.identity(x)) for x in objs]
+    for _ in range(steps * 4):
+        if sum(holds_a_macro(t) for t, _ in pool) >= steps:
+            break
+        t, c = rng.choice(pool)
+        kind = rng.choice(["coprod", "coprod", "widepush", "widepush", "comp", "push", "cancel"])
+        if kind == "coprod":
+            term = CoprodN(tuple(rng.choice(pool)[0] for _ in range(rng.randint(0, 2))) + (t,))
+        elif kind == "widepush":
+            fan = [u for u, d in pool if d.dom == c.dom]
+            term = WidePushN((t, *(rng.choice(fan) for _ in range(rng.randint(0, 2)))))
+        elif kind == "comp":
+            after = [u for u, d in pool if d.dom == c.cod] or [Identity(c.cod)]
+            before = [u for u, d in pool if d.cod == c.dom] or [Identity(c.dom)]
+            term = rng.choice([Compose(rng.choice(after), t), Compose(t, rng.choice(before))])
+        elif kind == "push":
+            homs = [f for x in objs for f in cat.enumerate_homs(c.dom, x)]
+            term = Push(t, along=rng.choice(homs)) if homs else t
+        else:
+            firsts = [f for x in objs for f in cat.enumerate_homs(c.dom, x)]
+            first = rng.choice(firsts) if firsts else c
+            rest = cat.find_factorization(first, c)
+            term = Cancel(t, first, rest) if rest is not None else Cancel(t, c, cat.identity(c.cod))
+        concl = check_proof(cat, hyps, term)
+        if cat.object_size(concl.cod) <= max_nodes:
+            pool.append((term, concl))
+    return [t for t, _ in pool if holds_a_macro(t)]
+
+
+def assert_elaboration_agrees(cat, hyps, terms):
+    for term in terms:
+        elaborated = elaborate_macro(cat, hyps, term)
+        assert not holds_a_macro(elaborated)
+        assert check_proof(cat, hyps, term) == check_proof(cat, hyps, elaborated)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_nested_macros_elaborate_to_agreeing_primitives_on_lattices(seed):
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=6)
+    hyps = random_hypotheses(rng, cat, max_count=3)
+    terms = nested_macro_terms(rng, cat, hyps, cat.objects())
+    assert terms
+    assert_elaboration_agrees(cat, hyps, terms)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_nested_macros_elaborate_to_agreeing_primitives_on_graphs(seed):
+    rng = random.Random(seed)
+    cat, hyps, objs, _ = graph_theory(rng)
+    terms = nested_macro_terms(rng, cat, hyps, objs)
+    assert terms
+    assert_elaboration_agrees(cat, hyps, terms)
 
 
 # saturation
@@ -566,6 +668,7 @@ def test_mutated_lattice_proofs_fail_or_stay_sound(seed):
         out = consequence_via_reflection(cat, hyps, goal)
         if out.proof is not None:
             terms.append(out.proof)
+    terms += nested_macro_terms(rng, cat, hyps, cat.objects())
     for term in terms:
         mutants = list(one_step_mutants(term, mors, hyps.names()))
         for mutant in rng.sample(mutants, min(12, len(mutants))):
@@ -601,6 +704,7 @@ def test_mutated_graph_proofs_fail_or_stay_sound(seed):
             terms.append(out.proof)
     for start in objs:
         terms.append(reflection_proof(reflect(cat, hyps, start, max_rounds=2, node_cap=8)))
+    terms += nested_macro_terms(rng, cat, hyps, objs)
     # a mutant is the term one edit away, or the term checked against the
     # hypotheses with one of them dropped
     mutants = [(mutant, hyps) for term in terms for mutant in one_step_mutants(term, mors, hyps.names())]

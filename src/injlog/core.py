@@ -264,11 +264,15 @@ def semantic_consequence(
 ) -> ConsequenceVerdict:
     """Whether every universe object injective for all hypotheses is
     injective for the goal.  Exact iff the universe is the whole category
-    (finite lattices); on graphs the verdict only covers the given bound."""
+    (finite lattices); on graphs the verdict only covers the given bound.
+
+    Only an object that fails the goal can refute it, so the goal is
+    tested first and the hypotheses only there; both tests are pure, so
+    the first counterexample is the same in either order."""
+    mors = hypotheses.morphisms()
     for x in universe:
-        if all(cat.is_injective(x, m) for m in hypotheses.morphisms()):
-            if not cat.is_injective(x, goal):
-                return ConsequenceVerdict(False, x, exact, bound)
+        if not cat.is_injective(x, goal) and all(cat.is_injective(x, m) for m in mors):
+            return ConsequenceVerdict(False, x, exact, bound)
     return ConsequenceVerdict(True, None, exact, bound)
 
 

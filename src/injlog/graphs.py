@@ -43,8 +43,15 @@ class Graph:
 
     @cached_property
     def plan(self) -> kernels.Plan:
-        """What the kernel reads of this graph, built on first search."""
+        """What the kernel reads of this graph as a target, built on the
+        first search into it (or from it)."""
         return kernels.plan(self.node_count, self.edges)
+
+    @cached_property
+    def source_plan(self) -> kernels.SourcePlan:
+        """What the kernel reads of this graph as a source, built on the
+        first search from it."""
+        return kernels.source_plan(self.plan)
 
     def has_loop(self) -> bool:
         return any(i == j for i, j in self.edges)

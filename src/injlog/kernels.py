@@ -6,9 +6,13 @@ serves every query.  It yields node assignments in lexicographic order,
 node 0 most significant, so the first hom and any prefix of the list
 come from the same sequence.
 
-A graph is read through its search plan (see ``Plan``), built once per
-graph and cached on it.  A pin sequence has one entry per source node:
-``pinned[i] >= 0`` forces node i to that target node, -1 leaves it free.
+A graph is read through its search plan, in two halves built once per
+graph and cached on it: the target half (``Plan``) on its first search,
+the source half (``SourcePlan``), read off the target half, on its
+first search as a source.  A graph searched only as a target, as a
+universe graph is, never builds the source half.  A pin sequence has
+one entry per source node: ``pinned[i] >= 0`` forces node i to that
+target node, -1 leaves it free.
 """
 
 from __future__ import annotations
@@ -21,36 +25,46 @@ if TYPE_CHECKING:
 
 
 class Plan(NamedTuple):
-    """What the search reads of one graph, as source or as target.
-
-    Bit j of ``succ[i]`` is edge i->j and bit j of ``pred[i]`` is edge
-    j->i; bit i of ``looped`` and ``loops[i]`` say node i has a loop.
-    ``later_out[i]`` and ``later_in[i]`` list the nodes j > i with edge
-    i->j and j->i: assigning i narrows their domains."""
+    """What the search reads of a target graph: bit j of ``succ[i]`` is
+    edge i->j, bit j of ``pred[i]`` is edge j->i, and bit i of ``looped``
+    says node i has a loop."""
 
     succ: tuple[int, ...]
     pred: tuple[int, ...]
     looped: int
+
+
+class SourcePlan(NamedTuple):
+    """What the search reads of a source graph: ``loops[i]`` says node i
+    has a loop, and ``later_out[i]`` and ``later_in[i]`` list the nodes
+    j > i with edge i->j and j->i: assigning i narrows their domains."""
+
     loops: tuple[bool, ...]
     later_out: tuple[tuple[int, ...], ...]
     later_in: tuple[tuple[int, ...], ...]
 
 
 def plan(node_count: int, edges) -> Plan:
-    """The plan of the graph with nodes 0..node_count-1 and these edges."""
+    """The target half of the plan of the graph with nodes
+    0..node_count-1 and these edges."""
     succ = [0] * node_count
     pred = [0] * node_count
+    looped = 0
     for i, j in edges:
         succ[i] |= 1 << j
         pred[j] |= 1 << i
-    looped = sum(1 << i for i in range(node_count) if succ[i] >> i & 1)
-    return Plan(
-        tuple(succ),
-        tuple(pred),
-        looped,
-        tuple(bool(looped >> i & 1) for i in range(node_count)),
-        tuple(tuple(_bits(succ[i] >> i + 1 << i + 1)) for i in range(node_count)),
-        tuple(tuple(_bits(pred[i] >> i + 1 << i + 1)) for i in range(node_count)),
+        if i == j:
+            looped |= 1 << i
+    return Plan(tuple(succ), tuple(pred), looped)
+
+
+def source_plan(p: Plan) -> SourcePlan:
+    """The source half of a plan, read off its target half."""
+    nodes = range(len(p.succ))
+    return SourcePlan(
+        tuple(bool(p.looped >> i & 1) for i in nodes),
+        tuple(tuple(_bits(p.succ[i] >> i + 1 << i + 1)) for i in nodes),
+        tuple(tuple(_bits(p.pred[i] >> i + 1 << i + 1)) for i in nodes),
     )
 
 
@@ -74,7 +88,7 @@ def _homs(src: Graph, dst: Graph, pins: list[int]) -> Iterator[tuple[int, ...]]:
     if s == 0:
         yield ()
         return
-    sp, dp = src.plan, dst.plan
+    dp, sp = dst.plan, src.source_plan
     later_out, later_in = sp.later_out, sp.later_in
     succ, pred, looped = dp.succ, dp.pred, dp.looped
     full = (1 << dst.node_count) - 1

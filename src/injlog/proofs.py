@@ -17,6 +17,7 @@ and checks each step as any other.  Nothing in a term is trusted.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -55,7 +56,8 @@ class RefusedReference(ProofError):
 
 class _Term:
     """Equality and hash compare the pre-order sequence of (type, arity,
-    non-term fields), so terms of any depth compare without recursion."""
+    non-term fields), so terms of any depth compare without recursion;
+    repr is a fold, in the dataclass form ``Compose(outer=..., inner=...)``."""
 
     def _nodes(self) -> list[tuple]:
         return [
@@ -69,22 +71,39 @@ class _Term:
     def __hash__(self) -> int:
         return hash(tuple(self._nodes()))
 
+    def __repr__(self) -> str:
+        def step(t: ProofTerm, done: list[str]) -> str:
+            shown = iter(done)
+            fields = []
+            for f in dataclasses.fields(t):
+                v = getattr(t, f.name)
+                if isinstance(v, _Term):
+                    v = next(shown)
+                elif isinstance(v, tuple):  # the parts of a macro
+                    v = "(" + ", ".join(next(shown) for _ in v) + ("," if len(v) == 1 else "") + ")"
+                else:
+                    v = repr(v)
+                fields.append(f"{f.name}={v}")
+            return f"{type(t).__qualname__}({', '.join(fields)})"
 
-@dataclass(frozen=True, eq=False)
+        return fold(self, step)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Hyp(_Term):
     """Named hypothesis leaf."""
 
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Identity(_Term):
     """Identity axiom at an object."""
 
     obj: ObjRef
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(_Term):
     """Concludes outer composed after inner."""
 
@@ -92,7 +111,7 @@ class Compose(_Term):
     inner: "ProofTerm"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cancel(_Term):
     """From a derivation of rest . first, conclude first.
 
@@ -105,7 +124,7 @@ class Cancel(_Term):
     rest: MorRef
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Push(_Term):
     """Concludes the canonical pushout of the sub-derivation along `along`."""
 
@@ -113,14 +132,14 @@ class Push(_Term):
     along: MorRef
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CoprodN(_Term):
     """Macro: coproduct of the concluded morphisms."""
 
     parts: tuple["ProofTerm", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class WidePushN(_Term):
     """Macro: wide pushout composite of the concluded morphisms."""
 
@@ -454,6 +473,8 @@ def _fixpoint(
         mors = list(known)
         new_objs = in_play[old_objs:]
 
+        # run again for pushout: keeping one round's listings raised
+        # graph-prove peak RSS from 38.8 to 58.5 MB, over the 10% bound
         def attachments():
             """(premise, homs premise.dom -> x) for the x it must visit."""
             for i, m in enumerate(mors):

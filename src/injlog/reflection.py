@@ -109,7 +109,9 @@ def verify_weak_reflection(
 
     (i) the apex is injective for every hypothesis; (ii) every map from
     the start into an injective universe object factors through the
-    reflection morphism.
+    reflection morphism.  Property (ii) at x is injectivity of x for the
+    reflection morphism, so, as in ``semantic_consequence``, that is
+    tested first and the hypotheses only where it fails.
     """
     apex = trace.apex
     for _, m in hypotheses:
@@ -117,14 +119,14 @@ def verify_weak_reflection(
             return CoconeCheckReport(
                 False, CoconeFailure(apex, "apex not injective for a hypothesis", (m,))
             )
+    mors = hypotheses.morphisms()
     for x in universe:
-        if not all(cat.is_injective(x, m) for m in hypotheses.morphisms()):
-            continue
-        for f in cat.enumerate_homs(trace.start, x):
-            if cat.find_factorization(trace.reflection, f) is None:
-                return CoconeCheckReport(
-                    False, CoconeFailure(x, "no factorization through the reflection", (f,))
-                )
+        extends = cat.is_injective(x, trace.reflection)
+        if not extends and all(cat.is_injective(x, m) for m in mors):
+            return CoconeCheckReport(
+                False,
+                CoconeFailure(x, "no factorization through the reflection", (extends.counterexample,)),
+            )
     return CoconeCheckReport(True)
 
 

@@ -227,6 +227,9 @@ def test_proofs_nest_up_to_the_depth_limit(tmp_path, capsys, wrap):
         assert used_hypotheses(term) == []
         assert ws == again
         assert term == again.proofs["deep"].term and hash(term) == hash(again.proofs["deep"].term)
+        shown = repr(term)
+        assert shown.count("Identity(obj=") == nested(wrap, MAX_PROOF_DEPTH).count("(id ")
+        assert shown in repr(ws)
     finally:
         sys.setrecursionlimit(limit)
 

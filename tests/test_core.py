@@ -8,12 +8,13 @@ from injlog.core import (
     CategoryError,
     MorphismSet,
     MorphismSetError,
+    MorRef,
     WidePushoutResult,
     semantic_consequence,
     verify_pushout_square,
     wide_pushout,
 )
-from injlog.graphs import Graph, GraphCategory, GraphHom, loop_point, random_graph
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 from injlog.proofs import Hyp, WidePushN, check_proof
 from injlog.lattice import (
     LatticeCategory,
@@ -21,6 +22,7 @@ from injlog.lattice import (
     random_hypotheses,
     random_lattice,
 )
+from test_kernels import product_homs
 
 
 def chain3() -> LatticeCategory:
@@ -250,3 +252,78 @@ def test_object_size_and_labels():
     assert cat.morphism_label(cat.mor("0", "2")) == "0->2"
     g = GraphCategory()
     assert g.object_size(g.obj(Graph.of(3))) == 3
+
+
+def free_homs(a: Graph, x: Graph) -> list[tuple[int, ...]]:
+    return product_homs(a, x, [-1] * a.node_count)
+
+
+def product_injective(x: Graph, h: GraphHom) -> bool:
+    """Brute force: every map dom h -> x is some map cod h -> x after h."""
+    extended = {tuple(g[v] for v in h.mapping) for g in free_homs(h.target, x)}
+    return all(f in extended for f in free_homs(h.source, x))
+
+
+def hypothesis_first(hyps, goal, universe, injective):
+    """Reference walk: the first object injective for every hypothesis
+    (tested first) and not for the goal, or None."""
+    for x in universe:
+        if all(injective(x, m) for m in hyps.morphisms()) and not injective(x, goal):
+            return x
+    return None
+
+
+def random_graph_mor(g: GraphCategory, rng: random.Random) -> MorRef:
+    """A random map from a graph of up to 2 nodes into one of up to 3."""
+    while True:
+        homs = free_homs(dom := random_graph(rng, max_nodes=2), cod := random_graph(rng, max_nodes=3))
+        if homs:
+            return g.mor(GraphHom(dom, cod, rng.choice(homs)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_consequence_agrees_with_a_hypothesis_first_walk(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        g = GraphCategory()
+        hyps = MorphismSet.of((f"h{k}", random_graph_mor(g, rng)) for k in range(rng.randint(0, 2)))
+        goal = random_graph_mor(g, rng)
+        universe = list(g.universe(3))
+        verdict = semantic_consequence(g, hyps, goal, universe, exact=False, bound=3)
+        witness = hypothesis_first(
+            hyps, goal, universe, lambda x, m: product_injective(g.graph_of(x), m.payload)
+        )
+        assert verdict.counterexample == witness
+        assert verdict.label() == ("counterexample" if witness else "holds-up-to(3)")
+    for i in range(25):
+        cat = random_lattice(rng, max_size=7, name=f"L{i}")
+        hyps = random_hypotheses(rng, cat, max_count=6)
+        leq = cat.p.leq
+        # on a lattice, x is injective for a -> b iff a <= x implies b <= x
+        injective = lambda x, m: not leq[m.dom.index, x.index] or leq[m.cod.index, x.index]
+        for goal in cat.all_morphisms():
+            verdict = semantic_consequence(cat, hyps, goal, cat.objects(), exact=True)
+            witness = hypothesis_first(hyps, goal, cat.objects(), injective)
+            assert verdict.counterexample == witness
+            assert verdict.label() == ("counterexample" if witness else "holds")
+
+
+def test_consequence_tests_hypotheses_only_where_the_goal_fails(monkeypatch):
+    g = GraphCategory()
+    hyps = MorphismSet.of((f"c{k}", g.mor(GraphHom(empty_graph(), clique(k), ()))) for k in range(1, 5))
+    goal = g.mor(GraphHom(empty_graph(), loop_point(), ()))
+    goal_fails: set = set()
+    tested = []  # per hypothesis test: whether x had already failed the goal
+
+    def recording(x, h):
+        if h != goal:
+            tested.append(x in goal_fails)
+        result = GraphCategory.is_injective(g, x, h)
+        if h == goal and not result:
+            goal_fails.add(x)
+        return result
+
+    monkeypatch.setattr(g, "is_injective", recording)
+    verdict = semantic_consequence(g, hyps, goal, g.universe(3), exact=False, bound=3)
+    assert verdict.label() == "holds-up-to(3)"
+    assert tested and all(tested)

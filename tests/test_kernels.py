@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from injlog import kernels
-from injlog.graphs import Graph, clique, loop_point, random_graph
+from injlog.core import MorphismSet, semantic_consequence
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 
 
 def product_homs(src: Graph, dst: Graph, pinned: list[int]) -> list[tuple[int, ...]]:
@@ -48,8 +49,14 @@ def queries(draw):
     return src, list(zip(targets, pins)), limit
 
 
+# a graph with a loop that is its own first target: the search caches its
+# target half, then builds its source half from it
+_LOOPED = Graph.of(3, [(0, 1), (1, 1), (2, 0)])
+
+
 @settings(max_examples=400)
 @given(queries())
+@example((_LOOPED, [(_LOOPED, [-1, -1, -1]), (Graph.of(2, [(0, 1), (1, 0), (1, 1)]), [-1, 1, -1])], None))
 @example((Graph.of(0), [(clique(3), []), (Graph.of(0), [])], None))
 @example((Graph.of(0), [(Graph.of(0), []), (loop_point(), [])], 0))
 @example((Graph.of(2, [(0, 1)]), [(Graph.of(0), [-1, -1]), (loop_point(), [0, -1])], None))
@@ -94,6 +101,21 @@ def test_an_emptied_later_domain_prunes_at_once(monkeypatch):
     monkeypatch.setattr(CountingRows, "reads", 0)
     assert kernels.hom_first(src, dst) == (1,) * (k + 1) + (0,)
     assert CountingRows.reads <= 4 * src.node_count
+
+
+def test_a_universe_walk_builds_no_source_half_of_a_universe_graph():
+    g = GraphCategory()
+    hyps = MorphismSet.of((f"c{k}", g.mor(GraphHom(empty_graph(), clique(k), ()))) for k in range(1, 5))
+    goal = g.mor(GraphHom(empty_graph(), loop_point(), ()))
+    universe = list(g.universe(3))
+    assert semantic_consequence(g, hyps, goal, universe, exact=False, bound=3).holds
+    # the codomains are the searches' sources; every other universe graph
+    # is only searched into
+    sources = [m.payload.target for m in (*hyps.morphisms(), goal)]
+    assert all("source_plan" in x.__dict__ for x in sources)
+    walked = [g.graph_of(x) for x in universe if g.graph_of(x) not in sources]
+    assert walked and all("plan" in x.__dict__ for x in walked if x.node_count)
+    assert not [x for x in walked if "source_plan" in x.__dict__]
 
 
 def test_counts_on_cliques():

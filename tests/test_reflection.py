@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injlog.core import MorphismSet
+from injlog.core import CoconeCheckReport, CoconeFailure, MorphismSet
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
 from injlog.proofs import Cancel, Identity, check_proof, saturate
 from injlog.reflection import (
+    ReflectionTrace,
     consequence_via_reflection,
     reflect,
     reflection_proof,
@@ -15,7 +16,7 @@ from injlog.reflection import (
     trace_to_text,
     verify_weak_reflection,
 )
-from test_core import staged_wide_pushout
+from test_core import random_graph_mor, staged_wide_pushout
 
 
 def chain3() -> LatticeCategory:
@@ -107,6 +108,36 @@ def test_non_converged_trace_is_reported_and_fails_verification():
     report = verify_weak_reflection(g, h, trace, g.universe(3))
     assert not report.verified
     assert report.failing_witness.detail == "apex not injective for a hypothesis"
+
+
+def hand_loop_report(cat, hyps, trace, universe):
+    """Reference: the apex check, then every map from the start into each
+    object injective for every hypothesis, factored one by one."""
+    for _, m in hyps:
+        if not cat.is_injective(trace.apex, m):
+            return CoconeCheckReport(False, CoconeFailure(trace.apex, "apex not injective for a hypothesis", (m,)))
+    for x in universe:
+        if all(cat.is_injective(x, m) for m in hyps.morphisms()):
+            for f in cat.enumerate_homs(trace.start, x):
+                if cat.find_factorization(trace.reflection, f) is None:
+                    return CoconeCheckReport(False, CoconeFailure(x, "no factorization through the reflection", (f,)))
+    return CoconeCheckReport(True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verification_names_the_first_map_that_does_not_factor(seed):
+    # forged traces: a random map out of the start stands for the reflection
+    rng = random.Random(seed)
+    details = []
+    for _ in range(30):
+        g = GraphCategory()
+        hyps = MorphismSet.of((f"h{k}", random_graph_mor(g, rng)) for k in range(rng.randint(0, 2)))
+        reflection = random_graph_mor(g, rng)
+        trace = ReflectionTrace(reflection.dom, (), reflection, "converged")
+        report = verify_weak_reflection(g, hyps, trace, g.universe(3))
+        assert report == hand_loop_report(g, hyps, trace, g.universe(3))
+        details.append(report.failing_witness and report.failing_witness.detail)
+    assert "no factorization through the reflection" in details and None in details
 
 
 def test_consequence_via_reflection_derives_the_transported_goal():

@@ -142,6 +142,11 @@ class Category(ABC):
     """Finitely computable category: identities, composites, hom sets,
     pushouts, attachments (a wide pushout, or a weak reflection round,
     glues many codomains onto one object at once), finite coproducts.
+    Factoring is asked three ways: find_factorization (does f extend
+    along h), cancellations (which homs dom m -> x does m factor
+    through, the cancellation rule's question) and is_injective (does
+    every map dom h -> x extend along h); the base bodies are generic
+    loops over enumerate_homs, which a category may override.
     Deterministic: equal inputs give equal outputs, and hom enumeration
     follows a fixed canonical order."""
 
@@ -225,6 +230,23 @@ class Category(ABC):
             if self.compose(g, h) == f:
                 return g
         return None
+
+    def cancellations(
+        self, m: MorRef, x: ObjRef, limit: int | None = None
+    ) -> list[tuple[MorRef, MorRef]] | None:
+        """Each hom first: dom m -> x that m factors through, in canonical
+        hom order, paired with rest: x -> cod m, the first g with g after
+        first = m (what find_factorization(first, m) returns).  None when
+        the homs dom m -> x reach limit."""
+        homs = self.enumerate_homs(m.dom, x, limit)
+        if len(homs) == limit:
+            return None
+        pairs = []
+        for first in homs:
+            rest = self.find_factorization(first, m)
+            if rest is not None:
+                pairs.append((first, rest))
+        return pairs
 
     def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
         """Whether every map dom h -> x extends along h; first failure is

@@ -342,31 +342,50 @@ class GraphCategory(Category):
         return size
 
     def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
-        # h is checked even when no map dom h -> x reaches find_factorization
+        # the refs are checked once, each kernel row dom h -> x is extended
+        # along h by one pinned search, and only a counterexample gets a ref
         self._check_mor(h)
-        return super().is_injective(x, h)
+        dst = self.graph_of(x)
+        src, mid = self._graphs[h.dom.index], self._graphs[h.cod.index]
+        along = h.payload.mapping
+        for row in kernels._homs(src, dst, [-1] * src.node_count):
+            if _extension(mid, dst, along, row) is None:
+                return InjectivityResult(False, MorRef(h.dom, x, GraphHom._trusted(src, dst, row)))
+        return InjectivityResult(True)
 
     def find_factorization(self, h: MorRef, f: MorRef) -> MorRef | None:
-        # search g with g . h = f directly: pin g on the image of h
         self._check_mor(h)
         self._check_mor(f)
         if h.dom != f.dom:
             raise CategoryError("factorization query needs a common domain")
         hh: GraphHom = h.payload
         ff: GraphHom = f.payload
-        mid = hh.target
-        pins = [-1] * mid.node_count
-        for v in range(hh.source.node_count):
-            want = ff.mapping[v]
-            at = hh.mapping[v]
-            if pins[at] >= 0 and pins[at] != want:
-                return None  # h merges nodes that f separates
-            pins[at] = want
-        # the pins index mid's nodes and hold f's images: in range as built
-        row = next(kernels._homs(mid, ff.target, pins), None)
+        row = _extension(hh.target, ff.target, hh.mapping, ff.mapping)
         if row is None:
             return None
-        return MorRef(h.cod, f.cod, GraphHom._trusted(mid, ff.target, row))
+        return MorRef(h.cod, f.cod, GraphHom._trusted(hh.target, ff.target, row))
+
+    def cancellations(
+        self, m: MorRef, x: ObjRef, limit: int | None = None
+    ) -> list[tuple[MorRef, MorRef]] | None:
+        # the refs are checked once, each kernel row dom m -> x gets its rest
+        # by one pinned search, and refs are built only for the pairs found
+        self._check_mor(m)
+        mid = self.graph_of(x)
+        src, dst = self._graphs[m.dom.index], self._graphs[m.cod.index]
+        rows = kernels.hom_list(src, mid, limit=limit)
+        if len(rows) == limit:
+            return None
+        images = m.payload.mapping
+        pairs = []
+        for row in rows:
+            rest = _extension(mid, dst, row, images)
+            if rest is not None:
+                pairs.append((
+                    MorRef(m.dom, x, GraphHom._trusted(src, mid, row)),
+                    MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest)),
+                ))
+        return pairs
 
     def universe(self, max_nodes: int) -> Iterator[ObjRef]:
         """One object per isomorphism class of graphs with at most
@@ -423,6 +442,22 @@ class GraphCategory(Category):
             or self._graphs[m.cod.index] != m.payload.target
         ):
             raise CategoryError(f"morphism {m} endpoints disagree with its payload")
+
+
+def _extension(
+    mid: Graph, dst: Graph, along: Sequence[int], images: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The first kernel row g: mid -> dst with g[along[v]] = images[v] for
+    every v, or None: g after a map with mapping along is the map with
+    mapping images.  Both come from checked refs or kernel rows, so the
+    pins are in range as built."""
+    pins = [-1] * mid.node_count
+    for at, want in zip(along, images):
+        if pins[at] != want:
+            if pins[at] >= 0:
+                return None  # along merges nodes that images separate
+            pins[at] = want
+    return next(kernels._homs(mid, dst, pins), None)
 
 
 def random_graph(rng: random.Random, max_nodes: int = 4, loop_bias: float = 0.2) -> Graph:

@@ -257,6 +257,21 @@ class LatticeCategory(Category):
             return MorRef(b, x, (b.index, x.index))
         return None
 
+    def cancellations(
+        self, m: MorRef, x: ObjRef, limit: int | None = None
+    ) -> list[tuple[MorRef, MorRef]] | None:
+        # thin shortcut: the one map a -> x, if a <= x, and m = a -> b
+        # factors through it iff x <= b
+        self._check_mor(m)
+        self._check_obj(x)
+        a, b, i = m.dom.index, m.cod.index, x.index
+        count = self._up[a] >> i & 1
+        if limit is not None and count >= limit:
+            return None
+        if count and self._up[i] >> b & 1:
+            return [(MorRef(m.dom, x, (a, i)), MorRef(x, m.cod, (i, b)))]
+        return []
+
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         self._check_mor(h)
         self._check_mor(f)

@@ -327,3 +327,124 @@ def test_consequence_tests_hypotheses_only_where_the_goal_fails(monkeypatch):
     verdict = semantic_consequence(g, hyps, goal, g.universe(3), exact=False, bound=3)
     assert verdict.label() == "holds-up-to(3)"
     assert tested and all(tested)
+
+
+# --- cancellations and injectivity against brute force -----------------------
+
+
+def product_cancellations(m: GraphHom, x: Graph, limit: int | None) -> list | None:
+    """Brute force: the (first, rest) mappings with rest after first = m,
+    first over product-order homs dom m -> x and rest the first such hom
+    x -> cod m; None when those homs reach limit."""
+    firsts = free_homs(m.source, x)
+    if limit is not None and len(firsts) >= limit:
+        return None
+    pairs = []
+    for first in firsts:
+        rest = next(
+            (r for r in free_homs(x, m.target) if all(r[w] == v for w, v in zip(first, m.mapping))),
+            None,
+        )
+        if rest is not None:
+            pairs.append((first, rest))
+    return pairs
+
+
+def product_counterexample(x: Graph, h: GraphHom) -> tuple[int, ...] | None:
+    """Brute force: the first product-order map dom h -> x that does not
+    extend along h, or None."""
+    extended = {tuple(g[v] for v in h.mapping) for g in free_homs(h.target, x)}
+    return next((f for f in free_homs(h.source, x) if f not in extended), None)
+
+
+def premises(g: GraphCategory, rng: random.Random) -> list[MorRef]:
+    """Random graph premises of every kind the pins must handle: identities,
+    maps out of the empty graph, maps that merge nodes and any map."""
+    found = []
+    while len(found) < 4:
+        dom, cod = random_graph(rng), random_graph(rng)
+        homs = free_homs(dom, cod)
+        merging = [h for h in homs if len(set(h)) < len(h)]
+        found += [g.identity(g.obj(dom)), g.mor(GraphHom(empty_graph(), cod, ()))]
+        found += [g.mor(GraphHom(dom, cod, rng.choice(pool))) for pool in (merging, homs) if pool]
+    return found
+
+
+def pairs_of(result) -> list | None:
+    if result is None:
+        return None
+    return [(first.payload.mapping, rest.payload.mapping) for first, rest in result]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_cancellations_match_the_generic_loop_and_brute_force(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    merged = 0
+    for _ in range(15):
+        x = g.obj(random_graph(rng))
+        for m in premises(g, rng):
+            limit = rng.choice([None, None, 0, 1, 2, 3, 5])
+            fast = g.cancellations(m, x, limit)
+            assert fast == Category.cancellations(g, m, x, limit)
+            assert pairs_of(fast) == product_cancellations(m.payload, g.graph_of(x), limit)
+            for first, rest in fast or ():
+                assert (first.dom, first.cod, rest.dom, rest.cod) == (m.dom, x, x, m.cod)
+                assert g.compose(rest, first) == m
+            merged += len(set(m.payload.mapping)) < len(m.payload.mapping)
+    assert merged
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_injectivity_matches_the_generic_loop_and_brute_force(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    for _ in range(15):
+        x = g.obj(random_graph(rng))
+        for h in premises(g, rng):
+            fast = g.is_injective(x, h)
+            slow = Category.is_injective(g, x, h)
+            assert (fast.holds, fast.counterexample) == (slow.holds, slow.counterexample)
+            witness = product_counterexample(g.graph_of(x), h.payload)
+            assert fast.holds == (witness is None)
+            if witness is not None:
+                assert fast.counterexample.payload.mapping == witness
+                assert (fast.counterexample.dom, fast.counterexample.cod) == (h.dom, x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_cancellations_match_the_generic_loop_and_the_order(seed):
+    rng = random.Random(seed)
+    for i in range(10):
+        cat = random_lattice(rng, max_size=7, name=f"L{i}")
+        leq = cat.p.leq
+        for m in cat.all_morphisms():
+            a, b = m.dom.index, m.cod.index
+            for x in cat.objects():
+                for limit in (None, 0, 1, 2):
+                    fast = cat.cancellations(m, x, limit)
+                    assert fast == Category.cancellations(cat, m, x, limit)
+                    # one hom a -> x when a <= x; m factors through it when x <= b
+                    if limit is not None and int(leq[a, x.index]) >= limit:
+                        assert fast is None
+                    elif leq[a, x.index] and leq[x.index, b]:
+                        assert fast == [(cat.mor(a, x.index), cat.mor(x.index, b))]
+                    else:
+                        assert fast == []
+
+
+def test_cancellations_return_none_exactly_when_the_listing_reaches_limit():
+    g = GraphCategory()
+    point, edge = g.obj(Graph.of(1)), g.obj(Graph.of(2, [(0, 1)]))
+    # the point maps into the edge twice
+    for m in (g.identity(point), g.mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (1,)))):
+        assert g.cancellations(m, edge, 2) is None
+        listed = g.cancellations(m, edge, 3)
+        assert listed is not None and listed == g.cancellations(m, edge)
+        assert g.cancellations(m, edge, 3) == Category.cancellations(g, m, edge, 3)
+    # only the second hom: no map edge -> edge sends the tail onto the head
+    assert [first.payload.mapping for first, _ in listed] == [(1,)]
+    cat = chain3()
+    m = cat.mor("0", "2")
+    assert cat.cancellations(m, cat.obj("1"), 1) is None
+    assert cat.cancellations(m, cat.obj("1"), 2) == [(cat.mor("0", "1"), cat.mor("1", "2"))]

@@ -372,6 +372,7 @@ def test_every_graph_operation_refuses_forged_refs():
             lambda x=x: cat.enumerate_homs(x, e),
             lambda x=x: cat.enumerate_homs(e, x),
             lambda x=x: cat.is_injective(x, good),
+            lambda x=x: cat.cancellations(good, x),
             lambda x=x: cat.attach(x, []),
             lambda x=x: cat.attach_size(x, []),
             lambda x=x: cat.cotuple([], x),
@@ -393,6 +394,9 @@ def test_every_graph_operation_refuses_forged_refs():
             lambda m=m: cat.is_injective(e, m),
             lambda m=m: cat.is_injective(point, m),
             lambda m=m: cat.is_injective(m.cod, m),
+            lambda m=m: cat.cancellations(m, e),
+            lambda m=m: cat.cancellations(m, point),
+            lambda m=m: cat.cancellations(m, m.cod),
             lambda m=m: cat.hom_of(m),
             lambda m=m: cat.morphism_label(m),
         ]

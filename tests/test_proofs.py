@@ -576,6 +576,28 @@ def test_prove_skips_an_attachment_past_hom_cap():
     assert prove(g, h, goal, node_cap=3, hom_cap=2).found()
 
 
+def test_prove_stops_on_hom_cap_when_only_a_cancellation_listing_is_over():
+    g = GraphCategory()
+    point, edge = Graph.of(1), Graph.of(2, [(0, 1)])
+    h = MorphismSet.of([("inc", g.mor(GraphHom(point, edge, (0,))))])
+    goal = g.mor(GraphHom(point, edge, (1,)))
+    asked = []
+
+    def nothing(a, x, limit=None):
+        # pushout lists through enumerate_homs and cancellation does not:
+        # no pushout listing is over the cap, and none attaches anything
+        asked.append(limit)
+        return []
+
+    g.enumerate_homs = nothing
+    # the point maps into the edge twice, one hom past the cap
+    result = prove(g, h, goal, node_cap=3, hom_cap=1)
+    assert (result.status, result.stop_reason) == ("inconclusive", "hom_cap")
+    assert set(asked) == {2}
+    # with room for both homs, the same search runs dry uncut
+    assert prove(g, h, goal, node_cap=3, hom_cap=2).stop_reason == "fixpoint"
+
+
 def test_prove_finds_graph_compositions():
     g = GraphCategory()
     node = Graph.of(1)

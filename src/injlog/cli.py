@@ -95,26 +95,21 @@ def _mor_arg(ws: Workspace, name: str) -> MorRef:
     return decl.ref
 
 
-def _hset_arg(ws: Workspace, name: str) -> MorphismSet:
+def _hset_arg(ws: Workspace, name: str, cat: Category | None) -> MorphismSet:
+    """The named hset; with a category, every member must belong to it."""
     decl = ws.hsets.get(name)
     if decl is None:
         raise UsageError(f"unknown hset {name!r}")
+    if cat is not None and any(m.dom.cat_id != cat.cat_id for m in decl.morphisms.morphisms()):
+        raise UsageError(f"hset {name!r} is not in the selected category")
     return decl.morphisms
 
 
-def _same_category(cat: Category, hset: MorphismSet, what: str) -> None:
-    for m in hset.morphisms():
-        if m.dom.cat_id != cat.cat_id:
-            raise UsageError(f"{what} is not in the selected category")
-
-
-def _hset_category(ws: Workspace, hset: MorphismSet, fallback: MorRef | None = None) -> Category:
-    mors = hset.morphisms()
-    if mors:
-        return ws.category_of(mors[0])
-    if fallback is not None:
-        return ws.category_of(fallback)
-    raise UsageError("cannot infer the category from an empty hset")
+def _hset_category(ws: Workspace, name: str) -> Category:
+    mors = _hset_arg(ws, name, None).morphisms()
+    if not mors:
+        raise UsageError("cannot infer the category from an empty hset")
+    return ws.category_of(mors[0])
 
 
 def _term_category(ws: Workspace, term: ProofTerm) -> Category | None:
@@ -137,8 +132,7 @@ def _cmd_check_inj(args) -> tuple[int, dict, list[str]]:
     ws = _load(args.file)
     cat = _category_arg(ws, args.cat)
     obj = _object_arg(ws, cat, args.object)
-    hset = _hset_arg(ws, args.hset)
-    _same_category(cat, hset, f"hset {args.hset!r}")
+    hset = _hset_arg(ws, args.hset, cat)
     members = []
     lines = []
     for name, h in hset:
@@ -164,9 +158,8 @@ def _cmd_consequence(args) -> tuple[int, dict, list[str]]:
     bound = _budget(args.max_size, "--max-size")
     ws = _load(args.file)
     goal = _mor_arg(ws, args.goal)
-    hset = _hset_arg(ws, args.hset)
     cat = ws.category_of(goal)
-    _same_category(cat, hset, f"hset {args.hset!r}")
+    hset = _hset_arg(ws, args.hset, cat)
     if isinstance(cat, GraphCategory):
         verdict = semantic_consequence(
             cat, hset, goal, cat.universe(bound), exact=False, bound=bound
@@ -206,9 +199,8 @@ def _cmd_prove(args) -> tuple[int, dict, list[str]]:
     depth = _budget(args.depth, "--depth")
     ws = _load(args.file)
     goal = _mor_arg(ws, args.goal)
-    hset = _hset_arg(ws, args.hset)
     cat = ws.category_of(goal)
-    _same_category(cat, hset, f"hset {args.hset!r}")
+    hset = _hset_arg(ws, args.hset, cat)
     result = prove(cat, hset, goal, node_cap=node_cap, depth_cap=depth)
     proof_text = None if result.proof is None else proof_to_text(ws, result.proof)
     lines = [
@@ -238,9 +230,8 @@ def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
     decl = ws.proofs.get(args.proof)
     if decl is None:
         raise UsageError(f"unknown proof {args.proof!r}")
-    hset = _hset_arg(ws, args.hset)
-    cat = _term_category(ws, decl.term) or _hset_category(ws, hset)
-    _same_category(cat, hset, f"hset {args.hset!r}")
+    cat = _term_category(ws, decl.term) or _hset_category(ws, args.hset)
+    hset = _hset_arg(ws, args.hset, cat)
     try:
         conclusion = check_proof(cat, hset, decl.term)
     except ProofError as err:
@@ -274,8 +265,7 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
     cat = _category_arg(ws, args.cat)
     if not isinstance(cat, LatticeCategory):
         raise UsageError("saturation needs a finite closed category: pick a lattice")
-    hset = _hset_arg(ws, args.hset)
-    _same_category(cat, hset, f"hset {args.hset!r}")
+    hset = _hset_arg(ws, args.hset, cat)
     rules = tuple(r for r in RULES if r not in set(args.disable))
     result = saturate(cat, hset, rules)
     derived = [
@@ -329,8 +319,7 @@ def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
     ws = _load(args.file)
     cat = _category_arg(ws, args.cat)
     obj = _object_arg(ws, cat, args.object)
-    hset = _hset_arg(ws, args.hset)
-    _same_category(cat, hset, f"hset {args.hset!r}")
+    hset = _hset_arg(ws, args.hset, cat)
     trace = reflect(cat, hset, obj, max_rounds=max_rounds, node_cap=node_cap)
     text = trace_to_text(cat, trace)
     verdict = "converged" if trace.converged else "not-converged"

@@ -9,6 +9,11 @@ Grammar, line oriented, with ``#`` comments:
     hset NAME { m1, m2 }
     proof NAME { (cancel (hyp h) f g) }
 
+Names are ``[A-Za-z0-9_.]+``, a ``#`` comment runs to the end of its line,
+and spaces, tabs and carriage returns separate tokens; any other character
+is an error.  Diagnostics give the line and col of a token, both counting
+characters from 1; end of input is one column past the last character.
+
 The leq relation is closed reflexively and transitively before validation.
 Lattice elements may be written qualified as LAT.elem; unqualified names
 must be unique across the declared lattices.
@@ -23,9 +28,9 @@ Python's recursion limit; every walk over a parsed term keeps its own stack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef
 from .graphs import Graph, GraphCategory, GraphHom
@@ -33,6 +38,8 @@ from .lattice import LatticeCategory, LatticeError, presentation_from_pairs
 from .proofs import Cancel, Compose, CoprodN, Hyp, Identity, ProofTerm, Push, WidePushN, fold
 
 MAX_PROOF_DEPTH = 500
+
+_T = TypeVar("_T")
 
 __all__ = [
     "Diagnostic",
@@ -65,80 +72,49 @@ class DslError(Exception):
         self.diagnostic = diagnostic
 
 
-def _fail(tok: "_Token | None", message: str, hint: str = "") -> "DslError":
-    line, col = (tok.line, tok.col) if tok is not None else (0, 0)
-    return DslError(Diagnostic(line, col, message, hint))
+def _fail(tok: "_Token", message: str, hint: str = "") -> "DslError":
+    return DslError(Diagnostic(tok.line, tok.col, message, hint))
 
 
 # ---------------------------------------------------------------------------
 # tokens
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "eof", or the punctuation text itself
     text: str
     line: int
     col: int
 
 
-_IDENT_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_."
+# one alternative per lexeme, tried in order: a newline, blanks and a
+# comment make no token, and any other character is an error
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<punct>\|->|->|[{}();:,<])|(?P<ident>[A-Za-z0-9_.]+)|(?P<bad>.)"
 )
-_SINGLE = set("{}();:,<")
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("|->", i):
-            tokens.append(_Token("|->", "|->", line, col))
-            i += 3
-            col += 3
-            continue
-        if source.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_CHARS:
-            start = i
-            start_col = col
-            while i < n and source[i] in _IDENT_CHARS:
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", source[start:i], line, start_col))
-            continue
-        raise DslError(
-            Diagnostic(
-                line,
-                col,
-                f"unexpected character {ch!r}",
+        text = m.group()
+        tok = _Token("ident" if kind == "ident" else text, text, line, m.start() - line_start + 1)
+        if kind == "bad":
+            raise _fail(
+                tok,
+                f"unexpected character {text!r}",
                 "allowed: names, { } ( ) ; , : < -> |-> and # comments",
             )
-        )
-    tokens.append(_Token("eof", "", line, col))
+        tokens.append(tok)
+    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -199,43 +175,39 @@ class Workspace:
                 return decl.category
         raise KeyError(cat_id)
 
+    def _key(self) -> tuple:
+        return (
+            self.order,
+            {n: (d.category.p.elements, d.category.p.leq.tolist()) for n, d in self.lattices.items()},
+            {n: (d.node_names, d.graph) for n, d in self.graphs.items()},
+            {n: d.ref for n, d in self.morphisms.items()},
+            {n: d.morphisms.entries for n, d in self.hsets.items()},
+            {n: d.term for n, d in self.proofs.items()},
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Workspace):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        for name, decl in self.lattices.items():
-            if name not in other.lattices:
-                return False
-            p, q = decl.category.p, other.lattices[name].category.p
-            if p.elements != q.elements or not np.array_equal(p.leq, q.leq):
-                return False
-        if {n: (d.node_names, d.graph) for n, d in self.graphs.items()} != {
-            n: (d.node_names, d.graph) for n, d in other.graphs.items()
-        }:
-            return False
-        if {n: d.ref for n, d in self.morphisms.items()} != {
-            n: d.ref for n, d in other.morphisms.items()
-        }:
-            return False
-        if {n: d.morphisms.entries for n, d in self.hsets.items()} != {
-            n: d.morphisms.entries for n, d in other.hsets.items()
-        }:
-            return False
-        return {n: d.term for n, d in self.proofs.items()} == {
-            n: d.term for n, d in other.proofs.items()
-        }
+        return self._key() == other._key()
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+# per declaration keyword: the names section, what it lists, the pairs
+# section, the arrow between a pair's names and the arrow's hint
+_SECTIONS = {
+    "lattice": ("elements", "element", "leq", "<", "write pairs as a<b"),
+    "graph": ("nodes", "node", "edges", "->", "write edges as u->v"),
+}
+
+
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, ws: Workspace):
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.ws = Workspace()
+        self.ws = ws
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -259,7 +231,7 @@ class _Parser:
             if tok.text == "lattice":
                 self.lattice_decl(tok)
             elif tok.text == "graph":
-                self.graph_decl()
+                self.graph_decl(tok)
             elif tok.text == "mor":
                 self.mor_decl()
             elif tok.text == "hset":
@@ -274,7 +246,8 @@ class _Parser:
                 )
         return self.ws
 
-    def fresh_name(self, tok: _Token) -> str:
+    def fresh_name(self) -> str:
+        tok = self.expect("ident")
         for table in (
             self.ws.lattices,
             self.ws.graphs,
@@ -293,79 +266,64 @@ class _Parser:
         self.expect(stop)
         return toks
 
-    def lattice_decl(self, kw: _Token) -> None:
-        name_tok = self.expect("ident")
-        name = self.fresh_name(name_tok)
+    def items(self, read: Callable[[], _T]) -> list[_T]:
+        """A comma-separated list whose items start with a name; read
+        parses one item from its first token on."""
+        out = []
+        while self.peek().kind == "ident":
+            out.append(read())
+            if self.peek().kind != ",":
+                break
+            self.next()
+        return out
+
+    def sections(self, kw: _Token) -> tuple[str, tuple[str, ...], list[tuple[int, int]]]:
+        """NAME { FIRST: names; [SECOND: a ARROW b, ...;] } in the words of
+        kw's _SECTIONS row: the name, the names and the pairs by index."""
+        first, item, second, arrow, arrow_hint = _SECTIONS[kw.text]
+        name = self.fresh_name()
         self.expect("{")
         sect = self.expect("ident")
-        if sect.text != "elements":
-            raise _fail(sect, "expected 'elements' section", "lattice NAME { elements: ...; leq: ...; }")
+        if sect.text != first:
+            raise _fail(sect, f"expected {first!r} section", f"{kw.text} NAME {{ {first}: ...; {second}: ...; }}")
         self.expect(":")
-        elem_toks = self.ident_list(";")
-        elements = [t.text for t in elem_toks]
-        seen: set[str] = set()
-        for t in elem_toks:
-            if t.text in seen:
-                raise _fail(t, f"duplicate element {t.text!r}")
-            seen.add(t.text)
-        pairs: list[tuple[str, str]] = []
-        if self.peek().kind == "ident" and self.peek().text == "leq":
+        index: dict[str, int] = {}
+        for t in self.ident_list(";"):
+            if t.text in index:
+                raise _fail(t, f"duplicate {item} {t.text!r}")
+            index[t.text] = len(index)
+
+        def pair() -> tuple[int, int]:
+            a = self.next()
+            self.expect(arrow, arrow_hint)
+            b = self.expect("ident")
+            for t in (a, b):
+                if t.text not in index:
+                    raise _fail(t, f"unknown {item} {t.text!r} in {second}", f"declare it under {first}")
+            return index[a.text], index[b.text]
+
+        pairs = []
+        if self.peek().kind == "ident" and self.peek().text == second:
             self.next()
             self.expect(":")
-            while self.peek().kind == "ident":
-                a = self.next()
-                self.expect("<", "write pairs as a<b")
-                b = self.expect("ident")
-                for t in (a, b):
-                    if t.text not in seen:
-                        raise _fail(t, f"unknown element {t.text!r} in leq", "declare it under elements")
-                pairs.append((a.text, b.text))
-                if self.peek().kind == ",":
-                    self.next()
-                else:
-                    break
+            pairs = self.items(pair)
             self.expect(";")
         self.expect("}")
+        return name, tuple(index), pairs
+
+    def lattice_decl(self, kw: _Token) -> None:
+        name, elements, pairs = self.sections(kw)
         try:
-            presentation = presentation_from_pairs(name, elements, pairs)
+            presentation = presentation_from_pairs(
+                name, elements, [(elements[a], elements[b]) for a, b in pairs]
+            )
         except LatticeError as err:
             raise _fail(kw, f"not a partial order: {err}", "check the leq pairs") from err
         self.ws.lattices[name] = LatticeDecl(name, LatticeCategory(presentation))
         self.ws.order.append(("lattice", name))
 
-    def graph_decl(self) -> None:
-        name_tok = self.expect("ident")
-        name = self.fresh_name(name_tok)
-        self.expect("{")
-        sect = self.expect("ident")
-        if sect.text != "nodes":
-            raise _fail(sect, "expected 'nodes' section", "graph NAME { nodes: ...; edges: ...; }")
-        self.expect(":")
-        node_toks = self.ident_list(";")
-        node_names = tuple(t.text for t in node_toks)
-        index: dict[str, int] = {}
-        for i, t in enumerate(node_toks):
-            if t.text in index:
-                raise _fail(t, f"duplicate node {t.text!r}")
-            index[t.text] = i
-        edges: list[tuple[int, int]] = []
-        if self.peek().kind == "ident" and self.peek().text == "edges":
-            self.next()
-            self.expect(":")
-            while self.peek().kind == "ident":
-                a = self.next()
-                self.expect("->", "write edges as u->v")
-                b = self.expect("ident")
-                for t in (a, b):
-                    if t.text not in index:
-                        raise _fail(t, f"unknown node {t.text!r} in edges", "declare it under nodes")
-                edges.append((index[a.text], index[b.text]))
-                if self.peek().kind == ",":
-                    self.next()
-                else:
-                    break
-            self.expect(";")
-        self.expect("}")
+    def graph_decl(self, kw: _Token) -> None:
+        name, node_names, edges = self.sections(kw)
         graph = Graph.of(len(node_names), edges)
         obj = self.ws.graph_category.obj(graph)
         self.ws.graphs[name] = GraphDecl(name, node_names, graph, obj)
@@ -396,8 +354,7 @@ class _Parser:
         return hits[0], tok.text
 
     def mor_decl(self) -> None:
-        name_tok = self.expect("ident")
-        name = self.fresh_name(name_tok)
+        name = self.fresh_name()
         self.expect(":")
         src = self.expect("ident")
         self.expect("->", "mor NAME : SRC -> DST")
@@ -442,8 +399,9 @@ class _Parser:
         self.expect("{")
         sindex = {n: i for i, n in enumerate(sdecl.node_names)}
         dindex = {n: i for i, n in enumerate(ddecl.node_names)}
-        images: dict[int, tuple[int, _Token]] = {}
-        while self.peek().kind == "ident":
+        images: dict[int, int] = {}
+
+        def assign() -> None:
             u = self.next()
             self.expect("|->", "write assignments as u |-> x")
             v = self.expect("ident")
@@ -453,11 +411,9 @@ class _Parser:
                 raise _fail(v, f"unknown node {v.text!r} in graph {dst.text!r}")
             if sindex[u.text] in images:
                 raise _fail(u, f"node {u.text!r} is mapped twice")
-            images[sindex[u.text]] = (dindex[v.text], u)
-            if self.peek().kind == ",":
-                self.next()
-            else:
-                break
+            images[sindex[u.text]] = dindex[v.text]
+
+        self.items(assign)
         end = self.expect("}")
         missing = [n for n, i in sindex.items() if i not in images]
         if missing:
@@ -466,7 +422,7 @@ class _Parser:
                 f"total map required: node {missing[0]!r} has no image",
                 f"add {missing[0]} |-> ...",
             )
-        mapping = tuple(images[i][0] for i in range(len(sindex)))
+        mapping = tuple(images[i] for i in range(len(sindex)))
         try:
             hom = GraphHom(sdecl.graph, ddecl.graph, mapping)
         except ValueError as err:
@@ -474,31 +430,27 @@ class _Parser:
         return self.ws.graph_category.mor(hom)
 
     def hset_decl(self, kw: _Token) -> None:
-        name_tok = self.expect("ident")
-        name = self.fresh_name(name_tok)
+        name = self.fresh_name()
         self.expect("{")
-        pairs: list[tuple[str, MorRef]] = []
-        while self.peek().kind == "ident":
+
+        def member() -> tuple[str, MorRef]:
             m = self.next()
             decl = self.ws.morphisms.get(m.text)
             if decl is None:
                 raise _fail(m, f"unknown morphism {m.text!r}", "declare it with mor first")
-            pairs.append((m.text, decl.ref))
-            if self.peek().kind == ",":
-                self.next()
-            else:
-                break
+            return m.text, decl.ref
+
+        members = self.items(member)
         self.expect("}")
         try:
-            hset = MorphismSet.of(pairs)
+            hset = MorphismSet.of(members)
         except ValueError as err:
             raise _fail(kw, str(err), "an hset lives in a single category") from err
         self.ws.hsets[name] = HsetDecl(name, hset)
         self.ws.order.append(("hset", name))
 
     def proof_decl(self) -> None:
-        name_tok = self.expect("ident")
-        name = self.fresh_name(name_tok)
+        name = self.fresh_name()
         self.expect("{")
         term = self.proof_term()
         self.expect("}")
@@ -626,14 +578,12 @@ class _Parser:
 
 def parse(source: str) -> Workspace:
     """Parse a workspace; raises DslError with a positioned diagnostic."""
-    return _Parser(source).parse()
+    return _Parser(source, Workspace()).parse()
 
 
 def parse_proof_text(ws: Workspace, source: str) -> ProofTerm:
     """Parse a bare proof s-expression against an existing workspace."""
-    parser = _Parser("")
-    parser.tokens = _tokenize(source)
-    parser.ws = ws
+    parser = _Parser(source, ws)
     term = parser.proof_term()
     parser.expect("eof")
     return term
@@ -706,36 +656,21 @@ def proof_to_text(ws: Workspace, term: ProofTerm) -> str:
     return fold(term, text)
 
 
-def _lattice_lines(decl: LatticeDecl) -> list[str]:
-    p = decl.category.p
-    pairs = [
-        f"{p.elements[a]}<{p.elements[b]}"
-        for a in range(p.size)
-        for b in range(p.size)
-        if a != b and p.leq[a, b]
-    ]
-    lines = [f"lattice {decl.name} {{"]
-    lines.append(f"  elements: {' '.join(p.elements)};")
+def _sections_text(kind: str, name: str, names: tuple[str, ...], pairs: list[tuple[int, int]]) -> str:
+    """A lattice or graph declaration in the words of its _SECTIONS row."""
+    first, _, second, arrow, _ = _SECTIONS[kind]
+    lines = [f"{kind} {name} {{", f"  {first}: {' '.join(names)};"]
     if pairs:
-        lines.append(f"  leq: {', '.join(pairs)};")
-    lines.append("}")
-    return lines
+        listed = ", ".join(f"{names[a]}{arrow}{names[b]}" for a, b in pairs)
+        lines.append(f"  {second}: {listed};")
+    return "\n".join([*lines, "}"])
 
 
-def _graph_lines(decl: GraphDecl) -> list[str]:
-    lines = [f"graph {decl.name} {{"]
-    lines.append(f"  nodes: {' '.join(decl.node_names)};")
-    edges = [
-        f"{decl.node_names[u]}->{decl.node_names[v]}"
-        for u, v in decl.graph.edge_list()
-    ]
-    if edges:
-        lines.append(f"  edges: {', '.join(edges)};")
-    lines.append("}")
-    return lines
+def _braced(items: list[str]) -> str:
+    return f"{{ {', '.join(items)} }}" if items else "{ }"
 
 
-def _mor_lines(ws: Workspace, decl: MorDecl) -> list[str]:
+def _mor_text(ws: Workspace, decl: MorDecl) -> str:
     cat = ws.category_of(decl.ref)
     if isinstance(cat, GraphCategory):
         hom = cat.hom_of(decl.ref)
@@ -745,14 +680,11 @@ def _mor_lines(ws: Workspace, decl: MorDecl) -> list[str]:
             raise ValueError(f"morphism {decl.name!r} uses an undeclared graph")
         snames = ws.graphs[src].node_names
         dnames = ws.graphs[dst].node_names
-        body = ", ".join(
-            f"{snames[i]} |-> {dnames[v]}" for i, v in enumerate(hom.mapping)
-        )
-        body = f"{{ {body} }}" if body else "{ }"
-        return [f"mor {decl.name} : {src} -> {dst} {body}"]
+        body = _braced([f"{snames[i]} |-> {dnames[v]}" for i, v in enumerate(hom.mapping)])
+        return f"mor {decl.name} : {src} -> {dst} {body}"
     a = _element_text(ws, cat, cat.object_label(decl.ref.dom))
     b = _element_text(ws, cat, cat.object_label(decl.ref.cod))
-    return [f"mor {decl.name} : {a} -> {b};"]
+    return f"mor {decl.name} : {a} -> {b};"
 
 
 def print_workspace(ws: Workspace) -> str:
@@ -760,16 +692,16 @@ def print_workspace(ws: Workspace) -> str:
     chunks: list[str] = []
     for kind, name in ws.order:
         if kind == "lattice":
-            chunks.append("\n".join(_lattice_lines(ws.lattices[name])))
+            p = ws.lattices[name].category.p
+            pairs = [(a, b) for a in range(p.size) for b in range(p.size) if a != b and p.leq[a, b]]
+            chunks.append(_sections_text(kind, name, p.elements, pairs))
         elif kind == "graph":
-            chunks.append("\n".join(_graph_lines(ws.graphs[name])))
+            decl = ws.graphs[name]
+            chunks.append(_sections_text(kind, name, decl.node_names, decl.graph.edge_list()))
         elif kind == "mor":
-            chunks.append("\n".join(_mor_lines(ws, ws.morphisms[name])))
+            chunks.append(_mor_text(ws, ws.morphisms[name]))
         elif kind == "hset":
-            decl = ws.hsets[name]
-            body = ", ".join(decl.morphisms.names())
-            body = f"{{ {body} }}" if body else "{ }"
-            chunks.append(f"hset {name} {body}")
+            chunks.append(f"hset {name} {_braced(ws.hsets[name].morphisms.names())}")
         elif kind == "proof":
             decl = ws.proofs[name]
             chunks.append(f"proof {name} {{ {proof_to_text(ws, decl.term)} }}")

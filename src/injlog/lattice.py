@@ -8,6 +8,7 @@ reflection.  Plain posets still answer injectivity and semantic queries.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -193,9 +194,12 @@ class LatticeCategory(Category):
 
     def __init__(self, presentation: LatticePresentation):
         self.p = presentation
-        self.cat_id = f"lattice:{presentation.name}"
         self._n = len(presentation.elements)
         self._up = _up_sets(presentation.leq)
+        # the order, not the name alone, tells two lattices' refs apart; a
+        # digest of its text is the same in every process, unlike hash()
+        order = repr((presentation.elements, self._up)).encode()
+        self.cat_id = f"lattice:{presentation.name}:{hashlib.sha256(order).hexdigest()[:16]}"
         join = presentation.join
         self._joins = None if join is None else tuple(map(tuple, join.tolist()))
         full = (1 << self._n) - 1

@@ -1,7 +1,17 @@
+import random
+
 import pytest
 
 from injlog.core import MorphismSet
-from injlog.dsl import DslError, parse, parse_proof_text, print_workspace, proof_to_text
+from injlog.dsl import (
+    Diagnostic,
+    DslError,
+    _tokenize,
+    parse,
+    parse_proof_text,
+    print_workspace,
+    proof_to_text,
+)
 from injlog.graphs import Graph, GraphHom, clique, empty_graph
 from injlog.proofs import (
     Cancel,
@@ -121,6 +131,50 @@ def test_diagnostics_carry_positions():
     assert "total map required" in d.message
     assert "x |->" in d.hint
 
+    # end of input after a trailing comment is one past the last character
+    d = diag("lattice L { elements: a; # note")
+    assert (d.line, d.col) == (1, 32)
+    assert d.message == "expected }, found 'end of input'"
+
+
+# (source, message, hint, line, col): the lattice and graph declarations
+# share one reader, so each of its errors is pinned in both words
+DECLARATION_ERRORS = [
+    ("lattice L {\n  nodes: a;\n}", "expected 'elements' section", "lattice NAME { elements: ...; leq: ...; }", 2, 3),
+    ("graph G {\n  elements: u;\n}", "expected 'nodes' section", "graph NAME { nodes: ...; edges: ...; }", 2, 3),
+    ("lattice L { elements: a b a; }", "duplicate element 'a'", "", 1, 27),
+    ("graph G { nodes: u v u; }", "duplicate node 'u'", "", 1, 22),
+    ("lattice L { elements: a b; leq: a->b; }", "expected <, found '->'", "write pairs as a<b", 1, 34),
+    ("graph G { nodes: u v; edges: u<v; }", "expected ->, found '<'", "write edges as u->v", 1, 31),
+    ("lattice L { elements: a b; leq: a<c; }", "unknown element 'c' in leq", "declare it under elements", 1, 35),
+    ("lattice L { elements: a b; leq: c<a; }", "unknown element 'c' in leq", "declare it under elements", 1, 33),
+    ("graph G { nodes: u v; edges: u->w; }", "unknown node 'w' in edges", "declare it under nodes", 1, 33),
+    ("graph G { nodes: u v; edges: w->u; }", "unknown node 'w' in edges", "declare it under nodes", 1, 30),
+    ("lattice L { elements: a b leq: a<b; }", "expected ;, found ':'", "", 1, 30),
+    ("graph G { nodes: u v edges: u->v; }", "expected ;, found ':'", "", 1, 27),
+    ("lattice L { elements: a b; leq: a<b }", "expected ;, found '}'", "", 1, 37),
+    ("graph G { nodes: u v; edges: u->v }", "expected ;, found '}'", "", 1, 35),
+    (
+        "graph A { nodes: x; }\ngraph B { nodes: y; }\nmor f : A -> B { x |-> y, x |-> y }",
+        "node 'x' is mapped twice",
+        "",
+        3,
+        27,
+    ),
+    (
+        "graph A { nodes: x z; }\ngraph B { nodes: y; }\nmor f : A -> B { x |-> y }",
+        "total map required: node 'z' has no image",
+        "add z |-> ...",
+        3,
+        26,
+    ),
+]
+
+
+@pytest.mark.parametrize("src, message, hint, line, col", DECLARATION_ERRORS)
+def test_declaration_errors_are_pinned(src, message, hint, line, col):
+    assert diag(src) == Diagnostic(line, col, message, hint)
+
 
 def test_non_homomorphism_reports_the_violating_edge():
     d = diag(
@@ -227,3 +281,90 @@ def test_proof_literals_for_lattices_use_elements():
     assert text == "(cancel (hyp h) goal rest)"
     anon = Cancel(Hyp("h"), first=cat.mor("0", "0"), rest=cat.mor("0", "2"))
     assert "(lmor 0 0)" in proof_to_text(ws, anon)
+
+
+# --- the tokenizer against a character-at-a-time reference -----------------
+
+_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
+_SINGLE = set("{}();:,<")
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """A loop that reads one character at a time, as (kind, text, line,
+    col); it does not advance col over a comment."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source.startswith("|->", i):
+            tokens.append(("|->", "|->", line, col))
+            i += 3
+            col += 3
+            continue
+        if source.startswith("->", i):
+            tokens.append(("->", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _SINGLE:
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _IDENT_CHARS:
+            start = i
+            start_col = col
+            while i < n and source[i] in _IDENT_CHARS:
+                i += 1
+                col += 1
+            tokens.append(("ident", source[start:i], line, start_col))
+            continue
+        raise DslError(
+            Diagnostic(
+                line,
+                col,
+                f"unexpected character {ch!r}",
+                "allowed: names, { } ( ) ; , : < -> |-> and # comments",
+            )
+        )
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def lexed(tokenize, source: str):
+    try:
+        return [tuple(t) for t in tokenize(source)]
+    except DslError as err:
+        return err.diagnostic
+
+
+def test_tokenizer_matches_the_reference_loop():
+    rng = random.Random(20260)
+    alphabet = list("ab_.09{}();:,<->|#") + [" ", "\t", "\r", "\n", "x", "é", "="]
+    after_comment = 0
+    for _ in range(20_000):
+        source = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+        got, want = lexed(_tokenize, source), lexed(reference_tokenize, source)
+        last_line = source.rpartition("\n")[2]
+        if isinstance(want, list) and "#" in last_line:
+            # the one change: end of input after a trailing comment sits one
+            # past the last character, not at the comment's "#"
+            *want, (kind, text, line, _) = want
+            want.append((kind, text, line, len(last_line) + 1))
+            after_comment += 1
+        assert got == want, source
+    assert after_comment > 1000

@@ -360,17 +360,32 @@ def twin_of_diamond() -> LatticeCategory:
     return LatticeCategory(validate(LatticePresentation("twin", p.elements, p.leq.copy())))
 
 
+def chain_named_diamond() -> LatticeCategory:
+    """diamond's name and elements, ordered as the chain 0 < a < b < 1."""
+    return LatticeCategory(
+        presentation_from_pairs("diamond", ["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
+    )
+
+
 def forged_objects(cat):
-    """A foreign object and two out-of-range indices."""
-    return [twin_of_diamond().obj("a"), ObjRef(cat.cat_id, cat.p.size), ObjRef(cat.cat_id, -1)]
+    """Foreign objects, one from a same-named lattice, and two out-of-range
+    indices."""
+    return [
+        twin_of_diamond().obj("a"),
+        chain_named_diamond().obj("a"),
+        ObjRef(cat.cat_id, cat.p.size),
+        ObjRef(cat.cat_id, -1),
+    ]
 
 
 def forged_morphisms(cat):
-    """A foreign morphism, one into an out-of-range index, payloads that do
-    not match their endpoints, and pairs that are not in leq."""
+    """Foreign morphisms, one from a same-named lattice, one into an
+    out-of-range index, payloads that do not match their endpoints, and
+    pairs that are not in leq."""
     o = cat.objects()
     return [
         twin_of_diamond().mor("0", "a"),
+        chain_named_diamond().mor("0", "a"),
         MorRef(o[0], ObjRef(cat.cat_id, cat.p.size), (0, cat.p.size)),
         MorRef(o[0], o[1], (0, 3)),
         MorRef(o[0], o[1], "0->a"),

@@ -6,7 +6,7 @@ text report (or the same data as JSON with --json), and exits with:
     0   success / holds / derived / all checks pass
     1   counterexample / not derived / invalid proof
     2   budget or bound exhausted without a decision
-    64  usage error (bad flags, unknown names)
+    64  usage error (bad flags, unknown or foreign names, unwritable output)
     65  workspace parse error
 """
 
@@ -66,6 +66,13 @@ def _load(path: str) -> Workspace:
     return parse(source)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {path!r}: {err.strerror}") from err
+
+
 def _category_arg(ws: Workspace, name: str) -> Category:
     if name in ws.lattices:
         return ws.lattices[name].category
@@ -88,10 +95,13 @@ def _object_arg(ws: Workspace, cat: Category, name: str):
     return cat.obj(name)
 
 
-def _mor_arg(ws: Workspace, name: str) -> MorRef:
+def _mor_arg(ws: Workspace, name: str, cat: Category | None = None) -> MorRef:
+    """The named morphism; with a category, it must belong to it."""
     decl = ws.morphisms.get(name)
     if decl is None:
         raise UsageError(f"unknown morphism {name!r}")
+    if cat is not None and decl.ref.dom.cat_id != cat.cat_id:
+        raise UsageError(f"morphism {name!r} is not in the selected category")
     return decl.ref
 
 
@@ -125,7 +135,8 @@ def _term_category(ws: Workspace, term: ProofTerm) -> Category | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (exit code, report dict, text lines)
+# subcommands: each returns (exit code, report dict, text lines); main adds
+# "command" first and "timing" last
 
 
 def _cmd_check_inj(args) -> tuple[int, dict, list[str]]:
@@ -146,7 +157,6 @@ def _cmd_check_inj(args) -> tuple[int, dict, list[str]]:
     verdict = "all-injective" if all(m["injective"] for m in members) else "not-injective"
     lines.append(f"verdict: {verdict}")
     report = {
-        "command": "check-inj",
         "object": cat.object_label(obj),
         "members": members,
         "verdict": verdict,
@@ -178,7 +188,6 @@ def _cmd_consequence(args) -> tuple[int, dict, list[str]]:
     if not verdict.exact:
         lines.append(f"bound: {verdict.bound} nodes (finite graphs up to the bound only)")
     report = {
-        "command": "consequence",
         "goal": cat.morphism_label(goal),
         "verdict": label,
         "counterexample": witness,
@@ -211,10 +220,9 @@ def _cmd_prove(args) -> tuple[int, dict, list[str]]:
     if proof_text is not None:
         lines.append(f"proof: {proof_text}")
         if args.emit_proof:
-            Path(args.emit_proof).write_text(f"proof found {{ {proof_text} }}\n")
+            _write(args.emit_proof, f"proof found {{ {proof_text} }}\n")
             lines.append(f"wrote {args.emit_proof}")
     report = {
-        "command": "prove",
         "goal": cat.morphism_label(goal),
         "verdict": result.status,
         "rounds": result.rounds_used,
@@ -236,7 +244,6 @@ def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
         conclusion = check_proof(cat, hset, decl.term)
     except ProofError as err:
         report = {
-            "command": "check-proof",
             "proof": args.proof,
             "verdict": "invalid",
             "error": str(err),
@@ -251,7 +258,6 @@ def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
         f"hypotheses used: {', '.join(used) if used else '(none)'}",
     ]
     report = {
-        "command": "check-proof",
         "proof": args.proof,
         "verdict": "valid",
         "conclusion": label,
@@ -266,6 +272,7 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
     if not isinstance(cat, LatticeCategory):
         raise UsageError("saturation needs a finite closed category: pick a lattice")
     hset = _hset_arg(ws, args.hset, cat)
+    goal = None if args.goal is None else _mor_arg(ws, args.goal, cat)
     rules = tuple(r for r in RULES if r not in set(args.disable))
     result = saturate(cat, hset, rules)
     derived = [
@@ -278,13 +285,11 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
     lines = [f"rules: {', '.join(rules) if rules else '(none)'}"]
     lines += [f"derived {d['morphism']}  via {d['proof']}" for d in derived]
     report = {
-        "command": "saturate",
         "rules": list(rules),
         "rounds": result.rounds,
         "derived": derived,
     }
-    if args.goal is not None:
-        goal = _mor_arg(ws, args.goal)
+    if goal is not None:
         ok = result.has(goal)
         verdict = "derived" if ok else "not-derived"
         lines.append(f"goal {cat.morphism_label(goal)}: {verdict}")
@@ -327,10 +332,9 @@ def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
     lines.append(f"verdict: {verdict}")
     lines.append(f"stopped: {trace.stop_reason}")
     if args.emit_trace:
-        Path(args.emit_trace).write_text(text)
+        _write(args.emit_trace, text)
         lines.append(f"wrote {args.emit_trace}")
     report = {
-        "command": "reflect",
         "start": cat.object_label(trace.start),
         "apex": cat.object_label(trace.apex),
         "rounds": len(trace.rounds),
@@ -349,7 +353,6 @@ def _cmd_sentence(args) -> tuple[int, dict, list[str]]:
         raise UsageError("sentences are rendered for graph morphisms only")
     sentence = render_regular_sentence(cat.hom_of(ref))
     report = {
-        "command": "sentence",
         "morphism": args.mor,
         "sentence": sentence,
         "verdict": "ok",
@@ -366,31 +369,25 @@ def _demo_checks() -> list[tuple[str, bool]]:
             "diamond", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
         )
     )
-    checks: list[tuple[str, bool]] = []
 
     def without(rule: str):
         return tuple(r for r in RULES if r != rule)
 
-    h_cancel = MorphismSet.of([("h", chain.mor("0", "2"))])
-    goal = chain.mor("0", "1")
-    ok = saturate(chain, h_cancel).has(goal) and not saturate(
-        chain, h_cancel, without("cancellation")
-    ).has(goal)
-    checks.append(("cancellation needed: 0->1 from {0->2} on the 3-chain", ok))
-
-    h_comp = MorphismSet.of([("p", chain.mor("0", "1")), ("q", chain.mor("1", "2"))])
-    goal = chain.mor("0", "2")
-    ok = saturate(chain, h_comp).has(goal) and not saturate(
-        chain, h_comp, without("composition")
-    ).has(goal)
-    checks.append(("composition needed: 0->2 from {0->1, 1->2} on the 3-chain", ok))
-
-    h_push = MorphismSet.of([("p", diamond.mor("0", "a"))])
-    goal = diamond.mor("b", "1")
-    ok = saturate(diamond, h_push).has(goal) and not saturate(
-        diamond, h_push, without("pushout")
-    ).has(goal)
-    checks.append(("pushout needed: b->1 from {0->a} on the diamond", ok))
+    # (check, lattice, hypotheses, goal, rule): the goal is derived, and not without the rule
+    needed = [
+        ("0->1 from {0->2} on the 3-chain", chain, [("h", "0", "2")], ("0", "1"), "cancellation"),
+        (
+            "0->2 from {0->1, 1->2} on the 3-chain",
+            chain, [("p", "0", "1"), ("q", "1", "2")], ("0", "2"), "composition",
+        ),
+        ("b->1 from {0->a} on the diamond", diamond, [("p", "0", "a")], ("b", "1"), "pushout"),
+    ]
+    checks: list[tuple[str, bool]] = []
+    for check, lattice, hypotheses, (a, b), rule in needed:
+        hset = MorphismSet.of((name, lattice.mor(x, y)) for name, x, y in hypotheses)
+        goal = lattice.mor(a, b)
+        ok = saturate(lattice, hset).has(goal) and not saturate(lattice, hset, without(rule)).has(goal)
+        checks.append((f"{rule} needed: {check}", ok))
 
     empty = MorphismSet.of([])
     with_id = saturate(chain, empty)
@@ -443,7 +440,6 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
     all_ok = all(ok for _, ok in checks)
     lines.append(f"verdict: {'pass' if all_ok else 'fail'}")
     report = {
-        "command": "demo",
         "topic": args.topic,
         "checks": [{"name": name, "pass": ok} for name, ok in checks],
         "note": note,
@@ -552,7 +548,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             print(f"parse error: {diag.render()}", file=sys.stderr)
         return 65
-    report["timing"] = round(time.perf_counter() - start, 6)
+    report = {"command": args.subcommand, **report, "timing": round(time.perf_counter() - start, 6)}
     if args.json:
         print(json.dumps(report, indent=2))
     else:

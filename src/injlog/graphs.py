@@ -97,9 +97,6 @@ class GraphHom:
         object.__setattr__(hom, "mapping", mapping)
         return hom
 
-    def __call__(self, node: int) -> int:
-        return self.mapping[node]
-
     def then(self, other: "GraphHom") -> "GraphHom":
         """Composite self followed by other; targets must match on the nose."""
         if self.target != other.source:
@@ -460,12 +457,12 @@ def _extension(
     return next(kernels._homs(mid, dst, pins), None)
 
 
-def random_graph(rng: random.Random, max_nodes: int = 4, loop_bias: float = 0.2) -> Graph:
+def random_graph(rng: random.Random, max_nodes: int = 4) -> Graph:
     n = rng.randint(0, max_nodes)
     edges = []
     for i in range(n):
         for j in range(n):
-            p = loop_bias if i == j else 0.35
+            p = 0.2 if i == j else 0.35
             if rng.random() < p:
                 edges.append((i, j))
     return Graph.of(n, edges)

@@ -73,17 +73,20 @@ def presentation_from_pairs(
     for i, e in enumerate(elems):
         if e in elems[:i]:
             raise LatticeError("duplicate-element", (e,))
-    leq = np.eye(n, dtype=bool)
+    up = [1 << i for i in range(n)]
     idx = {e: i for i, e in enumerate(elems)}
     for a, b in pairs:
         if a not in idx:
             raise LatticeError("unknown-element", (a,))
         if b not in idx:
             raise LatticeError("unknown-element", (b,))
-        leq[idx[a], idx[b]] = True
+        up[idx[a]] |= 1 << idx[b]
     for k in range(n):
-        # Warshall closure
-        leq |= np.outer(leq[:, k], leq[k, :])
+        # Warshall closure over up-set bitsets: whatever reaches k reaches up[k]
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    leq = np.array([u >> b & 1 for u in up for b in range(n)], dtype=bool).reshape(n, n)
     p = LatticePresentation(name, elems, leq)
     validate(p)
     return p
@@ -391,15 +394,14 @@ def random_lattice(rng: random.Random, max_size: int = 7, name: str = "L") -> La
     """
     while True:
         n = rng.randint(1, max_size)
-        leq = np.eye(n, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if i == 0 or j == n - 1 or rng.random() < 0.4:
-                    leq[i, j] = True
-        for k in range(n):
-            leq |= np.outer(leq[:, k], leq[k, :])
-        p = LatticePresentation(name, tuple(f"e{i}" for i in range(n)), leq)
-        validate(p)
+        elements = [f"e{i}" for i in range(n)]
+        pairs = [
+            (elements[i], elements[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if i == 0 or j == n - 1 or rng.random() < 0.4
+        ]
+        p = presentation_from_pairs(name, elements, pairs)
         if p.is_complete_lattice:
             return LatticeCategory(p)
 

@@ -20,6 +20,7 @@ from .core import (
     MorphismSet,
     MorRef,
     ObjRef,
+    semantic_consequence,
 )
 from .proofs import Cancel, Compose, Hyp, Identity, ProofTerm, Push, WidePushN
 
@@ -109,9 +110,8 @@ def verify_weak_reflection(
 
     (i) the apex is injective for every hypothesis; (ii) every map from
     the start into an injective universe object factors through the
-    reflection morphism.  Property (ii) at x is injectivity of x for the
-    reflection morphism, so, as in ``semantic_consequence``, that is
-    tested first and the hypotheses only where it fails.
+    reflection morphism, that is, the reflection morphism is a semantic
+    consequence of the hypotheses over the universe.
     """
     apex = trace.apex
     for _, m in hypotheses:
@@ -119,15 +119,14 @@ def verify_weak_reflection(
             return CoconeCheckReport(
                 False, CoconeFailure(apex, "apex not injective for a hypothesis", (m,))
             )
-    mors = hypotheses.morphisms()
-    for x in universe:
-        extends = cat.is_injective(x, trace.reflection)
-        if not extends and all(cat.is_injective(x, m) for m in mors):
-            return CoconeCheckReport(
-                False,
-                CoconeFailure(x, "no factorization through the reflection", (extends.counterexample,)),
-            )
-    return CoconeCheckReport(True)
+    verdict = semantic_consequence(cat, hypotheses, trace.reflection, universe, exact=False)
+    if verdict.holds:
+        return CoconeCheckReport(True)
+    x = verdict.counterexample
+    unfactored = cat.is_injective(x, trace.reflection).counterexample
+    return CoconeCheckReport(
+        False, CoconeFailure(x, "no factorization through the reflection", (unfactored,))
+    )
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class ReflectionConsequence:
     status: str  # "derived" | "not-consequence" | "inconclusive"
     proof: ProofTerm | None
     trace: ReflectionTrace
-    factoring: MorRef | None
 
 
 def consequence_via_reflection(
@@ -155,16 +153,16 @@ def consequence_via_reflection(
     """
     trace = reflect(cat, hypotheses, goal.dom)
     if not trace.converged:
-        return ReflectionConsequence("inconclusive", None, trace, None)
+        return ReflectionConsequence("inconclusive", None, trace)
     u = cat.find_factorization(goal, trace.reflection)
     if u is None:
         closed = cat.search_universe() is not None
         status = "not-consequence" if closed else "inconclusive"
-        return ReflectionConsequence(status, None, trace, None)
+        return ReflectionConsequence(status, None, trace)
     if goal == trace.reflection:
-        return ReflectionConsequence("derived", reflection_proof(trace), trace, u)
+        return ReflectionConsequence("derived", reflection_proof(trace), trace)
     proof = Cancel(reflection_proof(trace), first=goal, rest=u)
-    return ReflectionConsequence("derived", proof, trace, u)
+    return ReflectionConsequence("derived", proof, trace)
 
 
 def trace_to_text(cat: Category, trace: ReflectionTrace) -> str:

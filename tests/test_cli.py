@@ -326,6 +326,39 @@ def test_usage_errors(ws_file, capsys):
     assert run(capsys, "frobnicate", ws_file)[0] == 64
 
 
+def assert_usage_error(capsys, argv, message):
+    """Exit 64 with message on stderr, and the same error under --json."""
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+    code, out = run(capsys, *argv, "--json")
+    assert code == 64
+    assert json.loads(out) == {"verdict": "usage-error", "error": message}
+
+
+@pytest.mark.parametrize("goal", ["inc", "xy"])
+def test_saturate_refuses_a_goal_from_another_category(tmp_path, capsys, goal):
+    path = tmp_path / "two.inj"
+    path.write_text(WORKSPACE + "lattice two { elements: x y; leq: x<y; }\nmor xy : x -> y;\n")
+    argv = ["saturate", str(path), "--cat", "chain", "--hset", "H", "--goal", goal]
+    assert_usage_error(capsys, argv, f"morphism {goal!r} is not in the selected category")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "--hset", "H", "--goal", "goal", "--emit-proof"),
+        ("reflect", "--cat", "graphs", "--object", "zero", "--hset", "HL", "--emit-trace"),
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_an_unwritable_output_path_is_a_usage_error(ws_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "out.txt")
+    message = f"cannot write {out!r}: No such file or directory"
+    assert_usage_error(capsys, [argv[0], ws_file, *argv[1:], out], message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -205,6 +205,129 @@ def test_join_and_meet_tables_are_lattice_operations(seed):
             assert p.join[a, b] == p.join[b, a]
 
 
+# --- the constructors against brute force and the numpy body ---------------
+
+
+def _closure(n: int, pairs) -> list[list[bool]]:
+    """Reflexive-transitive closure by relaxing to a fixpoint."""
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        leq[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in range(n)):
+                    leq[i][j] = changed = True
+    return leq
+
+
+def _bound(leq, a: int, b: int, up: bool) -> int | None:
+    """The least upper (or greatest lower) bound of a and b, if any."""
+    n = len(leq)
+    below = (lambda x, y: leq[x][y]) if up else (lambda x, y: leq[y][x])
+    bounds = [c for c in range(n) if below(a, c) and below(b, c)]
+    return next((c for c in bounds if all(below(c, d) for d in bounds)), None)
+
+
+def _reference_presentation(elements, pairs):
+    """What presentation_from_pairs must give, worked out by brute force:
+    ("error", kind, witness) or (leq, complete, missing_join, join, meet)."""
+    for i, e in enumerate(elements):
+        if e in elements[:i]:
+            return ("error", "duplicate-element", (e,))
+    idx = {e: i for i, e in enumerate(elements)}
+    for pair in pairs:
+        for e in pair:
+            if e not in idx:
+                return ("error", "unknown-element", (e,))
+    n = len(elements)
+    leq = _closure(n, [(idx[a], idx[b]) for a, b in pairs])
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return ("error", "not-antisymmetric", (elements[i], elements[j]))
+    missing = next(
+        ((a, b) for a in range(n) for b in range(a, n) if _bound(leq, a, b, True) is None), None
+    )
+    has_bottom = any(all(row) for row in leq)
+    if n == 0 or missing is not None or not has_bottom:
+        return (leq, False, missing, None, None)
+    join = [[_bound(leq, a, b, True) for b in range(n)] for a in range(n)]
+    meet = [[_bound(leq, a, b, False) for b in range(n)] for a in range(n)]
+    return (leq, True, None, join, meet)
+
+
+def test_presentation_from_pairs_matches_a_brute_force_closure():
+    rng = random.Random(20261019)
+    pool = ["a", "b", "c", "d", "e", "f", "g"]
+    seen = set()
+    for _ in range(600):
+        elements = rng.sample(pool, rng.randint(0, 7))
+        if elements and rng.random() < 0.1:
+            elements.insert(rng.randrange(len(elements) + 1), rng.choice(elements))
+        names = elements + ["zz"] if rng.random() < 0.1 else elements
+        pairs = (
+            [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 10))]
+            if names
+            else []
+        )
+        want = _reference_presentation(elements, pairs)
+        try:
+            p = presentation_from_pairs("R", elements, pairs)
+        except LatticeError as err:
+            got = ("error", err.kind, err.witness)
+        else:
+            n = len(elements)
+            assert p.leq.shape == (n, n) and p.leq.dtype == bool
+            got = (
+                p.leq.tolist(),
+                p.is_complete_lattice,
+                p.missing_join,
+                None if p.join is None else p.join.tolist(),
+                None if p.meet is None else p.meet.tolist(),
+            )
+        assert got == want, (elements, pairs)
+        seen.add(got[1] if got[0] == "error" else ("complete", got[1]))
+    # every outcome occurs, the empty presentation among them
+    assert seen == {
+        "duplicate-element", "unknown-element", "not-antisymmetric", ("complete", True), ("complete", False)
+    }
+    assert presentation_from_pairs("E", [], []).leq.shape == (0, 0)
+
+
+def _numpy_random_lattice(rng: random.Random, max_size: int, name: str) -> LatticeCategory:
+    """random_lattice as first written, closing a numpy matrix: the draws
+    seeded fixtures and benchmarks rest on."""
+    while True:
+        n = rng.randint(1, max_size)
+        leq = np.eye(n, dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if i == 0 or j == n - 1 or rng.random() < 0.4:
+                    leq[i, j] = True
+        for k in range(n):
+            leq |= np.outer(leq[:, k], leq[k, :])
+        p = LatticePresentation(name, tuple(f"e{i}" for i in range(n)), leq)
+        validate(p)
+        if p.is_complete_lattice:
+            return LatticeCategory(p)
+
+
+def test_random_lattice_draws_as_the_numpy_body():
+    for seed in range(500):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_lattice(rng, max_size=8, name=f"L{seed}")
+        want = _numpy_random_lattice(ref_rng, 8, f"L{seed}")
+        assert got.p.elements == want.p.elements
+        assert got.p.leq.tolist() == want.p.leq.tolist()
+        assert got.p.join.tolist() == want.p.join.tolist()
+        assert got.p.meet.tolist() == want.p.meet.tolist()
+        assert got.cat_id == want.cat_id
+        assert rng.getstate() == ref_rng.getstate()
+
+
 # --- oracles for the int-table fast paths -----------------------------------
 
 

@@ -142,11 +142,13 @@ class Category(ABC):
     """Finitely computable category: identities, composites, hom sets,
     pushouts, attachments (a wide pushout, or a weak reflection round,
     glues many codomains onto one object at once), finite coproducts.
-    Factoring is asked three ways: find_factorization (does f extend
-    along h), cancellations (which homs dom m -> x does m factor
-    through, the cancellation rule's question) and is_injective (does
-    every map dom h -> x extend along h); the base bodies are generic
-    loops over enumerate_homs, which a category may override.
+    Four questions factor maps or apply a rule: find_factorization
+    (does f extend along h), is_injective (does every map dom h -> x
+    extend along h), and the cancellation and pushout rules' questions,
+    asked once per premise over a list of objects: cancellations (which
+    homs dom m -> x does m factor through) and pushouts (the pushout of
+    h along each hom dom h -> x).  The base bodies are generic loops
+    over enumerate_homs, which a category may override.
     Deterministic: equal inputs give equal outputs, and hom enumeration
     follows a fixed canonical order."""
 
@@ -232,21 +234,40 @@ class Category(ABC):
         return None
 
     def cancellations(
-        self, m: MorRef, x: ObjRef, limit: int | None = None
-    ) -> list[tuple[MorRef, MorRef]] | None:
-        """Each hom first: dom m -> x that m factors through, in canonical
-        hom order, paired with rest: x -> cod m, the first g with g after
-        first = m (what find_factorization(first, m) returns).  None when
-        the homs dom m -> x reach limit."""
-        homs = self.enumerate_homs(m.dom, x, limit)
-        if len(homs) == limit:
-            return None
-        pairs = []
-        for first in homs:
-            rest = self.find_factorization(first, m)
-            if rest is not None:
-                pairs.append((first, rest))
-        return pairs
+        self, m: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+    ) -> Iterator[tuple[MorRef, MorRef] | None]:
+        """The cancellation rule's answers for premise m, object by object
+        in the order given: None once when the homs dom m -> x reach
+        limit, else each hom first: dom m -> x that m factors through, in
+        canonical hom order, paired with rest: x -> cod m, the first g
+        with g after first = m (what find_factorization(first, m)
+        returns).  Lazy: nothing is asked about an object before the
+        answers for the ones ahead of it are taken."""
+        for x in objects:
+            homs = self.enumerate_homs(m.dom, x, limit)
+            if len(homs) == limit:
+                yield None
+                continue
+            for first in homs:
+                rest = self.find_factorization(first, m)
+                if rest is not None:
+                    yield first, rest
+
+    def pushouts(
+        self, h: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+    ) -> Iterator[tuple[MorRef, MorRef] | None]:
+        """The pushout rule's answers for premise h, object by object in
+        the order given: None once when the homs dom h -> x reach limit,
+        else each hom f: dom h -> x in canonical hom order, paired with
+        h_prime, the leg of pushout(h, f) opposite h.  Lazy per hom: no
+        pushout is built before the pairs ahead of it are taken."""
+        for x in objects:
+            homs = self.enumerate_homs(h.dom, x, limit)
+            if len(homs) == limit:
+                yield None
+                continue
+            for f in homs:
+                yield f, self.pushout(h, f)[0]
 
     def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
         """Whether every map dom h -> x extends along h; first failure is
@@ -255,6 +276,13 @@ class Category(ABC):
             if self.find_factorization(h, f) is None:
                 return InjectivityResult(False, f)
         return InjectivityResult(True)
+
+
+def check_budgets(**budgets: int) -> None:
+    """Raise ValueError naming the first negative budget."""
+    for name, value in budgets.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:

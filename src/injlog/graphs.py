@@ -363,26 +363,30 @@ class GraphCategory(Category):
         return MorRef(h.cod, f.cod, GraphHom._trusted(hh.target, ff.target, row))
 
     def cancellations(
-        self, m: MorRef, x: ObjRef, limit: int | None = None
-    ) -> list[tuple[MorRef, MorRef]] | None:
-        # the refs are checked once, each kernel row dom m -> x gets its rest
-        # by one pinned search, and refs are built only for the pairs found
+        self, m: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+    ) -> Iterator[tuple[MorRef, MorRef] | None]:
+        # the premise is checked once, each kernel row dom m -> x gets its
+        # rest by one pinned search, and refs are built only for the pairs
+        # found.  An x with no map into cod m has no rest at all, so one
+        # unpinned search spares it the pinned ones
         self._check_mor(m)
-        mid = self.graph_of(x)
         src, dst = self._graphs[m.dom.index], self._graphs[m.cod.index]
-        rows = kernels.hom_list(src, mid, limit=limit)
-        if len(rows) == limit:
-            return None
         images = m.payload.mapping
-        pairs = []
-        for row in rows:
-            rest = _extension(mid, dst, row, images)
-            if rest is not None:
-                pairs.append((
-                    MorRef(m.dom, x, GraphHom._trusted(src, mid, row)),
-                    MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest)),
-                ))
-        return pairs
+        for x in objects:
+            mid = self.graph_of(x)
+            rows = kernels.hom_list(src, mid, limit=limit)
+            if len(rows) == limit:
+                yield None
+                continue
+            if not rows or next(kernels._homs(mid, dst, [-1] * mid.node_count), None) is None:
+                continue
+            for row in rows:
+                rest = _extension(mid, dst, row, images)
+                if rest is not None:
+                    yield (
+                        MorRef(m.dom, x, GraphHom._trusted(src, mid, row)),
+                        MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest)),
+                    )
 
     def universe(self, max_nodes: int) -> Iterator[ObjRef]:
         """One object per isomorphism class of graphs with at most

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,19 +265,51 @@ class LatticeCategory(Category):
         return None
 
     def cancellations(
-        self, m: MorRef, x: ObjRef, limit: int | None = None
-    ) -> list[tuple[MorRef, MorRef]] | None:
+        self, m: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+    ) -> Iterator[tuple[MorRef, MorRef] | None]:
         # thin shortcut: the one map a -> x, if a <= x, and m = a -> b
-        # factors through it iff x <= b
+        # factors through it iff x <= b.  The premise is checked once and
+        # each object by the inline test; refs are built only for pairs
         self._check_mor(m)
-        self._check_obj(x)
-        a, b, i = m.dom.index, m.cod.index, x.index
-        count = self._up[a] >> i & 1
-        if limit is not None and count >= limit:
-            return None
-        if count and self._up[i] >> b & 1:
-            return [(MorRef(m.dom, x, (a, i)), MorRef(x, m.cod, (i, b)))]
-        return []
+        a, b = m.dom.index, m.cod.index
+        up, cat_id, n = self._up, self.cat_id, self._n
+        above = up[a]
+        capped = limit is not None and limit <= 1  # one hom reaches the limit
+        for x in objects:
+            i = x.index
+            if x.cat_id != cat_id or not 0 <= i < n:
+                self._check_obj(x)
+            if above >> i & 1:
+                if capped:
+                    yield None
+                elif up[i] >> b & 1:
+                    yield MorRef(m.dom, x, (a, i)), MorRef(x, m.cod, (i, b))
+            elif limit == 0:
+                yield None
+
+    def pushouts(
+        self, h: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+    ) -> Iterator[tuple[MorRef, MorRef] | None]:
+        # thin shortcut: the one map f: a -> x, if a <= x, pushes h: a -> b
+        # out to x -> join(x, b), one read of the join table
+        self._check_mor(h)
+        a = h.dom.index
+        joins = self._lattice_joins()[h.cod.index]
+        cat_id, n = self.cat_id, self._n
+        above = self._up[a]
+        capped = limit is not None and limit <= 1
+        for x in objects:
+            i = x.index
+            if x.cat_id != cat_id or not 0 <= i < n:
+                self._check_obj(x)
+            if above >> i & 1:
+                if capped:
+                    yield None
+                else:
+                    top = joins[i]
+                    yield MorRef(h.dom, x, (a, i)), MorRef(x, ObjRef(cat_id, top), (i, top))
+            elif limit == 0:
+                yield None
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         self._check_mor(h)

@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef
+from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef, check_budgets
 
 T = TypeVar("T")
 
@@ -368,8 +368,9 @@ def prove(
     otherwise exhaustion is inconclusive, since derivability over an open
     universe is only semi-decidable.  stop_reason names what ended the
     run: a run that ran dry after node_cap or hom_cap pruned a step stops
-    on that budget.
+    on that budget.  A negative budget raises ValueError.
     """
+    check_budgets(node_cap=node_cap, depth_cap=depth_cap, hom_cap=hom_cap, mor_cap=mor_cap)
     cat.validate_for_colimits()
     known, rounds, reason = _fixpoint(
         cat, hypotheses, frozenset(RULES), goal,
@@ -474,12 +475,14 @@ def _fixpoint(
         new_objs = in_play[old_objs:]
 
         def visits():
-            """The (premise, object) pairs cancellation and pushout try:
+            """The (premise, objects) pairs cancellation and pushout try:
             every object for a premise of the last round, the new objects
             for an older one."""
-            for i, m in enumerate(mors):
-                for x in in_play if i >= old_mors else new_objs:
-                    yield m, x
+            if new_objs:
+                for m in mors[:old_mors]:
+                    yield m, new_objs
+            for m in mors[old_mors:]:
+                yield m, in_play
 
         try:
             if "composition" in mask:
@@ -489,28 +492,27 @@ def _fixpoint(
                         partners = partners[old_by_cod.get(g.dom, 0) :]
                     for f in partners:
                         offer(cat.compose(g, f), Compose(known[g], known[f]))
+            # one call per premise and rule, over its objects.  Pushout has
+            # a pass of its own, so every cancellation is offered before any
+            # pushout, as in naive evaluation: a pass fusing the two
+            # computes pushouts in a round that mor_cap ends during
+            # cancellation, and took the clique prove's registry from 26
+            # graphs to 260
             if "cancellation" in mask:
-                # one call per pair, with refs only for the homs m factors
-                # through.  Pushout lists its homs in a pass of its own, so
-                # every cancellation is offered before any pushout, as in
-                # naive evaluation: a pass fusing the two computes pushouts
-                # in a round that mor_cap ends during cancellation, and took
-                # the clique prove's registry from 26 graphs to 260
-                for m, x in visits():
-                    pairs = cat.cancellations(m, x, limit)
-                    if pairs is None:
-                        pruned.add("hom_cap")
-                        continue
-                    for first, rest in pairs:
+                for m, objects in visits():
+                    for pair in cat.cancellations(m, objects, limit):
+                        if pair is None:
+                            pruned.add("hom_cap")
+                            continue
+                        first, rest = pair
                         offer(first, Cancel(known[m], first=first, rest=rest))
             if "pushout" in mask:
-                for h, x in visits():
-                    homs = cat.enumerate_homs(h.dom, x, limit)
-                    if len(homs) == limit:
-                        pruned.add("hom_cap")
-                        continue
-                    for f in homs:
-                        h_prime, _ = cat.pushout(h, f)
+                for h, objects in visits():
+                    for pair in cat.pushouts(h, objects, limit):
+                        if pair is None:
+                            pruned.add("hom_cap")
+                            continue
+                        f, h_prime = pair
                         if node_cap is None or cat.object_size(h_prime.cod) <= node_cap:
                             offer(h_prime, Push(known[h], along=f))
                         else:

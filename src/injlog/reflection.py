@@ -20,6 +20,7 @@ from .core import (
     MorphismSet,
     MorRef,
     ObjRef,
+    check_budgets,
     semantic_consequence,
 )
 from .proofs import Cancel, Compose, Hyp, Identity, ProofTerm, Push, WidePushN
@@ -64,7 +65,9 @@ def reflect(
     """Iterate attachment rounds from start until the current object is
     injective for every hypothesis, or a budget ends the run: the round
     budget, or node_cap, which stops before a round whose apex could
-    exceed it (``Category.attach_size``), so no such apex is built."""
+    exceed it (``Category.attach_size``), so no such apex is built.  A
+    negative budget raises ValueError."""
+    check_budgets(max_rounds=max_rounds, node_cap=node_cap)
     cat.validate_for_colimits()
     current = start
     composite = cat.identity(start)

@@ -14,6 +14,7 @@ from injlog.core import (
     verify_pushout_square,
     wide_pushout,
 )
+from injlog import graphs as graphs_module
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 from injlog.proofs import Hyp, WidePushN, check_proof
 from injlog.lattice import (
@@ -332,13 +333,13 @@ def test_consequence_tests_hypotheses_only_where_the_goal_fails(monkeypatch):
 # --- cancellations and injectivity against brute force -----------------------
 
 
-def product_cancellations(m: GraphHom, x: Graph, limit: int | None) -> list | None:
+def product_cancellations(m: GraphHom, x: Graph, limit: int | None) -> list:
     """Brute force: the (first, rest) mappings with rest after first = m,
     first over product-order homs dom m -> x and rest the first such hom
-    x -> cod m; None when those homs reach limit."""
+    x -> cod m; [None] when those homs reach limit."""
     firsts = free_homs(m.source, x)
     if limit is not None and len(firsts) >= limit:
-        return None
+        return [None]
     pairs = []
     for first in firsts:
         rest = next(
@@ -370,10 +371,9 @@ def premises(g: GraphCategory, rng: random.Random) -> list[MorRef]:
     return found
 
 
-def pairs_of(result) -> list | None:
-    if result is None:
-        return None
-    return [(first.payload.mapping, rest.payload.mapping) for first, rest in result]
+def pairs_of(answers) -> list:
+    """The mappings of each (first, rest) pair; None stays None."""
+    return [pair and (pair[0].payload.mapping, pair[1].payload.mapping) for pair in answers]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -385,10 +385,10 @@ def test_graph_cancellations_match_the_generic_loop_and_brute_force(seed):
         x = g.obj(random_graph(rng))
         for m in premises(g, rng):
             limit = rng.choice([None, None, 0, 1, 2, 3, 5])
-            fast = g.cancellations(m, x, limit)
-            assert fast == Category.cancellations(g, m, x, limit)
+            fast = list(g.cancellations(m, [x], limit))
+            assert fast == list(Category.cancellations(g, m, [x], limit))
             assert pairs_of(fast) == product_cancellations(m.payload, g.graph_of(x), limit)
-            for first, rest in fast or ():
+            for first, rest in filter(None, fast):
                 assert (first.dom, first.cod, rest.dom, rest.cod) == (m.dom, x, x, m.cod)
                 assert g.compose(rest, first) == m
             merged += len(set(m.payload.mapping)) < len(m.payload.mapping)
@@ -422,11 +422,11 @@ def test_lattice_cancellations_match_the_generic_loop_and_the_order(seed):
             a, b = m.dom.index, m.cod.index
             for x in cat.objects():
                 for limit in (None, 0, 1, 2):
-                    fast = cat.cancellations(m, x, limit)
-                    assert fast == Category.cancellations(cat, m, x, limit)
+                    fast = list(cat.cancellations(m, [x], limit))
+                    assert fast == list(Category.cancellations(cat, m, [x], limit))
                     # one hom a -> x when a <= x; m factors through it when x <= b
                     if limit is not None and int(leq[a, x.index]) >= limit:
-                        assert fast is None
+                        assert fast == [None]
                     elif leq[a, x.index] and leq[x.index, b]:
                         assert fast == [(cat.mor(a, x.index), cat.mor(x.index, b))]
                     else:
@@ -438,13 +438,121 @@ def test_cancellations_return_none_exactly_when_the_listing_reaches_limit():
     point, edge = g.obj(Graph.of(1)), g.obj(Graph.of(2, [(0, 1)]))
     # the point maps into the edge twice
     for m in (g.identity(point), g.mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (1,)))):
-        assert g.cancellations(m, edge, 2) is None
-        listed = g.cancellations(m, edge, 3)
-        assert listed is not None and listed == g.cancellations(m, edge)
-        assert g.cancellations(m, edge, 3) == Category.cancellations(g, m, edge, 3)
+        assert list(g.cancellations(m, [edge], 2)) == [None]
+        listed = list(g.cancellations(m, [edge], 3))
+        assert listed != [None] and listed == list(g.cancellations(m, [edge]))
+        assert listed == list(Category.cancellations(g, m, [edge], 3))
     # only the second hom: no map edge -> edge sends the tail onto the head
     assert [first.payload.mapping for first, _ in listed] == [(1,)]
     cat = chain3()
     m = cat.mor("0", "2")
-    assert cat.cancellations(m, cat.obj("1"), 1) is None
-    assert cat.cancellations(m, cat.obj("1"), 2) == [(cat.mor("0", "1"), cat.mor("1", "2"))]
+    assert list(cat.cancellations(m, [cat.obj("1")], 1)) == [None]
+    assert list(cat.cancellations(m, [cat.obj("1")], 2)) == [(cat.mor("0", "1"), cat.mor("1", "2"))]
+
+
+# --- the rule questions per premise, over lists of objects -------------------
+
+
+def object_list(rng: random.Random, pool: list, over_cap) -> list:
+    """Objects of pool in random order, with repeats, and over_cap in the
+    middle."""
+    objects = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+    objects.insert(len(objects) // 2, over_cap)
+    return objects
+
+
+def product_pushouts(g: GraphCategory, h: MorRef, x, limit: int | None) -> list:
+    """Brute force: each product-order hom f: dom h -> x with the leg of
+    pushout(h, f) opposite h; [None] when those homs reach limit."""
+    homs = free_homs(h.payload.source, g.graph_of(x))
+    if limit is not None and len(homs) >= limit:
+        return [None]
+    fs = [g.mor(GraphHom(h.payload.source, g.graph_of(x), f)) for f in homs]
+    return [(f, g.pushout(h, f)[0]) for f in fs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_rules_per_premise_match_the_generic_loops_and_brute_force(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    pool = [g.obj(random_graph(rng)) for _ in range(6)] + [g.obj(clique(4))]
+    # every map into the looped 3-clique is a hom: 3^|dom| of them
+    full = g.obj(Graph.of(3, [(i, j) for i in range(3) for j in range(3)]))
+    capped = 0
+    for _ in range(6):
+        for m in premises(g, rng):
+            for limit in (None, 1, 2, 3):
+                objects = object_list(rng, pool, full)
+                fast = list(g.cancellations(m, objects, limit))
+                assert fast == list(Category.cancellations(g, m, objects, limit))
+                want = [p for x in objects for p in product_cancellations(m.payload, g.graph_of(x), limit)]
+                assert pairs_of(fast) == want
+                pushed = list(g.pushouts(m, objects, limit))
+                assert pushed == [p for x in objects for p in product_pushouts(g, m, x, limit)]
+                for f, h_prime in filter(None, pushed):
+                    assert f.dom == m.dom and h_prime.dom == f.cod
+                capped += None in fast
+    assert capped
+
+
+def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
+    g = GraphCategory()
+    k3, k4 = g.obj(clique(3)), g.obj(clique(4))
+    pinned = []  # the middle graph of each pinned rest search
+
+    def counting(mid, dst, along, images):
+        pinned.append(mid)
+        return extension(mid, dst, along, images)
+
+    extension = graphs_module._extension
+    monkeypatch.setattr(graphs_module, "_extension", counting)
+    searched = 0
+    # K4 has rows from each dom m but no map into K3, so no rest at all
+    for m in (
+        g.mor(GraphHom(Graph.of(1), clique(3), (2,))),
+        g.mor(GraphHom(empty_graph(), clique(3), ())),
+        g.identity(k3),
+    ):
+        for limit in (None, 2, 3, 30):
+            objects = [k4, k3, k4]
+            pinned.clear()
+            fast = list(g.cancellations(m, objects, limit))
+            assert clique(4) not in pinned
+            searched += len(pinned)
+            assert fast == list(Category.cancellations(g, m, objects, limit))
+            want = [p for x in objects for p in product_cancellations(m.payload, g.graph_of(x), limit)]
+            assert pairs_of(fast) == want
+            assert list(g.cancellations(m, [k4], limit)) in ([], [None])
+    assert searched  # the rows into K3 are still searched
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_rules_per_premise_match_the_generic_loops_and_the_order(seed):
+    rng = random.Random(seed)
+    for i in range(10):
+        cat = random_lattice(rng, max_size=7, name=f"L{i}")
+        leq, join = cat.p.leq, cat.p.join
+        for m in cat.all_morphisms():
+            a, b = m.dom.index, m.cod.index
+            for limit in (None, 0, 1, 2, 3):
+                # the codomain is above a, so it has a hom from a: at limit 1
+                # it is over the cap
+                objects = object_list(rng, cat.objects(), m.cod)
+                cancelled = list(cat.cancellations(m, objects, limit))
+                pushed = list(cat.pushouts(m, objects, limit))
+                assert cancelled == list(Category.cancellations(cat, m, objects, limit))
+                assert pushed == list(Category.pushouts(cat, m, objects, limit))
+                # one hom a -> x when a <= x; m factors through it when x <= b,
+                # and pushes out to x -> join(x, b)
+                want_cancelled, want_pushed = [], []
+                for x in objects:
+                    j = x.index
+                    if limit is not None and int(leq[a, j]) >= limit:
+                        want_cancelled.append(None)
+                        want_pushed.append(None)
+                    elif leq[a, j]:
+                        if leq[j, b]:
+                            want_cancelled.append((cat.mor(a, j), cat.mor(j, b)))
+                        want_pushed.append((cat.mor(a, j), cat.mor(j, int(join[j, b]))))
+                assert cancelled == want_cancelled
+                assert pushed == want_pushed

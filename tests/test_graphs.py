@@ -372,7 +372,9 @@ def test_every_graph_operation_refuses_forged_refs():
             lambda x=x: cat.enumerate_homs(x, e),
             lambda x=x: cat.enumerate_homs(e, x),
             lambda x=x: cat.is_injective(x, good),
-            lambda x=x: cat.cancellations(good, x),
+            # the lazy per-premise answers raise once they reach x
+            lambda x=x: list(cat.cancellations(good, [e, point, x])),
+            lambda x=x: list(cat.pushouts(good, [e, point, x])),
             lambda x=x: cat.attach(x, []),
             lambda x=x: cat.attach_size(x, []),
             lambda x=x: cat.cotuple([], x),
@@ -394,9 +396,11 @@ def test_every_graph_operation_refuses_forged_refs():
             lambda m=m: cat.is_injective(e, m),
             lambda m=m: cat.is_injective(point, m),
             lambda m=m: cat.is_injective(m.cod, m),
-            lambda m=m: cat.cancellations(m, e),
-            lambda m=m: cat.cancellations(m, point),
-            lambda m=m: cat.cancellations(m, m.cod),
+            lambda m=m: list(cat.cancellations(m, [e])),
+            lambda m=m: list(cat.cancellations(m, [point])),
+            lambda m=m: list(cat.cancellations(m, [m.cod])),
+            lambda m=m: list(cat.pushouts(m, [e])),
+            lambda m=m: list(cat.pushouts(m, [m.cod])),
             lambda m=m: cat.hom_of(m),
             lambda m=m: cat.morphism_label(m),
         ]

@@ -531,7 +531,9 @@ def test_every_operation_refuses_forged_refs():
             lambda x=x: cat.enumerate_homs(x, good),
             lambda x=x: cat.enumerate_homs(good, x),
             lambda x=x: cat.is_injective(x, cat.mor("0", "a")),
-            lambda x=x: cat.cancellations(cat.mor("0", "a"), x),
+            # the lazy per-premise answers raise once they reach x
+            lambda x=x: list(cat.cancellations(cat.mor("0", "a"), [good, cat.obj("1"), x])),
+            lambda x=x: list(cat.pushouts(cat.mor("0", "a"), [good, cat.obj("1"), x])),
             lambda x=x: cat.attach(x, []),
             lambda x=x: cat.identity(x),
         ]
@@ -547,8 +549,10 @@ def test_every_operation_refuses_forged_refs():
             lambda m=m: cat.attach(m.cod, [(loop_at(m.dom), m)]),
             lambda m=m: cat.is_injective(good, m),
             lambda m=m: cat.is_injective(m.cod, m),
-            lambda m=m: cat.cancellations(m, good),
-            lambda m=m: cat.cancellations(m, m.cod),
+            lambda m=m: list(cat.cancellations(m, [good])),
+            lambda m=m: list(cat.cancellations(m, [m.cod])),
+            lambda m=m: list(cat.pushouts(m, [good])),
+            lambda m=m: list(cat.pushouts(m, [m.cod])),
         ]
     for case in cases:
         with pytest.raises(CategoryError):

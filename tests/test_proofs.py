@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injlog import proofs
 from injlog.core import CategoryError, MorphismSet, semantic_consequence, wide_pushout
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
@@ -553,6 +554,16 @@ def test_prove_does_not_refute_when_a_budget_pruned_the_search(budget):
     assert result.proof is None
 
 
+@pytest.mark.parametrize("budget", ["node_cap", "depth_cap", "hom_cap", "mor_cap"])
+def test_prove_refuses_a_negative_budget(budget):
+    # hom_cap=-1 would put every listing over the cap, and mor_cap=-1 would
+    # stop before anything is learned
+    cat = chain3()
+    h = MorphismSet.of([("h", cat.mor("0", "2"))])
+    with pytest.raises(ValueError, match=f"^{budget} must be non-negative, got -1$"):
+        prove(cat, h, cat.mor("0", "1"), **{budget: -1})
+
+
 def test_prove_skips_an_attachment_past_hom_cap():
     g = GraphCategory()
     point, edge = Graph.of(1), Graph.of(2, [(0, 1)])
@@ -596,6 +607,48 @@ def test_prove_stops_on_hom_cap_when_only_a_cancellation_listing_is_over():
     assert set(asked) == {2}
     # with room for both homs, the same search runs dry uncut
     assert prove(g, h, goal, node_cap=3, hom_cap=2).stop_reason == "fixpoint"
+
+
+def test_a_mor_cap_stop_in_the_pushout_pass_builds_no_later_pushout(monkeypatch):
+    # the point maps into the edge twice, so the pushout pass over the edge
+    # has a second pushout to build after the first
+    point, edge = Graph.of(1), Graph.of(2, [(0, 1)])
+    stops = []  # (pairs the engine took, pushouts built) at each mor_cap stop
+
+    class Stop(proofs._BudgetStop):
+        def __init__(self):
+            stops.append((len(cat.taken), len(cat.made)))
+
+    class RecordingGraphs(GraphCategory):
+        def __init__(self):
+            super().__init__()
+            self.taken = []  # each pair the engine took from pushouts
+            self.made = []  # the leg opposite h of each pushout built
+
+        def pushout(self, h, f):
+            legs = super().pushout(h, f)
+            self.made.append(legs[0])
+            return legs
+
+        def pushouts(self, h, objects, limit=None):
+            for pair in super().pushouts(h, objects, limit):
+                self.taken.append(pair)
+                yield pair
+
+    monkeypatch.setattr(proofs, "_BudgetStop", Stop)
+    in_pushout_pass = 0
+    for mor_cap in range(1, 40):
+        cat = RecordingGraphs()
+        h = MorphismSet.of([("pe", cat.mor(GraphHom(point, edge, (0,))))])
+        known, _, reason = _fixpoint(cat, h, frozenset(RULES), mor_cap=mor_cap)
+        assert reason == "mor_cap"
+        # the last pushout built is the one whose pair was offered last
+        taken, made = stops[-1]
+        assert taken == made == len(cat.made)
+        # with no node_cap every pushout of a finished round is known, so a
+        # last pushout not known is the one whose offer raised
+        in_pushout_pass += bool(cat.made) and cat.made[-1] not in known
+    assert in_pushout_pass
 
 
 def test_prove_finds_graph_compositions():

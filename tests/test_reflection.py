@@ -303,6 +303,14 @@ def test_stop_reasons_name_the_budget_or_the_fixpoint():
     assert reflect(cat, p, cat.obj("0"), max_rounds=0).stop_reason == "max_rounds"
 
 
+@pytest.mark.parametrize("budget", ["max_rounds", "node_cap"])
+def test_reflect_refuses_a_negative_budget(budget):
+    cat = diamond()
+    p = MorphismSet.of([("p", cat.mor("0", "a"))])
+    with pytest.raises(ValueError, match=f"^{budget} must be non-negative, got -3$"):
+        reflect(cat, p, cat.obj("0"), **{budget: -3})
+
+
 def test_the_default_node_cap_bounds_the_point_to_edge_trace():
     # unbounded, 16 rounds reach 65,536 nodes and a trace of about 13 GB
     g, h, start = point_to_edge()

@@ -166,15 +166,6 @@ class Category(ABC):
         """Morphisms a -> x in canonical order; with limit, the first limit."""
 
     @abstractmethod
-    def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
-        """Canonical pushout of the span (h, f) sharing a domain.
-
-        Returns (h_prime, f_prime): h_prime is the leg opposite h with
-        domain cod f, f_prime the leg opposite f with domain cod h.
-        The square commutes on the nose.
-        """
-
-    @abstractmethod
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
         """Pushout of each h along its f at once, for squares (h, f) with
         dom h = dom f and cod f = x: every cod h glued onto x.  The
@@ -197,6 +188,14 @@ class Category(ABC):
 
     @abstractmethod
     def morphism_label(self, m: MorRef) -> str: ...
+
+    def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
+        """Canonical pushout of the span (h, f) sharing a domain, as the
+        one-square attach(cod f, [(h, f)]).  Returns (h_prime, f_prime):
+        h_prime is the leg opposite h with domain cod f, f_prime the leg
+        opposite f with domain cod h.  The square commutes on the nose."""
+        wp = self.attach(f.cod, [(h, f)])
+        return wp.composite, wp.injections[0]
 
     def coproduct_morphism(self, mors: Sequence[MorRef]) -> MorRef:
         """The canonical morphism between coproducts acting blockwise: the

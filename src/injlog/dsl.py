@@ -178,7 +178,7 @@ class Workspace:
     def _key(self) -> tuple:
         return (
             self.order,
-            {n: (d.category.p.elements, d.category.p.leq.tolist()) for n, d in self.lattices.items()},
+            {n: (d.category.p.elements, d.category.p.up) for n, d in self.lattices.items()},
             {n: (d.node_names, d.graph) for n, d in self.graphs.items()},
             {n: d.ref for n, d in self.morphisms.items()},
             {n: d.morphisms.entries for n, d in self.hsets.items()},
@@ -693,7 +693,7 @@ def print_workspace(ws: Workspace) -> str:
     for kind, name in ws.order:
         if kind == "lattice":
             p = ws.lattices[name].category.p
-            pairs = [(a, b) for a in range(p.size) for b in range(p.size) if a != b and p.leq[a, b]]
+            pairs = [(a, b) for a in range(p.size) for b in range(p.size) if a != b and p.up[a] >> b & 1]
             chunks.append(_sections_text(kind, name, p.elements, pairs))
         elif kind == "graph":
             decl = ws.graphs[name]

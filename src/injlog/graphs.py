@@ -30,6 +30,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if self.node_count < 0:
+            raise ValueError(f"node count must be non-negative, got {self.node_count}")
         for i, j in self.edges:
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.node_count} nodes")
@@ -250,10 +252,6 @@ class GraphCategory(Category):
             MorRef(a, x, GraphHom._trusted(src, dst, row))
             for row in kernels.hom_list(src, dst, limit=limit)
         ]
-
-    def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
-        wp = self.attach(f.cod, [(h, f)])
-        return wp.composite, wp.injections[0]
 
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
         self._check_squares(x, squares)

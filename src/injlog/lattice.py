@@ -40,15 +40,16 @@ class LatticeError(ValueError):
 class LatticePresentation:
     """Elements plus a reflexive-transitive leq matrix.
 
-    join/meet tables are filled by validate(); they stay None for posets
-    that are not complete lattices.  Treated as immutable once validated.
+    validate() fills the up-set bitsets (bit b of up[a] set iff a <= b) and
+    the join table, None unless the poset is a complete lattice.  Treated
+    as immutable once validated.
     """
 
     name: str
     elements: tuple[str, ...]
     leq: np.ndarray
-    join: np.ndarray | None = field(default=None, repr=False)
-    meet: np.ndarray | None = field(default=None, repr=False)
+    up: tuple[int, ...] | None = field(default=None, repr=False)
+    join: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
     is_complete_lattice: bool = False
     missing_join: tuple[int, int] | None = None
 
@@ -70,11 +71,8 @@ def presentation_from_pairs(
     transitive closure is taken automatically, then validated."""
     elems = tuple(elements)
     n = len(elems)
-    for i, e in enumerate(elems):
-        if e in elems[:i]:
-            raise LatticeError("duplicate-element", (e,))
+    idx = _index(elems)
     up = [1 << i for i in range(n)]
-    idx = {e: i for i, e in enumerate(elems)}
     for a, b in pairs:
         if a not in idx:
             raise LatticeError("unknown-element", (a,))
@@ -87,27 +85,40 @@ def presentation_from_pairs(
             if up[i] >> k & 1:
                 up[i] |= up[k]
     leq = np.array([u >> b & 1 for u in up for b in range(n)], dtype=bool).reshape(n, n)
-    p = LatticePresentation(name, elems, leq)
-    validate(p)
-    return p
+    return _fill(LatticePresentation(name, elems, leq), tuple(up))
 
 
 def validate(p: LatticePresentation, require_lattice: bool = False) -> LatticePresentation:
-    """Confirm the order axioms and fill join/meet tables where they exist.
+    """Read leq once into up-set bitsets, confirm the order axioms on
+    them, and fill the up-sets and the join table where it exists.
 
-    Raises LatticeError("not-reflexive"/"not-transitive"/"not-antisymmetric")
-    with a witness pair on a broken order.  A poset lacking some join is
-    accepted with is_complete_lattice False unless require_lattice is set,
-    in which case LatticeError("no-join", (a, b)) is raised (witness ()
-    when only the bottom is missing).  Every check reads one up-set bitset
-    per element; each witness is the first that a row-major scan of the
-    matrix meets.
+    Raises LatticeError("duplicate-element") on the first repeated name,
+    "bad-shape", or "not-reflexive"/"not-transitive"/"not-antisymmetric"
+    with the first witness a row-major scan of the matrix meets.  A poset
+    lacking some join is accepted with is_complete_lattice False unless
+    require_lattice is set, in which case LatticeError("no-join", (a, b))
+    is raised (witness () when only the bottom is missing).
     """
+    _index(p.elements)
     n = p.size
-    leq = p.leq
-    if leq.shape != (n, n):
-        raise LatticeError("bad-shape", leq.shape)
-    up = _up_sets(leq)
+    if p.leq.shape != (n, n):
+        raise LatticeError("bad-shape", p.leq.shape)
+    return _fill(p, _up_sets(p.leq), require_lattice)
+
+
+def _index(elements: tuple[str, ...]) -> dict[str, int]:
+    """Each element's position; raises on the first repeated name."""
+    idx: dict[str, int] = {}
+    for i, e in enumerate(elements):
+        if idx.setdefault(e, i) != i:
+            raise LatticeError("duplicate-element", (e,))
+    return idx
+
+
+def _fill(p: LatticePresentation, up: tuple[int, ...], require_lattice=False) -> LatticePresentation:
+    """validate's body: check the order axioms on the up-sets of p, then
+    store them on p with the join table (where p is a complete lattice)."""
+    n = p.size
     els = p.elements
     for i in range(n):
         if not up[i] >> i & 1:
@@ -124,12 +135,8 @@ def validate(p: LatticePresentation, require_lattice: bool = False) -> LatticePr
     has_bottom = (1 << n) - 1 in up  # some element is below every element
     # binary joins and a bottom give every finite join, hence every meet
     complete = n > 0 and missing is None and has_bottom
-    p.join = p.meet = None
-    if complete:
-        down = _up_sets(leq.T)
-        meet = [[_least(down[a] & down[b], down) for b in range(n)] for a in range(n)]
-        p.join = np.array(join, dtype=np.int64)
-        p.meet = np.array(meet, dtype=np.int64)
+    p.up = up
+    p.join = tuple(map(tuple, join)) if complete else None
     p.is_complete_lattice = complete
     p.missing_join = missing
     if require_lattice and not complete:
@@ -165,11 +172,11 @@ def _join_table(up: Sequence[int]) -> tuple[list[list[int]], tuple[int, int] | N
     return join, None
 
 
-def _least(common: int, sets: Sequence[int]) -> int:
-    """The member c of common whose set holds all of common, else -1: over
-    up-sets the least upper bound, over down-sets the greatest lower one."""
+def _least(common: int, up: Sequence[int]) -> int:
+    """The member c of common whose up-set holds all of common, else -1:
+    the least of the upper bounds that common holds."""
     for c in _bits(common):
-        if not common & ~sets[c]:
+        if not common & ~up[c]:
             return c
     return -1
 
@@ -188,23 +195,23 @@ def _no_join(p: LatticePresentation) -> LatticeError:
 class LatticeCategory(Category):
     """Thin category of a validated presentation.
 
-    Queries read plain-int tables built once from the presentation: one
-    up-set bitset per element, the join table (None unless the poset is
-    a complete lattice), the bottom and the element count.  Every public
-    operation still checks the refs it is handed, since proof checking
-    passes user terms straight through.
+    Queries read the plain-int tables validate() stored on the
+    presentation, one up-set bitset per element and the join table (None
+    unless the poset is a complete lattice), plus the bottom and the
+    element count.  Every public operation still checks the refs it is
+    handed, since proof checking passes user terms straight through.
     """
 
     def __init__(self, presentation: LatticePresentation):
+        if presentation.up is None:
+            raise LatticeError("not-validated", (presentation.name,))
         self.p = presentation
         self._n = len(presentation.elements)
-        self._up = _up_sets(presentation.leq)
+        self._up = presentation.up
         # the order, not the name alone, tells two lattices' refs apart; a
         # digest of its text is the same in every process, unlike hash()
         order = repr((presentation.elements, self._up)).encode()
         self.cat_id = f"lattice:{presentation.name}:{hashlib.sha256(order).hexdigest()[:16]}"
-        join = presentation.join
-        self._joins = None if join is None else tuple(map(tuple, join.tolist()))
         full = (1 << self._n) - 1
         self._bottom = next((i for i, u in enumerate(self._up) if u == full), None)
 
@@ -311,16 +318,6 @@ class LatticeCategory(Category):
             elif limit == 0:
                 yield None
 
-    def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
-        self._check_mor(h)
-        self._check_mor(f)
-        if h.dom.index != f.dom.index:
-            raise CategoryError("pushout span must share a domain")
-        b, x = h.cod, f.cod
-        top = self._lattice_joins()[x.index][b.index]
-        apex = ObjRef(self.cat_id, top)
-        return MorRef(x, apex, (x.index, top)), MorRef(b, apex, (b.index, top))
-
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
         self._check_obj(x)
         for h, f in squares:
@@ -349,8 +346,7 @@ class LatticeCategory(Category):
 
     def _join(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
         """Join of objs (bottom when there are none) with the injection
-        from each; the one place a lattice glues objects besides the
-        one-entry pushout."""
+        from each; the one place a lattice glues objects."""
         joins = self._lattice_joins()
         top = objs[0].index if objs else self._bottom
         for o in objs[1:]:
@@ -392,9 +388,9 @@ class LatticeCategory(Category):
     def _lattice_joins(self) -> tuple[tuple[int, ...], ...]:
         """The join table; raises the no-join error on a poset that is not
         a complete lattice."""
-        if self._joins is None:
+        if self.p.join is None:
             raise _no_join(self.p)
-        return self._joins
+        return self.p.join
 
     def _check_obj(self, obj: ObjRef) -> None:
         if obj.cat_id != self.cat_id or not 0 <= obj.index < self._n:

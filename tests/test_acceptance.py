@@ -318,10 +318,11 @@ def test_criterion_5_reflection(crit2, report):
             if not trace.converged:
                 problems.append(f"{cat.p.name}: no convergence from {cat.object_label(start)}")
                 continue
-            above = [x.index for x in inj if cat.p.leq[start.index, x.index]]
-            expected = above[0]
-            for i in above[1:]:
-                expected = int(cat.p.meet[expected, i])
+            # the meet of the injectives above start, by brute force over leq
+            leq = cat.p.leq
+            above = [x.index for x in inj if leq[start.index, x.index]]
+            lower = [m for m in range(cat.p.size) if all(leq[m, u] for u in above)]
+            (expected,) = [m for m in lower if all(leq[v, m] for v in lower)]
             if trace.apex.index != expected:
                 problems.append(
                     f"{cat.p.name}: reflection of {cat.object_label(start)} "

@@ -553,6 +553,6 @@ def test_lattice_rules_per_premise_match_the_generic_loops_and_the_order(seed):
                     elif leq[a, j]:
                         if leq[j, b]:
                             want_cancelled.append((cat.mor(a, j), cat.mor(j, b)))
-                        want_pushed.append((cat.mor(a, j), cat.mor(j, int(join[j, b]))))
+                        want_pushed.append((cat.mor(a, j), cat.mor(j, join[j][b])))
                 assert cancelled == want_cancelled
                 assert pushed == want_pushed

@@ -33,6 +33,14 @@ def test_graph_rejects_out_of_range_edges():
         Graph.of(2, [(0, 2)])
 
 
+def test_graph_rejects_a_negative_node_count():
+    # refused where the graph is built, not at its first search
+    for build in (lambda: Graph.of(-1), lambda: Graph(-1, frozenset())):
+        with pytest.raises(ValueError, match="node count must be non-negative, got -1"):
+            build()
+    assert Graph.of(0).node_count == 0
+
+
 def test_graph_helpers():
     g = Graph.of(3, [(2, 1), (0, 0)])
     assert g.edge_list() == [(0, 0), (2, 1)]

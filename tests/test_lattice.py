@@ -42,6 +42,18 @@ def test_duplicate_and_unknown_elements_are_rejected():
     with pytest.raises(LatticeError) as err:
         presentation_from_pairs("L", ["a"], [("a", "zz")])
     assert err.value.kind == "unknown-element"
+    # validate refuses repeated names too: the second "a" could never be named
+    with pytest.raises(LatticeError) as err:
+        validate(LatticePresentation("L", ("a", "b", "a"), np.eye(3, dtype=bool)))
+    assert (err.value.kind, err.value.witness) == ("duplicate-element", ("a",))
+
+
+def test_a_category_needs_a_validated_presentation():
+    p = LatticePresentation("L", ("a",), np.ones((1, 1), dtype=bool))
+    with pytest.raises(LatticeError) as err:
+        LatticeCategory(p)
+    assert (err.value.kind, err.value.witness) == ("not-validated", ("L",))
+    assert len(LatticeCategory(validate(p)).objects()) == 1
 
 
 def test_validate_reports_broken_axioms_with_witnesses():
@@ -197,12 +209,11 @@ def test_join_and_meet_tables_are_lattice_operations(seed):
     n = p.size
     for a in range(n):
         for b in range(n):
-            j = p.join[a, b]
+            j = p.join[a][b]
             assert p.leq[a, j] and p.leq[b, j]
-            m = p.meet[a, b]
-            assert p.leq[m, a] and p.leq[m, b]
-            assert p.join[a, a] == a and p.meet[a, a] == a
-            assert p.join[a, b] == p.join[b, a]
+            assert all(p.leq[j, c] for c in range(n) if p.leq[a, c] and p.leq[b, c])
+            assert p.join[a][a] == a
+            assert p.join[a][b] == p.join[b][a]
 
 
 # --- the constructors against brute force and the numpy body ---------------
@@ -223,17 +234,16 @@ def _closure(n: int, pairs) -> list[list[bool]]:
     return leq
 
 
-def _bound(leq, a: int, b: int, up: bool) -> int | None:
-    """The least upper (or greatest lower) bound of a and b, if any."""
+def _bound(leq, a: int, b: int) -> int | None:
+    """The least upper bound of a and b, if any."""
     n = len(leq)
-    below = (lambda x, y: leq[x][y]) if up else (lambda x, y: leq[y][x])
-    bounds = [c for c in range(n) if below(a, c) and below(b, c)]
-    return next((c for c in bounds if all(below(c, d) for d in bounds)), None)
+    bounds = [c for c in range(n) if leq[a][c] and leq[b][c]]
+    return next((c for c in bounds if all(leq[c][d] for d in bounds)), None)
 
 
 def _reference_presentation(elements, pairs):
     """What presentation_from_pairs must give, worked out by brute force:
-    ("error", kind, witness) or (leq, complete, missing_join, join, meet)."""
+    ("error", kind, witness) or (leq, complete, missing_join, join)."""
     for i, e in enumerate(elements):
         if e in elements[:i]:
             return ("error", "duplicate-element", (e,))
@@ -249,14 +259,13 @@ def _reference_presentation(elements, pairs):
             if i != j and leq[i][j] and leq[j][i]:
                 return ("error", "not-antisymmetric", (elements[i], elements[j]))
     missing = next(
-        ((a, b) for a in range(n) for b in range(a, n) if _bound(leq, a, b, True) is None), None
+        ((a, b) for a in range(n) for b in range(a, n) if _bound(leq, a, b) is None), None
     )
     has_bottom = any(all(row) for row in leq)
     if n == 0 or missing is not None or not has_bottom:
-        return (leq, False, missing, None, None)
-    join = [[_bound(leq, a, b, True) for b in range(n)] for a in range(n)]
-    meet = [[_bound(leq, a, b, False) for b in range(n)] for a in range(n)]
-    return (leq, True, None, join, meet)
+        return (leq, False, missing, None)
+    join = [[_bound(leq, a, b) for b in range(n)] for a in range(n)]
+    return (leq, True, None, join)
 
 
 def test_presentation_from_pairs_matches_a_brute_force_closure():
@@ -285,8 +294,7 @@ def test_presentation_from_pairs_matches_a_brute_force_closure():
                 p.leq.tolist(),
                 p.is_complete_lattice,
                 p.missing_join,
-                None if p.join is None else p.join.tolist(),
-                None if p.meet is None else p.meet.tolist(),
+                None if p.join is None else [list(row) for row in p.join],
             )
         assert got == want, (elements, pairs)
         seen.add(got[1] if got[0] == "error" else ("complete", got[1]))
@@ -295,6 +303,36 @@ def test_presentation_from_pairs_matches_a_brute_force_closure():
         "duplicate-element", "unknown-element", "not-antisymmetric", ("complete", True), ("complete", False)
     }
     assert presentation_from_pairs("E", [], []).leq.shape == (0, 0)
+
+
+def test_pairs_and_matrix_presentations_agree():
+    """presentation_from_pairs and validate on the closed matrix read the
+    same order, so they must fill the same tables or raise the same error."""
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(500):
+        n = rng.randint(0, 7)
+        elements = [f"e{i}" for i in range(n)]
+        if n and rng.random() < 0.1:
+            elements[rng.randrange(n)] = rng.choice(elements)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        if n > 1 and rng.random() < 0.2:
+            pairs.append((rng.randrange(1, n), 0))  # a cycle when 0 <= the first
+        leq = np.array(_closure(n, pairs), dtype=bool).reshape(n, n)
+        outcomes = []
+        for build in (
+            lambda: presentation_from_pairs("A", elements, [(elements[i], elements[j]) for i, j in pairs]),
+            lambda: validate(LatticePresentation("A", tuple(elements), leq)),
+        ):
+            try:
+                p = build()
+            except LatticeError as err:
+                outcomes.append(("error", err.kind, err.witness))
+            else:
+                outcomes.append((p.up, p.join, p.is_complete_lattice, p.missing_join, LatticeCategory(p).cat_id))
+        assert outcomes[0] == outcomes[1], (elements, pairs)
+        seen.add(outcomes[0][1] if outcomes[0][0] == "error" else ("complete", outcomes[0][2]))
+    assert seen == {"duplicate-element", "not-antisymmetric", ("complete", True), ("complete", False)}
 
 
 def _numpy_random_lattice(rng: random.Random, max_size: int, name: str) -> LatticeCategory:
@@ -322,8 +360,8 @@ def test_random_lattice_draws_as_the_numpy_body():
         want = _numpy_random_lattice(ref_rng, 8, f"L{seed}")
         assert got.p.elements == want.p.elements
         assert got.p.leq.tolist() == want.p.leq.tolist()
-        assert got.p.join.tolist() == want.p.join.tolist()
-        assert got.p.meet.tolist() == want.p.meet.tolist()
+        assert got.p.up == want.p.up
+        assert got.p.join == want.p.join
         assert got.cat_id == want.cat_id
         assert rng.getstate() == ref_rng.getstate()
 
@@ -411,7 +449,7 @@ def test_validate_matches_the_cubic_reference(leq, require_lattice):
             validate(p, require_lattice)
         assert (err.value.kind, err.value.witness) == want
         return
-    join, meet, complete, missing = want
+    join, _, complete, missing = want
     if require_lattice and not complete:
         with pytest.raises(LatticeError) as err:
             validate(p, require_lattice)
@@ -420,8 +458,8 @@ def test_validate_matches_the_cubic_reference(leq, require_lattice):
         return
     assert validate(p, require_lattice) is p
     assert (p.is_complete_lattice, p.missing_join) == (complete, missing)
-    assert (None if p.join is None else p.join.tolist()) == join
-    assert (None if p.meet is None else p.meet.tolist()) == meet
+    assert (None if p.join is None else [list(row) for row in p.join]) == join
+    assert p.up == tuple(sum(1 << b for b in range(len(leq)) if leq[a][b]) for a in range(len(leq)))
 
 
 def test_validate_rejects_a_matrix_of_the_wrong_shape():
@@ -463,13 +501,13 @@ def test_pushout_and_attach_read_the_join_table(seed):
     for h in mors:
         for f in mors:
             if h.dom == f.dom:
-                top = int(join[f.cod.index, h.cod.index])
+                top = join[f.cod.index][h.cod.index]
                 assert cat.pushout(h, f) == (mor(f.cod.index, top), mor(h.cod.index, top))
     for x in cat.objects():
         squares = [(h, f) for h in mors for f in cat.enumerate_homs(h.dom, x) if rng.random() < 0.3]
         top = x.index
         for h, _ in squares:
-            top = int(join[top, h.cod.index])
+            top = join[top][h.cod.index]
         result = cat.attach(x, squares)
         assert result.composite == mor(x.index, top)
         assert result.injections == tuple(mor(h.cod.index, top) for h, _ in squares)

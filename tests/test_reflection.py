@@ -73,15 +73,15 @@ def test_lattice_reflection_is_the_meet_of_injectives_above(seed):
     start = rng.choice(cat.objects())
     trace = reflect(cat, h, start)
     assert trace.converged
-    above = [
-        x.index
-        for x in cat.injectives(h)
-        if cat.p.leq[start.index, x.index]
+    # the meet of injectives above start, computed independently: by brute
+    # force over leq, with injectivity read off the hypotheses' pairs
+    leq = cat.p.leq
+    injective = [
+        x for x in range(cat.p.size) if all(not leq[m.dom.index, x] or leq[m.cod.index, x] for m in h.morphisms())
     ]
-    # the meet of injectives above start, computed independently
-    meet = above[0]
-    for i in above[1:]:
-        meet = cat.p.meet[meet, i]
+    above = [x for x in injective if leq[start.index, x]]
+    lower = [m for m in range(cat.p.size) if all(leq[m, u] for u in above)]
+    (meet,) = [m for m in lower if all(leq[v, m] for v in lower)]
     assert trace.apex.index == meet
     assert verify_weak_reflection(cat, h, trace, cat.search_universe()).verified
     assert check_proof(cat, h, reflection_proof(trace)) == trace.reflection

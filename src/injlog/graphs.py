@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
@@ -39,6 +39,16 @@ class Graph:
     @staticmethod
     def of(node_count: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         return Graph(node_count, frozenset((int(i), int(j)) for i, j in edges))
+
+    @classmethod
+    def _trusted(cls, node_count: int, edges: frozenset[tuple[int, int]]) -> "Graph":
+        """A graph the package built from node indices it computed itself,
+        so every edge is an int pair in range; skips ``__post_init__``.
+        Outside input goes through ``Graph(...)`` or ``Graph.of``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "node_count", node_count)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -123,6 +133,11 @@ def clique(n: int) -> Graph:
     return Graph.of(n, ((i, j) for i in range(n) for j in range(n) if i != j))
 
 
+def _check_bound(max_nodes: int) -> None:
+    if max_nodes < 0:
+        raise ValueError(f"node bound must be non-negative, got {max_nodes}")
+
+
 def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
     """All labeled graphs ordered by node count, then lexicographically on
     the edge matrix (bit (i, j) set for edge i->j) read row-major with bit
@@ -130,20 +145,25 @@ def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
 
     The labeled reference: ``GraphCategory.universe`` walks
     ``graph_classes``, and tests compare the two."""
-    for n in range(max_nodes + 1):
-        cells = n * n
-        for code in range(1 << cells):
-            edges = [
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if (code >> (cells - 1 - (i * n + j))) & 1
-            ]
-            yield Graph.of(n, edges)
+    _check_bound(max_nodes)
+    return chain.from_iterable(map(_labeled_graphs, range(max_nodes + 1)))
+
+
+def _labeled_graphs(n: int) -> Iterator[Graph]:
+    cells = n * n
+    for code in range(1 << cells):
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if (code >> (cells - 1 - (i * n + j))) & 1
+        ]
+        yield Graph.of(n, edges)
 
 
 def count_graphs(max_nodes: int) -> int:
     """Number of graphs ``enumerate_graphs(max_nodes)`` yields."""
+    _check_bound(max_nodes)
     return sum(1 << (n * n) for n in range(max_nodes + 1))
 
 
@@ -158,49 +178,82 @@ def graph_classes(max_nodes: int) -> Iterator[Graph]:
     turn, trying each row's values in increasing order, and drops a prefix
     as soon as some relabelling is lex-smaller on the rows it already
     determines: every completion of that prefix has the same smaller
-    relabelling.  With all rows fixed the check covers every relabelling,
+    relabelling.  With all rows fixed every relabelling has been compared,
     so exactly the lex-least members come out.
+
+    Row r of a relabelled graph depends on row p[r] alone, so the search
+    carries down a tie list: the relabellings still equal to the graph on
+    every row compared so far, each with the row where its comparison
+    stopped for want of a fixed row.  A new row resumes only those waiting
+    for it.  One that compares greater is dropped for the whole subtree:
+    the rows that decided it are fixed there, so no completion makes it
+    smaller.
     """
-    for n in range(max_nodes + 1):
-        yield from _lex_least_graphs(n)
+    _check_bound(max_nodes)
+    return chain.from_iterable(map(_lex_least_graphs, range(max_nodes + 1)))
 
 
 def _lex_least_graphs(n: int) -> Iterator[Graph]:
+    if n == 0:
+        return iter([Graph._trusted(0, frozenset())])
     identity = tuple(range(n))
+    values = range(1 << n)
 
     def table(p: tuple[int, ...]) -> tuple[int, ...]:
         """Each n-bit row with the bit of column p[c] moved to column c."""
-        return tuple(
-            sum((x >> (n - 1 - p[c]) & 1) << (n - 1 - c) for c in range(n)) for x in range(1 << n)
-        )
+        return tuple(sum((x >> (n - 1 - p[c]) & 1) << (n - 1 - c) for c in range(n)) for x in values)
 
-    # row r of the graph relabelled by p is table(p)[rows[p[r]]]
-    relabellings = [(p, table(p)) for p in permutations(range(n)) if p != identity]
+    # edge_rows[i][x]: the edges of row i when its value is x, so an
+    # accepted graph is the union of one entry per row
+    edge_rows = [
+        [frozenset((i, j) for j in range(n) if x >> (n - 1 - j) & 1) for x in values] for i in range(n)
+    ]
     rows = [0] * n
+    # row r of the graph relabelled by p is moved[rows[p[r]]], so a tie
+    # that stopped at row s waits for row wait[s] = max(s, p[s]);
+    # waiting[w] lists the ties (p, moved, wait, s) waiting for row w
+    waiting: list[list] = [[] for _ in range(n)]
+    for p in permutations(range(n)):
+        if p != identity:
+            waiting[p[0]].append((p, table(p), tuple(map(max, p, identity)), 0))
 
-    def beaten(k: int) -> bool:
-        """Whether some relabelling is lex-smaller on what rows[:k] fix."""
-        for p, moved in relabellings:
-            for r in range(k):
-                if p[r] >= k:
+    def settle(k: int, resume: list) -> list | None:
+        """Resume the ties waiting for row k: None if one is lex-smaller,
+        else the (row waited for, tie) pairs that are still equal."""
+        tied = []
+        for p, moved, wait, s in resume:
+            mapped, row = moved[rows[p[s]]], rows[s]
+            while mapped == row:
+                s += 1
+                if s == n:
+                    break  # an automorphism
+                if wait[s] > k:
+                    tied.append((wait[s], (p, moved, wait, s)))
                     break
-                mapped = moved[rows[p[r]]]
-                if mapped != rows[r]:
-                    if mapped < rows[r]:
-                        return True
-                    break
-        return False
+                mapped, row = moved[rows[p[s]]], rows[s]
+            else:
+                if mapped < row:
+                    return None
+                # greater on fixed rows: dropped
+        return tied
 
-    def extend(k: int) -> Iterator[Graph]:
-        if k == n:
-            yield Graph.of(n, ((i, j) for i in range(n) for j in range(n) if rows[i] >> (n - 1 - j) & 1))
+    def extend(k: int, waiting: list[list]) -> Iterator[Graph]:
+        resume = waiting[k]
+        if k == n - 1:
+            for rows[k] in values:
+                if settle(k, resume) is not None:
+                    yield Graph._trusted(n, frozenset().union(*[row[x] for row, x in zip(edge_rows, rows)]))
             return
-        for value in range(1 << n):
-            rows[k] = value
-            if not beaten(k + 1):
-                yield from extend(k + 1)
+        for rows[k] in values:
+            tied = settle(k, resume)
+            if tied is None:
+                continue
+            later = list(waiting)
+            for w, tie in tied:
+                later[w] = later[w] + [tie]
+            yield from extend(k + 1, later)
 
-    return extend(0)
+    return extend(0, waiting)
 
 
 class GraphCategory(Category):
@@ -304,7 +357,7 @@ class GraphCategory(Category):
                 size += 1
             else:
                 index_map.append(index_map[r])
-        apex_graph = Graph(size, frozenset(
+        apex_graph = Graph._trusted(size, frozenset(
             (index_map[off + i], index_map[off + j]) for g, off in zip(graphs, offsets) for i, j in g.edges
         ))
         apex = self.obj(apex_graph)
@@ -394,8 +447,6 @@ class GraphCategory(Category):
         of a class comes no later than any other member, so the first
         object satisfying an isomorphism-invariant test is the same as in
         the labeled walk ``enumerate_graphs``."""
-        if max_nodes < 0:
-            raise ValueError(f"node bound must be non-negative, got {max_nodes}")
         return map(self.obj, graph_classes(max_nodes))
 
     def object_label(self, obj: ObjRef) -> str:

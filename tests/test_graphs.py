@@ -242,6 +242,27 @@ def test_graph_classes_on_four_nodes_are_increasing_and_lex_least():
     assert sizes == [1, 2, 10, 104]
 
 
+def test_graph_classes_on_five_nodes_are_increasing_and_lex_least():
+    # streamed: only the sampled graphs are kept
+    rng = random.Random(1978)
+    sample = set(rng.sample(range(291968), 60))
+    kept, count, last = [], 0, ()
+    for g in graph_classes(5):
+        if g.node_count < 5:
+            continue
+        rows = [0] * 5
+        for i, j in g.edges:
+            rows[i] |= 16 >> j
+        code = tuple(rows)
+        assert code > last
+        if count in sample:
+            kept.append(g)
+        count, last = count + 1, code
+    assert count == 291968  # OEIS A000595
+    assert len(kept) == 60
+    assert all(_is_lex_least(g) for g in kept)
+
+
 def test_universe_interns_one_graph_per_class():
     cat = GraphCategory()
     refs = list(cat.universe(3))
@@ -254,6 +275,33 @@ def test_universe_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="non-negative"):
         cat.universe(-1)
     assert [cat.graph_of(r) for r in cat.universe(0)] == [empty_graph()]
+
+
+@pytest.mark.parametrize("walk", [graph_classes, enumerate_graphs, count_graphs])
+def test_graph_walks_reject_a_negative_bound_when_called(walk):
+    # refused at the call, before any iteration
+    with pytest.raises(ValueError, match="node bound must be non-negative, got -1"):
+        walk(-1)
+    assert list(graph_classes(0)) == list(enumerate_graphs(0)) == [empty_graph()]
+    assert count_graphs(0) == 1
+
+
+def test_trusted_graphs_equal_their_checked_copies():
+    cat = GraphCategory()
+    refs = list(cat.universe(3))
+    for ref in refs:
+        g = cat.graph_of(ref)
+        checked = Graph.of(g.node_count, g.edge_list())
+        assert g == checked and hash(g) == hash(checked)
+        assert cat.obj(checked) == ref
+    # a glued apex is trusted too, and found again from a checked copy;
+    # both parts are universe graphs, so the apex is the one new object
+    apex, _ = cat.coproduct([cat.obj(clique(2)), cat.obj(loop_point())])
+    assert apex.index == len(refs)
+    g = cat.graph_of(apex)
+    checked = Graph.of(3, [(2, 2), (1, 0), (0, 1)])
+    assert g == checked and hash(g) == hash(checked)
+    assert cat.obj(checked) == apex
 
 
 def _random_mor(cat: GraphCategory, rng: random.Random, src: Graph, max_nodes: int):

@@ -297,11 +297,8 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
         report["verdict"] = verdict
         lines.append(f"verdict: {verdict}")
         return (0 if ok else 1), report, lines
-    semantic = [
-        m
-        for m in cat.all_morphisms()
-        if semantic_consequence(cat, hset, m, cat.search_universe(), exact=True).holds
-    ]
+    universe = cat.search_universe()
+    semantic = [m for m in cat.all_morphisms() if semantic_consequence(cat, hset, m, universe, exact=True).holds]
     missing = [cat.morphism_label(m) for m in semantic if not result.has(m)]
     extra = [
         cat.morphism_label(m) for m in result.derived if m not in set(semantic)

@@ -313,11 +313,14 @@ def semantic_consequence(
 ) -> ConsequenceVerdict:
     """Whether every universe object injective for all hypotheses is
     injective for the goal.  Exact iff the universe is the whole category
-    (finite lattices); on graphs the verdict only covers the given bound.
+    (finite lattices); on graphs the verdict only covers the given bound,
+    and asking for an exact one is a ValueError.
 
     Only an object that fails the goal can refute it, so the goal is
     tested first and the hypotheses only there; both tests are pure, so
     the first counterexample is the same in either order."""
+    if exact and cat.search_universe() is None:
+        raise ValueError(f"{cat.cat_id} has no closed universe, so no verdict over it is exact")
     mors = hypotheses.morphisms()
     for x in universe:
         if not cat.is_injective(x, goal) and all(cat.is_injective(x, m) for m in mors):

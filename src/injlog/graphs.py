@@ -7,10 +7,11 @@ all categorical constructions compare on the nose.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
@@ -30,15 +31,22 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        # the kernel reads nodes as bit positions, so only ints get past here
+        if not isinstance(self.node_count, int):
+            raise ValueError(f"node count must be an integer, got {self.node_count!r}")
         if self.node_count < 0:
             raise ValueError(f"node count must be non-negative, got {self.node_count}")
         for i, j in self.edges:
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise ValueError(f"edge ({i!r}, {j!r}) has an end that is not an integer")
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.node_count} nodes")
 
     @staticmethod
     def of(node_count: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
-        return Graph(node_count, frozenset((int(i), int(j)) for i, j in edges))
+        """The graph with these edges; any integer type passes (a numpy int
+        becomes an int), a float or a string does not."""
+        return Graph(_integer(node_count), frozenset((_integer(i), _integer(j)) for i, j in edges))
 
     @classmethod
     def _trusted(cls, node_count: int, edges: frozenset[tuple[int, int]]) -> "Graph":
@@ -87,6 +95,8 @@ class GraphHom:
                 f"{self.source.node_count} nodes"
             )
         for v in self.mapping:
+            if not isinstance(v, int):
+                raise ValueError(f"image {v!r} is not an integer")
             if not 0 <= v < self.target.node_count:
                 raise ValueError(f"image {v} out of range")
         for i, j in self.source.edge_list():
@@ -98,8 +108,9 @@ class GraphHom:
 
     @classmethod
     def _trusted(cls, source: Graph, target: Graph, mapping: tuple[int, ...]) -> "GraphHom":
-        """A hom the package built from kernel rows or from homs already
-        checked; skips ``__post_init__``.  Outside input goes through
+        """A hom the package built from kernel rows, from homs already
+        checked or from a checked graph (an identity, a cotuple of checked
+        legs); skips ``__post_init__``.  Outside input goes through
         ``GraphHom(...)``."""
         hom = object.__new__(cls)
         # one attribute at a time, as the dataclass __init__ does: an
@@ -109,15 +120,17 @@ class GraphHom:
         object.__setattr__(hom, "mapping", mapping)
         return hom
 
-    def then(self, other: "GraphHom") -> "GraphHom":
-        """Composite self followed by other; targets must match on the nose."""
-        if self.target != other.source:
-            raise CategoryError("composability mismatch: target != next source")
-        return GraphHom._trusted(self.source, other.target, tuple(other.mapping[v] for v in self.mapping))
-
     @staticmethod
     def identity(g: Graph) -> "GraphHom":
-        return GraphHom(g, g, tuple(range(g.node_count)))
+        return GraphHom._trusted(g, g, tuple(range(g.node_count)))
+
+
+def _integer(v) -> int:
+    """v as an int through ``operator.index``, or ValueError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{v!r} is not an integer") from None
 
 
 def empty_graph() -> Graph:
@@ -303,7 +316,7 @@ class GraphCategory(Category):
         dst = self.graph_of(x)
         return [
             MorRef(a, x, GraphHom._trusted(src, dst, row))
-            for row in kernels.hom_list(src, dst, limit=limit)
+            for row in islice(kernels.homs(src, dst), limit)
         ]
 
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
@@ -368,6 +381,8 @@ class GraphCategory(Category):
         ]
 
     def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
+        # checked legs into the target preserve the edges of their
+        # coproduct, whose nodes are the legs' domains in turn
         mapping: list[int] = []
         for m in legs:
             self._check_mor(m)
@@ -375,7 +390,8 @@ class GraphCategory(Category):
                 raise CategoryError("cotuple legs must share the target")
             mapping.extend(m.payload.mapping)
         src, _ = self.coproduct([m.dom for m in legs])
-        return self.mor(GraphHom(self.graph_of(src), self.graph_of(target), tuple(mapping)))
+        dst = self.graph_of(target)  # checked here for want of a leg
+        return MorRef(src, target, GraphHom._trusted(self._graphs[src.index], dst, tuple(mapping)))
 
     def object_size(self, obj: ObjRef) -> int:
         return self.graph_of(obj).node_count
@@ -396,7 +412,7 @@ class GraphCategory(Category):
         dst = self.graph_of(x)
         src, mid = self._graphs[h.dom.index], self._graphs[h.cod.index]
         along = h.payload.mapping
-        for row in kernels._homs(src, dst, [-1] * src.node_count):
+        for row in kernels.homs(src, dst):
             if _extension(mid, dst, along, row) is None:
                 return InjectivityResult(False, MorRef(h.dom, x, GraphHom._trusted(src, dst, row)))
         return InjectivityResult(True)
@@ -425,11 +441,11 @@ class GraphCategory(Category):
         images = m.payload.mapping
         for x in objects:
             mid = self.graph_of(x)
-            rows = kernels.hom_list(src, mid, limit=limit)
+            rows = list(islice(kernels.homs(src, mid), limit))
             if len(rows) == limit:
                 yield None
                 continue
-            if not rows or next(kernels._homs(mid, dst, [-1] * mid.node_count), None) is None:
+            if not rows or next(kernels.homs(mid, dst), None) is None:
                 continue
             for row in rows:
                 rest = _extension(mid, dst, row, images)
@@ -507,7 +523,7 @@ def _extension(
             if pins[at] >= 0:
                 return None  # along merges nodes that images separate
             pins[at] = want
-    return next(kernels._homs(mid, dst, pins), None)
+    return next(kernels.homs(mid, dst, pins), None)
 
 
 def random_graph(rng: random.Random, max_nodes: int = 4) -> Graph:

@@ -1,23 +1,22 @@
 """Search kernel for graph homomorphism queries.
 
-One backtracking search with forward checking over bitset domains
-(Ullmann, J. ACM 1976; bitset domains as in the Glasgow Subgraph Solver)
-serves every query.  It yields node assignments in lexicographic order,
-node 0 most significant, so the first hom and any prefix of the list
-come from the same sequence.
+One lazy backtracking search with forward checking over bitset domains
+(Ullmann, J. ACM 1976; bitset domains as in the Glasgow Subgraph Solver),
+``homs``, serves every query.  It yields node assignments in
+lexicographic order, node 0 most significant, so whether a map exists is
+its first row and the first k homs are its first k rows.
 
 A graph is read through its search plan, in two halves built once per
 graph and cached on it: the target half (``Plan``) on its first search,
 the source half (``SourcePlan``), read off the target half, on its
 first search as a source.  A graph searched only as a target, as a
 universe graph is, never builds the source half.  A pin sequence has
-one entry per source node: ``pinned[i] >= 0`` forces node i to that
-target node, -1 leaves it free.
+one entry per source node: ``pins[i] >= 0`` forces node i to that
+target node, -1 leaves it free.  The kernel does not check pins: its
+callers build them from checked refs or from its own rows.
 """
-
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -68,22 +67,9 @@ def source_plan(p: Plan) -> SourcePlan:
     )
 
 
-def _checked_pins(src: Graph, dst: Graph, pinned: Sequence[int] | None) -> list[int]:
-    """The pins as a list, checked eagerly so that no query skips the check."""
-    s, t = src.node_count, dst.node_count
-    if pinned is None:
-        return [-1] * s
-    pins = [int(p) for p in pinned]
-    if len(pins) != s:
-        raise ValueError(f"need one pin per source node: {len(pins)} pins for {s} nodes")
-    for p in pins:
-        if not -1 <= p < t:
-            raise ValueError(f"pin {p} out of range for {t} target nodes")
-    return pins
-
-
-def _homs(src: Graph, dst: Graph, pins: list[int]) -> Iterator[tuple[int, ...]]:
-    """Every pin-respecting homomorphism src -> dst, in lex order."""
+def homs(src: Graph, dst: Graph, pins: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Every pin-respecting homomorphism src -> dst, in lex order, lazily;
+    no pins leaves every node free."""
     s = src.node_count
     if s == 0:
         yield ()
@@ -93,7 +79,7 @@ def _homs(src: Graph, dst: Graph, pins: list[int]) -> Iterator[tuple[int, ...]]:
     succ, pred, looped = dp.succ, dp.pred, dp.looped
     full = (1 << dst.node_count) - 1
     domain = []
-    for pin, loop in zip(pins, sp.loops):
+    for pin, loop in zip([-1] * s if pins is None else pins, sp.loops):
         d = full if pin < 0 else 1 << pin
         if loop:
             d &= looped
@@ -148,15 +134,3 @@ def _bits(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-def hom_first(src: Graph, dst: Graph, pinned: Sequence[int] | None = None) -> tuple[int, ...] | None:
-    """First pin-respecting homomorphism in lex order, or None."""
-    return next(_homs(src, dst, _checked_pins(src, dst, pinned)), None)
-
-
-def hom_list(
-    src: Graph, dst: Graph, pinned: Sequence[int] | None = None, limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """Pin-respecting homomorphisms in lex order; with limit, the first limit."""
-    return list(islice(_homs(src, dst, _checked_pins(src, dst, pinned)), limit))

@@ -309,6 +309,18 @@ def test_consequence_agrees_with_a_hypothesis_first_walk(seed):
             assert verdict.label() == ("counterexample" if witness else "holds")
 
 
+def test_an_exact_verdict_needs_a_closed_universe():
+    # K3 refutes {e->K3} |= e->loop at 3 nodes, so "holds" over the graphs
+    # of up to 2 nodes is no exact verdict
+    g = GraphCategory()
+    hyps = MorphismSet.of([("c3", g.mor(GraphHom(empty_graph(), clique(3), ())))])
+    goal = g.mor(GraphHom(empty_graph(), loop_point(), ()))
+    with pytest.raises(ValueError, match="no closed universe"):
+        semantic_consequence(g, hyps, goal, g.universe(2), exact=True)
+    assert semantic_consequence(g, hyps, goal, g.universe(2), exact=False, bound=2).label() == "holds-up-to(2)"
+    assert semantic_consequence(g, hyps, goal, g.universe(3), exact=False, bound=3).label() == "counterexample"
+
+
 def test_consequence_tests_hypotheses_only_where_the_goal_fails(monkeypatch):
     g = GraphCategory()
     hyps = MorphismSet.of((f"c{k}", g.mor(GraphHom(empty_graph(), clique(k), ()))) for k in range(1, 5))

@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,13 +71,36 @@ def test_hom_must_preserve_edges():
         GraphHom(edge, two, (0, 1))
 
 
+def test_nodes_that_are_not_integers_are_refused_where_they_enter():
+    # a float end was silently truncated, and a float image reached the kernel
+    with pytest.raises(ValueError, match="1.7 is not an integer"):
+        Graph.of(2, [(0, 1.7)])
+    with pytest.raises(ValueError, match="'1' is not an integer"):
+        Graph.of(2, [("1", 0)])
+    with pytest.raises(ValueError, match="2.0 is not an integer"):
+        Graph.of(2.0)
+    with pytest.raises(ValueError, match="node count must be an integer, got 2.0"):
+        Graph(2.0, frozenset())
+    with pytest.raises(ValueError, match=r"edge \(0, 1.0\) has an end that is not an integer"):
+        Graph(2, frozenset({(0, 1.0)}))
+    with pytest.raises(ValueError, match="image 0.0 is not an integer"):
+        GraphHom(loop_point(), loop_point(), (0.0,))
+
+
+def test_graph_of_takes_any_integer_type():
+    g = Graph.of(np.int64(2), [(np.int32(0), np.int64(1))])
+    assert g == Graph.of(2, [(0, 1)])
+    assert all(type(v) is int for edge in g.edges for v in (*edge, g.node_count))
+
+
 def test_hom_composition_and_identity():
+    cat = GraphCategory()
     edge = Graph.of(2, [(0, 1)])
-    f = GraphHom(Graph.of(1), edge, (0,))
-    g = GraphHom(edge, loop_point(), (0, 0))
-    assert f.then(g).mapping == (0,)
-    assert GraphHom.identity(edge).then(g) == g
-    assert f.then(GraphHom.identity(edge)) == f
+    f = cat.mor(GraphHom(Graph.of(1), edge, (0,)))
+    g = cat.mor(GraphHom(edge, loop_point(), (0, 0)))
+    assert cat.compose(g, f).payload.mapping == (0,)
+    assert cat.compose(g, cat.identity(g.dom)) == g
+    assert cat.compose(cat.identity(f.cod), f) == f
 
 
 def test_enumeration_counts_and_order():
@@ -378,6 +402,54 @@ def test_trusted_homs_pass_the_public_validator(monkeypatch):
     assert len(made) > 1000 and len(kinds) == 3
     for hom in made:
         assert GraphHom(hom.source, hom.target, hom.mapping) == hom
+
+
+def test_operations_validate_no_hom_they_build(monkeypatch):
+    built = []
+    validate = GraphHom.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    cat = GraphCategory()
+    node, edge, c3 = cat.obj(Graph.of(1)), cat.obj(Graph.of(2, [(0, 1)])), cat.obj(clique(3))
+    monkeypatch.setattr(GraphHom, "__post_init__", counting)
+    h = cat.mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (0,)))
+    assert len(built) == 1  # outside input is checked once, where it enters
+    legs = cat.enumerate_homs(edge, c3)
+    into = cat.enumerate_homs(node, c3)
+    cat.identity(c3)
+    cat.compose(legs[0], h)
+    cat.cotuple(legs[:3], c3)
+    cat.cotuple([], c3)
+    cat.attach(c3, [(h, into[0])])
+    cat.find_factorization(h, into[1])
+    assert cat.is_injective(c3, h)
+    assert not cat.is_injective(node, h)  # with a counterexample hom
+    assert list(cat.cancellations(h, [node, edge, c3]))
+    assert len(built) == 1
+
+
+def test_identities_and_cotuples_pass_the_public_validator():
+    rng = random.Random(11)
+    cat = GraphCategory()
+    made = []
+    for _ in range(60):
+        target = cat.obj(random_graph(rng, max_nodes=3))
+        made.append(cat.identity(target))
+        legs = []
+        for _ in range(rng.randint(0, 3)):
+            legs += cat.enumerate_homs(cat.obj(random_graph(rng, max_nodes=3)), target, limit=1)
+        made.append(cat.cotuple(legs, target))
+    # empty, edgeless and edged sources all occur
+    assert {(len(m.payload.source.edges) > 0, m.payload.source.node_count > 0) for m in made} == {
+        (False, False), (False, True), (True, True)
+    }
+    for m in made:
+        hom = m.payload
+        assert GraphHom(hom.source, hom.target, hom.mapping) == hom
+        assert cat.mor(GraphHom(hom.source, hom.target, hom.mapping)) == m
 
 
 def test_foreign_references_are_rejected():

@@ -3,9 +3,11 @@
 Every subcommand reads a workspace file, runs one query, prints a plain
 text report (or the same data as JSON with --json), and exits with:
 
-    0   success / holds / derived / all checks pass
-    1   counterexample / not derived / invalid proof
-    2   budget or bound exhausted without a decision
+    0   all-injective, holds, found, valid, derived, complete, converged,
+        ok, pass
+    1   not-injective, counterexample, refuted, invalid, not-derived,
+        incomplete, fail
+    2   any other verdict: holds-up-to(N), inconclusive, not-converged
     64  usage error (bad flags, unknown or foreign names, unwritable output)
     65  workspace parse error
 """
@@ -20,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .core import Category, MorphismSet, MorRef, semantic_consequence
+from .core import Category, MorphismSet, MorRef, ObjRef, semantic_consequence
 from .dsl import DslError, Workspace, parse, proof_to_text
 from .graphs import GraphCategory, clique, empty_graph, loop_point, GraphHom
 from .lattice import LatticeCategory, LatticeError, presentation_from_pairs
@@ -81,7 +83,7 @@ def _category_arg(ws: Workspace, name: str) -> Category:
     raise UsageError(f"unknown category {name!r}: use a declared lattice name or 'graphs'")
 
 
-def _object_arg(ws: Workspace, cat: Category, name: str):
+def _object_arg(ws: Workspace, cat: Category, name: str) -> ObjRef:
     if isinstance(cat, GraphCategory):
         decl = ws.graphs.get(name)
         if decl is None:
@@ -134,16 +136,35 @@ def _term_category(ws: Workspace, term: ProofTerm) -> Category | None:
     return fold(term, category)
 
 
-# ---------------------------------------------------------------------------
-# subcommands: each returns (exit code, report dict, text lines); main adds
-# "command" first and "timing" last
+def _goal_args(ws: Workspace, args) -> tuple[MorRef, Category, MorphismSet]:
+    """--goal, its category and --hset, which must be in that category."""
+    goal = _mor_arg(ws, args.goal)
+    cat = ws.category_of(goal)
+    return goal, cat, _hset_arg(ws, args.hset, cat)
 
 
-def _cmd_check_inj(args) -> tuple[int, dict, list[str]]:
-    ws = _load(args.file)
+def _object_args(ws: Workspace, args) -> tuple[Category, ObjRef, MorphismSet]:
+    """--cat, its --object and --hset, which must be in that category."""
     cat = _category_arg(ws, args.cat)
-    obj = _object_arg(ws, cat, args.object)
-    hset = _hset_arg(ws, args.hset, cat)
+    return cat, _object_arg(ws, cat, args.object), _hset_arg(ws, args.hset, cat)
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each returns (report dict, text lines); main adds "command"
+# first and "timing" last, and reads the exit code off the report's verdict
+
+# every other verdict, holds-up-to(N), inconclusive and not-converged, exits 2
+_EXIT_CODES = {
+    "all-injective": 0, "holds": 0, "found": 0, "valid": 0, "derived": 0, "complete": 0,
+    "converged": 0, "ok": 0, "pass": 0,
+    "not-injective": 1, "counterexample": 1, "refuted": 1, "invalid": 1, "not-derived": 1,
+    "incomplete": 1, "fail": 1,
+}
+
+
+def _cmd_check_inj(args) -> tuple[dict, list[str]]:
+    ws = _load(args.file)
+    cat, obj, hset = _object_args(ws, args)
     members = []
     lines = []
     for name, h in hset:
@@ -161,23 +182,18 @@ def _cmd_check_inj(args) -> tuple[int, dict, list[str]]:
         "members": members,
         "verdict": verdict,
     }
-    return (0 if verdict == "all-injective" else 1), report, lines
+    return report, lines
 
 
-def _cmd_consequence(args) -> tuple[int, dict, list[str]]:
+def _cmd_consequence(args) -> tuple[dict, list[str]]:
     bound = _budget(args.max_size, "--max-size")
     ws = _load(args.file)
-    goal = _mor_arg(ws, args.goal)
-    cat = ws.category_of(goal)
-    hset = _hset_arg(ws, args.hset, cat)
-    if isinstance(cat, GraphCategory):
-        verdict = semantic_consequence(
-            cat, hset, goal, cat.universe(bound), exact=False, bound=bound
-        )
+    goal, cat, hset = _goal_args(ws, args)
+    closed = cat.search_universe()
+    if closed is not None:
+        verdict = semantic_consequence(cat, hset, goal, closed, exact=True)
     else:
-        verdict = semantic_consequence(
-            cat, hset, goal, cat.search_universe(), exact=True
-        )
+        verdict = semantic_consequence(cat, hset, goal, cat.universe(bound), exact=False, bound=bound)
     label = verdict.label()
     witness = (
         None if verdict.counterexample is None else cat.object_label(verdict.counterexample)
@@ -194,22 +210,14 @@ def _cmd_consequence(args) -> tuple[int, dict, list[str]]:
         "exact": verdict.exact,
         "bound": verdict.bound,
     }
-    if label == "holds":
-        code = 0
-    elif label == "counterexample":
-        code = 1
-    else:
-        code = 2
-    return code, report, lines
+    return report, lines
 
 
-def _cmd_prove(args) -> tuple[int, dict, list[str]]:
+def _cmd_prove(args) -> tuple[dict, list[str]]:
     node_cap = _budget(args.node_cap, "--node-cap")
     depth = _budget(args.depth, "--depth")
     ws = _load(args.file)
-    goal = _mor_arg(ws, args.goal)
-    cat = ws.category_of(goal)
-    hset = _hset_arg(ws, args.hset, cat)
+    goal, cat, hset = _goal_args(ws, args)
     result = prove(cat, hset, goal, node_cap=node_cap, depth_cap=depth)
     proof_text = None if result.proof is None else proof_to_text(ws, result.proof)
     lines = [
@@ -229,11 +237,10 @@ def _cmd_prove(args) -> tuple[int, dict, list[str]]:
         "stop_reason": result.stop_reason,
         "proof": proof_text,
     }
-    code = {"found": 0, "refuted": 1}.get(result.status, 2)
-    return code, report, lines
+    return report, lines
 
 
-def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
+def _cmd_check_proof(args) -> tuple[dict, list[str]]:
     ws = _load(args.file)
     decl = ws.proofs.get(args.proof)
     if decl is None:
@@ -249,7 +256,7 @@ def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
             "error": str(err),
             "conclusion": None,
         }
-        return 1, report, ["verdict: invalid", f"error: {err}"]
+        return report, ["verdict: invalid", f"error: {err}"]
     label = cat.morphism_label(conclusion)
     used = used_hypotheses(decl.term)
     lines = [
@@ -263,10 +270,10 @@ def _cmd_check_proof(args) -> tuple[int, dict, list[str]]:
         "conclusion": label,
         "hypotheses": used,
     }
-    return 0, report, lines
+    return report, lines
 
 
-def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
+def _cmd_saturate(args) -> tuple[dict, list[str]]:
     ws = _load(args.file)
     cat = _category_arg(ws, args.cat)
     if not isinstance(cat, LatticeCategory):
@@ -296,13 +303,14 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
         report["goal"] = cat.morphism_label(goal)
         report["verdict"] = verdict
         lines.append(f"verdict: {verdict}")
-        return (0 if ok else 1), report, lines
-    universe = cat.search_universe()
-    semantic = [m for m in cat.all_morphisms() if semantic_consequence(cat, hset, m, universe, exact=True).holds]
+        return report, lines
+    # m is a semantic consequence iff every element injective for the
+    # hypotheses is m-injective
+    injectives = cat.injectives(hset)
+    semantic = [m for m in cat.all_morphisms() if all(cat.is_injective(x, m) for x in injectives)]
     missing = [cat.morphism_label(m) for m in semantic if not result.has(m)]
-    extra = [
-        cat.morphism_label(m) for m in result.derived if m not in set(semantic)
-    ]
+    semantic_set = set(semantic)
+    extra = [cat.morphism_label(m) for m in result.derived if m not in semantic_set]
     verdict = "complete" if not missing and not extra else "incomplete"
     report["missing"] = missing
     report["unsound"] = extra
@@ -312,16 +320,14 @@ def _cmd_saturate(args) -> tuple[int, dict, list[str]]:
     for label in extra:
         lines.append(f"unsound {label}")
     lines.append(f"verdict: {verdict}")
-    return (0 if verdict == "complete" else 1), report, lines
+    return report, lines
 
 
-def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
+def _cmd_reflect(args) -> tuple[dict, list[str]]:
     max_rounds = _budget(args.max_rounds, "--max-rounds")
     node_cap = _budget(args.node_cap, "--node-cap")
     ws = _load(args.file)
-    cat = _category_arg(ws, args.cat)
-    obj = _object_arg(ws, cat, args.object)
-    hset = _hset_arg(ws, args.hset, cat)
+    cat, obj, hset = _object_args(ws, args)
     trace = reflect(cat, hset, obj, max_rounds=max_rounds, node_cap=node_cap)
     text = trace_to_text(cat, trace)
     verdict = "converged" if trace.converged else "not-converged"
@@ -339,10 +345,10 @@ def _cmd_reflect(args) -> tuple[int, dict, list[str]]:
         "stop_reason": trace.stop_reason,
         "trace": text,
     }
-    return (0 if trace.converged else 2), report, lines
+    return report, lines
 
 
-def _cmd_sentence(args) -> tuple[int, dict, list[str]]:
+def _cmd_sentence(args) -> tuple[dict, list[str]]:
     ws = _load(args.file)
     ref = _mor_arg(ws, args.mor)
     cat = ws.category_of(ref)
@@ -354,7 +360,7 @@ def _cmd_sentence(args) -> tuple[int, dict, list[str]]:
         "sentence": sentence,
         "verdict": "ok",
     }
-    return 0, report, [sentence]
+    return report, [sentence]
 
 
 def _demo_checks() -> list[tuple[str, bool]]:
@@ -426,7 +432,7 @@ def _demo_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def _cmd_demo(args) -> tuple[int, dict, list[str]]:
+def _cmd_demo(args) -> tuple[dict, list[str]]:
     checks = _demo_checks()
     lines = [f"{'pass' if ok else 'FAIL'}  {name}" for name, ok in checks]
     note = (
@@ -442,7 +448,7 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
         "note": note,
         "verdict": "pass" if all_ok else "fail",
     }
-    return (0 if all_ok else 1), report, lines
+    return report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +511,14 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _refuse(args, kind: str, message: str, **fields) -> None:
+    """Print a usage or parse error, as JSON with --json."""
+    if args.json:
+        print(json.dumps({"verdict": f"{kind}-error", "error": message, **fields}))
+    else:
+        print(f"{kind} error: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -517,34 +531,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 64
     start = time.perf_counter()
     try:
-        code, report, lines = args.handler(args)
+        report, lines = args.handler(args)
     except (UsageError, LatticeError) as err:
         message = str(err)
         if isinstance(err, LatticeError) and err.kind == "no-join":
             # a colimit query on a declared poset that is not a complete lattice
             joined = " and ".join(err.witness) or "no elements (there is no bottom)"
             message = f"not a complete lattice: no join of {joined}"
-        if getattr(args, "json", False):
-            print(json.dumps({"verdict": "usage-error", "error": message}))
-        else:
-            print(f"usage error: {message}", file=sys.stderr)
+        _refuse(args, "usage", message)
         return 64
     except DslError as err:
         diag = err.diagnostic
-        if getattr(args, "json", False):
-            print(
-                json.dumps(
-                    {
-                        "verdict": "parse-error",
-                        "error": diag.render(),
-                        "line": diag.line,
-                        "col": diag.col,
-                    }
-                )
-            )
-        else:
-            print(f"parse error: {diag.render()}", file=sys.stderr)
+        _refuse(args, "parse", diag.render(), line=diag.line, col=diag.col)
         return 65
+    code = _EXIT_CODES.get(report["verdict"], 2)
     report = {"command": args.subcommand, **report, "timing": round(time.perf_counter() - start, 6)}
     if args.json:
         print(json.dumps(report, indent=2))

@@ -46,7 +46,11 @@ class MorphismSet:
     def __post_init__(self) -> None:
         seen = set()
         cats = set()
-        for name, m in self.entries:
+        for entry in self.entries:
+            if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)
+                    and isinstance(entry[1], MorRef)):
+                raise MorphismSetError(f"hypothesis {entry!r} is not a (name, MorRef) pair")
+            name, m = entry
             if name in seen:
                 raise MorphismSetError(f"duplicate hypothesis name {name!r}")
             seen.add(name)
@@ -275,6 +279,18 @@ class Category(ABC):
             if self.find_factorization(h, f) is None:
                 return InjectivityResult(False, f)
         return InjectivityResult(True)
+
+    def _check_squares(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> None:
+        """The input check of attach and attach_size, through the
+        subclass's _check_obj and _check_mor (each raises CategoryError on
+        a ref from elsewhere): x, then each square's h and f, and then the
+        square's shape."""
+        self._check_obj(x)
+        for h, f in squares:
+            self._check_mor(h)
+            self._check_mor(f)
+            if h.dom != f.dom or f.cod != x:
+                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
 
 
 def check_budgets(**budgets: int) -> None:

@@ -228,22 +228,14 @@ class _Parser:
     def parse(self) -> Workspace:
         while self.peek().kind != "eof":
             tok = self.expect("ident", "declarations start with lattice, graph, mor, hset, or proof")
-            if tok.text == "lattice":
-                self.lattice_decl(tok)
-            elif tok.text == "graph":
-                self.graph_decl(tok)
-            elif tok.text == "mor":
-                self.mor_decl()
-            elif tok.text == "hset":
-                self.hset_decl(tok)
-            elif tok.text == "proof":
-                self.proof_decl()
-            else:
+            read = _DECLARATIONS.get(tok.text)
+            if read is None:
                 raise _fail(
                     tok,
                     f"unknown declaration {tok.text!r}",
                     "use lattice, graph, mor, hset, or proof",
                 )
+            read(self, tok)
         return self.ws
 
     def fresh_name(self) -> str:
@@ -353,7 +345,7 @@ class _Parser:
             )
         return hits[0], tok.text
 
-    def mor_decl(self) -> None:
+    def mor_decl(self, kw: _Token) -> None:
         name = self.fresh_name()
         self.expect(":")
         src = self.expect("ident")
@@ -423,10 +415,15 @@ class _Parser:
                 f"add {missing[0]} |-> ...",
             )
         mapping = tuple(images[i] for i in range(len(sindex)))
+        return self.graph_hom(src, sdecl.graph, ddecl.graph, mapping, "the map must send edges to edges")
+
+    def graph_hom(self, tok: _Token, src: Graph, dst: Graph, mapping: tuple[int, ...], hint: str) -> MorRef:
+        """The workspace's ref to the hom src -> dst with this mapping; a
+        map that GraphHom refuses is an error at tok."""
         try:
-            hom = GraphHom(sdecl.graph, ddecl.graph, mapping)
+            hom = GraphHom(src, dst, mapping)
         except ValueError as err:
-            raise _fail(src, str(err), "the map must send edges to edges") from err
+            raise _fail(tok, str(err), hint) from err
         return self.ws.graph_category.mor(hom)
 
     def hset_decl(self, kw: _Token) -> None:
@@ -449,7 +446,7 @@ class _Parser:
         self.ws.hsets[name] = HsetDecl(name, hset)
         self.ws.order.append(("hset", name))
 
-    def proof_decl(self) -> None:
+    def proof_decl(self, kw: _Token) -> None:
         name = self.fresh_name()
         self.expect("{")
         term = self.proof_term()
@@ -494,13 +491,9 @@ class _Parser:
         return decl.graph
 
     def object_operand(self) -> ObjRef:
-        if self.peek().kind == "(":
-            return self.ws.graph_category.obj(self.graph_literal())
-        tok = self.expect("ident")
-        decl = self.ws.graphs.get(tok.text)
-        if decl is not None:
-            return decl.obj
-        cat, elem = self.resolve_element(tok)
+        if self.peek().kind == "(" or self.peek().text in self.ws.graphs:
+            return self.ws.graph_category.obj(self.graph_operand())
+        cat, elem = self.resolve_element(self.expect("ident"))
         return cat.obj(elem)
 
     def morphism_operand(self) -> MorRef:
@@ -526,11 +519,7 @@ class _Parser:
                 mapping.append(self.int_tok())
             self.expect(")")
             self.expect(")")
-            try:
-                hom = GraphHom(src, dst, tuple(mapping))
-            except ValueError as err:
-                raise _fail(head, str(err)) from err
-            return self.ws.graph_category.mor(hom)
+            return self.graph_hom(head, src, dst, tuple(mapping), "")
         raise _fail(head, f"expected a morphism, found ({head.text} ...)", "use a name, (lmor a b), or (gmor ...)")
 
     def proof_term(self, depth: int = 1) -> ProofTerm:
@@ -576,6 +565,16 @@ class _Parser:
         )
 
 
+# per declaration keyword, its reader; each takes the keyword token
+_DECLARATIONS: dict[str, Callable[[_Parser, _Token], None]] = {
+    "lattice": _Parser.lattice_decl,
+    "graph": _Parser.graph_decl,
+    "mor": _Parser.mor_decl,
+    "hset": _Parser.hset_decl,
+    "proof": _Parser.proof_decl,
+}
+
+
 def parse(source: str) -> Workspace:
     """Parse a workspace; raises DslError with a positioned diagnostic."""
     return _Parser(source, Workspace()).parse()
@@ -591,13 +590,6 @@ def parse_proof_text(ws: Workspace, source: str) -> ProofTerm:
 
 # ---------------------------------------------------------------------------
 # printing
-
-
-def _element_text(ws: Workspace, cat: LatticeCategory, elem: str) -> str:
-    hits = [d for d in ws.lattices.values() if elem in d.category.p.elements]
-    if len(hits) == 1:
-        return elem
-    return f"{cat.p.name}.{elem}"
 
 
 def _graph_name(ws: Workspace, graph: Graph) -> str | None:
@@ -616,10 +608,14 @@ def _graph_text(ws: Workspace, graph: Graph) -> str:
 
 
 def _object_text(ws: Workspace, obj: ObjRef) -> str:
+    """A graph's name or literal, or a lattice element, qualified unless
+    its name is unique across the declared lattices."""
     cat = ws.category_of(obj)
     if isinstance(cat, GraphCategory):
         return _graph_text(ws, cat.graph_of(obj))
-    return _element_text(ws, cat, cat.object_label(obj))
+    elem = cat.object_label(obj)
+    hits = [d for d in ws.lattices.values() if elem in d.category.p.elements]
+    return elem if len(hits) == 1 else f"{cat.p.name}.{elem}"
 
 
 def _morphism_text(ws: Workspace, ref: MorRef) -> str:
@@ -633,9 +629,7 @@ def _morphism_text(ws: Workspace, ref: MorRef) -> str:
         dst = _graph_text(ws, hom.target)
         mapping = " ".join(str(v) for v in hom.mapping)
         return f"(gmor {src} {dst} ({mapping}))"
-    a = _element_text(ws, cat, cat.object_label(ref.dom))
-    b = _element_text(ws, cat, cat.object_label(ref.cod))
-    return f"(lmor {a} {b})"
+    return f"(lmor {_object_text(ws, ref.dom)} {_object_text(ws, ref.cod)})"
 
 
 def proof_to_text(ws: Workspace, term: ProofTerm) -> str:
@@ -682,9 +676,7 @@ def _mor_text(ws: Workspace, decl: MorDecl) -> str:
         dnames = ws.graphs[dst].node_names
         body = _braced([f"{snames[i]} |-> {dnames[v]}" for i, v in enumerate(hom.mapping)])
         return f"mor {decl.name} : {src} -> {dst} {body}"
-    a = _element_text(ws, cat, cat.object_label(decl.ref.dom))
-    b = _element_text(ws, cat, cat.object_label(decl.ref.cod))
-    return f"mor {decl.name} : {a} -> {b};"
+    return f"mor {decl.name} : {_object_text(ws, decl.ref.dom)} -> {_object_text(ws, decl.ref.cod)};"
 
 
 def print_workspace(ws: Workspace) -> str:

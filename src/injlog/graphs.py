@@ -31,6 +31,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        # stored frozen whatever collection came in, so the graph hashes
+        object.__setattr__(self, "edges", frozenset(self.edges))
         # the kernel reads nodes as bit positions, so only ints get past here
         if not isinstance(self.node_count, int):
             raise ValueError(f"node count must be an integer, got {self.node_count!r}")
@@ -89,6 +91,8 @@ class GraphHom:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # stored as a tuple whatever sequence came in, so the hom hashes
+        object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(self.mapping) != self.source.node_count:
             raise ValueError(
                 f"total map required: {len(self.mapping)} images for "
@@ -273,8 +277,8 @@ class GraphCategory(Category):
     """Ambient category of all finite graphs, with an interning registry so
     object references stay stable for the lifetime of the instance."""
 
-    def __init__(self, cat_id: str = "graphs"):
-        self.cat_id = cat_id
+    def __init__(self):
+        self.cat_id = "graphs"
         self._graphs: list[Graph] = []
         self._index: dict[Graph, int] = {}
 
@@ -477,14 +481,6 @@ class GraphCategory(Category):
     def _check_obj(self, obj: ObjRef) -> None:
         if obj.cat_id != self.cat_id or not 0 <= obj.index < len(self._graphs):
             raise CategoryError(f"object {obj} is not from {self.cat_id}")
-
-    def _check_squares(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> None:
-        self._check_obj(x)
-        for h, f in squares:
-            self._check_mor(h)
-            self._check_mor(f)
-            if h.dom != f.dom or f.cod != x:
-                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
 
     def _check_mor(self, m: MorRef) -> None:
         # the common case in one test: a ref this category made holds its

@@ -319,12 +319,7 @@ class LatticeCategory(Category):
                 yield None
 
     def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
-        self._check_obj(x)
-        for h, f in squares:
-            self._check_mor(h)
-            self._check_mor(f)
-            if h.dom != f.dom or f.cod != x:
-                raise CategoryError("attachment squares need dom h = dom f and cod f = x")
+        self._check_squares(x, squares)
         _, (composite, *injections) = self._join([x, *(h.cod for h, _ in squares)])
         return WidePushoutResult(composite, tuple(injections))
 

@@ -1,13 +1,17 @@
 import json
+import random
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from injlog import cli
 from injlog.cli import main
+from injlog.core import semantic_consequence
 from injlog.dsl import MAX_PROOF_DEPTH, parse, print_workspace, proof_to_text
-from injlog.proofs import check_proof, used_hypotheses
+from injlog.lattice import random_hypotheses, random_lattice
+from injlog.proofs import RULES, check_proof, saturate, used_hypotheses
 
 WORKSPACE = """
 lattice chain {
@@ -489,3 +493,112 @@ def test_reflect_reports_what_stopped_it(ws_file, tmp_path, capsys):
     code, out = run(capsys, "reflect", ws_file, "--cat", "chain", "--object", "0", "--hset", "H")
     assert code == 0
     assert out.endswith("verdict: converged\nstopped: converged\n")
+
+
+# (argv after the subcommand and file, verdict, exit code): every verdict
+# each subcommand can give on WORKSPACE
+VERDICT_CASES = {
+    "check-inj": [
+        (("--cat", "chain", "--object", "2", "--hset", "H"), "all-injective", 0),
+        (("--cat", "chain", "--object", "1", "--hset", "H"), "not-injective", 1),
+    ],
+    "consequence": [
+        (("--hset", "none", "--goal", "idzero"), "holds", 0),
+        (("--hset", "HP", "--goal", "zl"), "counterexample", 1),
+        (("--hset", "HL", "--goal", "zp", "--max-size", "3"), "holds-up-to(3)", 2),
+    ],
+    "prove": [
+        (("--hset", "H", "--goal", "goal"), "found", 0),
+        (("--hset", "none", "--goal", "rest"), "refuted", 1),
+        (("--hset", "HC", "--goal", "zl", "--node-cap", "4", "--depth", "2"), "inconclusive", 2),
+    ],
+    "check-proof": [
+        (("--proof", "step", "--hset", "H"), "valid", 0),
+        (("--proof", "broken", "--hset", "H"), "invalid", 1),
+    ],
+    "saturate": [
+        (("--cat", "chain", "--hset", "H"), "complete", 0),
+        (("--cat", "chain", "--hset", "H", "--disable", "cancellation"), "incomplete", 1),
+        (("--cat", "chain", "--hset", "H", "--goal", "goal"), "derived", 0),
+        (("--cat", "chain", "--hset", "H", "--goal", "goal", "--disable", "cancellation"), "not-derived", 1),
+    ],
+    "reflect": [
+        (("--cat", "chain", "--object", "0", "--hset", "H"), "converged", 0),
+        (("--cat", "graphs", "--object", "zero", "--hset", "HL", "--max-rounds", "0"), "not-converged", 2),
+    ],
+    "sentence": [(("--mor", "inc"), "ok", 0)],
+}
+# verdicts that exit 2, outside the table
+UNDECIDED = ("holds-up-to(3)", "inconclusive", "not-converged")
+
+
+@pytest.mark.parametrize(
+    "command, args, verdict, code",
+    [(command, *case) for command, cases in VERDICT_CASES.items() for case in cases],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_every_verdict_exits_with_its_code(ws_file, capsys, command, args, verdict, code):
+    for mode in ((), ("--json",)):
+        got, out = run(capsys, command, ws_file, *args, *mode)
+        if mode:
+            shown = json.loads(out)["verdict"]
+        else:  # the text form of sentence prints the sentence alone
+            shown = "ok" if command == "sentence" else text_verdict(out)
+        assert (shown, got) == (verdict, code)
+
+
+@pytest.mark.parametrize("passed, verdict, code", [(True, "pass", 0), (False, "fail", 1)])
+def test_the_demo_exits_with_its_verdicts_code(capsys, monkeypatch, passed, verdict, code):
+    # the real checks all pass (test_demo_section7_passes); a stand-in list
+    # reaches the other verdict
+    monkeypatch.setattr(cli, "_demo_checks", lambda: [("stand-in check", passed)])
+    got, out = run(capsys, "demo", "section7")
+    assert (text_verdict(out), got) == (verdict, code)
+
+
+def test_the_exit_code_table_holds_every_decided_verdict_and_no_other():
+    met = {(verdict, code) for cases in VERDICT_CASES.values() for _, verdict, code in cases}
+    met |= {("pass", 0), ("fail", 1)}
+    assert {(v, cli._EXIT_CODES.get(v, 2)) for v, _ in met} == met
+    assert set(cli._EXIT_CODES) == {v for v, _ in met} - set(UNDECIDED)
+
+
+def per_morphism_saturate_report(text: str, rules: tuple[str, ...]) -> tuple[list[str], list[str]]:
+    """missing and unsound as the CLI computed them with one exact
+    semantic_consequence per morphism: the reference for the reading off
+    LatticeCategory.injectives."""
+    ws = parse(text)
+    cat, hset = ws.lattices["L"].category, ws.hsets["H"].morphisms
+    result = saturate(cat, hset, rules)
+    universe = cat.search_universe()
+    semantic = [m for m in cat.all_morphisms() if semantic_consequence(cat, hset, m, universe, exact=True).holds]
+    missing = [cat.morphism_label(m) for m in semantic if not result.has(m)]
+    extra = [cat.morphism_label(m) for m in result.derived if m not in set(semantic)]
+    return missing, extra
+
+
+def random_lattice_workspace(seed: int) -> str:
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=6)
+    els, up = cat.p.elements, cat.p.up
+    leq = [f"{els[a]}<{els[b]}" for a in range(len(els)) for b in range(len(els)) if a != b and up[a] >> b & 1]
+    lines = [f"lattice L {{ elements: {' '.join(els)}; leq: {', '.join(leq)}; }}"]
+    hyps = random_hypotheses(rng, cat, max_count=4)
+    lines += [f"mor {name} : {els[m.dom.index]} -> {els[m.cod.index]};" for name, m in hyps]
+    lines.append(f"hset H {{ {', '.join(hyps.names())} }}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_saturate_missing_and_unsound_match_the_per_morphism_loop(tmp_path, capsys, seed):
+    text = random_lattice_workspace(seed)
+    path = tmp_path / "random.inj"
+    path.write_text(text)
+    for disabled in (None, *RULES):
+        flags = () if disabled is None else ("--disable", disabled)
+        code, out = run(capsys, "saturate", str(path), "--cat", "L", "--hset", "H", "--json", *flags)
+        report = json.loads(out)
+        missing, unsound = per_morphism_saturate_report(text, tuple(r for r in RULES if r != disabled))
+        assert (report["missing"], report["unsound"]) == (missing, unsound)
+        assert report["verdict"] == ("incomplete" if missing or unsound else "complete")
+        assert code == (1 if missing or unsound else 0)

@@ -57,6 +57,21 @@ def test_morphism_set_rejects_duplicate_names():
         MorphismSet.of([("p", cat.mor("0", "1")), ("p", cat.mor("1", "2"))])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [("h", 3), (1, "m"), ("h",), ("h", "m", "m"), "hm", ["h", "m"]],
+    ids=["int-morphism", "int-name", "one-item", "three-items", "string", "list"],
+)
+def test_morphism_set_refuses_malformed_entries(entry):
+    # "m" stands for a real morphism ref; a bare 3 used to raise
+    # AttributeError, and an int name was accepted
+    m = chain3().mor("0", "1")
+    if not isinstance(entry, str):
+        entry = type(entry)(m if v == "m" else v for v in entry)
+    with pytest.raises(MorphismSetError, match="is not a \\(name, MorRef\\) pair"):
+        MorphismSet.of([("g", m), entry])
+
+
 def test_morphism_set_rejects_mixed_categories():
     cat = chain3()
     g = GraphCategory()

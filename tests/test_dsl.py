@@ -171,6 +171,16 @@ DECLARATION_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("keyword", ["graphs", "hsets", "sections", "proof_decl"])
+def test_an_unknown_declaration_is_pinned(keyword):
+    # near misses of a keyword, and names of the reader's own methods
+    d = diag(f"graph G {{ nodes: u; }}\n  {keyword} X {{ }}")
+    assert (d.line, d.col) == (2, 3)
+    assert d.render() == (
+        f"line 2, col 3: unknown declaration {keyword!r} (hint: use lattice, graph, mor, hset, or proof)"
+    )
+
+
 @pytest.mark.parametrize("src, message, hint, line, col", DECLARATION_ERRORS)
 def test_declaration_errors_are_pinned(src, message, hint, line, col):
     assert diag(src) == Diagnostic(line, col, message, hint)

@@ -87,6 +87,29 @@ def test_nodes_that_are_not_integers_are_refused_where_they_enter():
         GraphHom(loop_point(), loop_point(), (0.0,))
 
 
+def test_a_graph_stores_its_edges_frozen_whatever_collection_came_in():
+    # a set of edges was stored as given, and GraphCategory.obj could not hash it
+    g = Graph(2, {(0, 1)})
+    assert type(g.edges) is frozenset and g == Graph.of(2, [(0, 1)])
+    cat = GraphCategory()
+    assert cat.obj(g) == cat.obj(Graph.of(2, [(0, 1)]))
+    assert hash(Graph(3, [(0, 1), (1, 2)])) == hash(Graph.of(3, [(0, 1), (1, 2)]))
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range"):
+        Graph(2, {(0, 2)})
+
+
+def test_a_hom_stores_its_mapping_as_a_tuple_whatever_sequence_came_in():
+    # a list mapping was stored as given, and prove raised TypeError on it
+    hom = GraphHom(Graph.of(1), loop_point(), [0])
+    assert type(hom.mapping) is tuple and hom == GraphHom(Graph.of(1), loop_point(), (0,))
+    cat = GraphCategory()
+    m = cat.mor(hom)
+    hyps = MorphismSet.of([("h", m)])
+    assert prove(cat, hyps, cat.mor(GraphHom(Graph.of(1), loop_point(), (0,)))).status == "found"
+    with pytest.raises(ValueError, match="image 1 out of range"):
+        GraphHom(Graph.of(1), loop_point(), [1])
+
+
 def test_graph_of_takes_any_integer_type():
     g = Graph.of(np.int64(2), [(np.int32(0), np.int64(1))])
     assert g == Graph.of(2, [(0, 1)])
@@ -454,8 +477,8 @@ def test_identities_and_cotuples_pass_the_public_validator():
 
 def test_foreign_references_are_rejected():
     cat = GraphCategory()
-    other = GraphCategory(cat_id="other")
-    x = other.obj(loop_point())
+    cat.obj(loop_point())
+    x = ObjRef("other", 0)  # index 0 is the loop here, under another cat_id
     with pytest.raises(CategoryError):
         cat.identity(x)
 
@@ -466,12 +489,12 @@ def forged_graph_refs(cat: GraphCategory, edge: Graph, swapped: Graph):
     that is no graph hom, or whose source or target is another graph with
     the same node count."""
     e = cat.obj(edge)
-    other = GraphCategory(cat_id="other")
+    other = ObjRef("other", e.index)  # edge's index under another cat_id
     beyond = ObjRef(cat.cat_id, 99)
-    objects = [other.obj(edge), beyond, ObjRef(cat.cat_id, -1)]
+    objects = [other, beyond, ObjRef(cat.cat_id, -1)]
     ident = GraphHom.identity(edge)
     morphisms = [
-        other.mor(ident),
+        MorRef(other, other, ident),
         MorRef(e, beyond, ident),
         MorRef(beyond, e, ident),
         MorRef(e, e, (0, 1)),

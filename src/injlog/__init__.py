@@ -12,7 +12,6 @@ from .core import (
     ObjRef,
     WidePushoutResult,
     semantic_consequence,
-    verify_pushout_square,
     wide_pushout,
 )
 from .graphs import (
@@ -20,9 +19,7 @@ from .graphs import (
     GraphCategory,
     GraphHom,
     clique,
-    count_graphs,
     empty_graph,
-    enumerate_graphs,
     graph_classes,
     loop_point,
 )
@@ -69,9 +66,7 @@ __all__ = [
     "WidePushoutResult",
     "Workspace",
     "clique",
-    "count_graphs",
     "empty_graph",
-    "enumerate_graphs",
     "graph_classes",
     "loop_point",
     "parse",
@@ -84,6 +79,5 @@ __all__ = [
     "render_regular_sentence",
     "semantic_consequence",
     "validate",
-    "verify_pushout_square",
     "wide_pushout",
 ]

@@ -6,26 +6,31 @@ Objects and morphisms are referenced by value; all equality is on the nose.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class ObjRef:
-    """Reference to an object of a presented category."""
+class ObjRef(NamedTuple):
+    """Reference to an object of a presented category.
+
+    A NamedTuple, so the engine's dict and set probes hash and compare in
+    C.  It is a tuple in every respect: it equals and hashes as the plain
+    tuple (cat_id, index), iterates, has a len and orders; the field
+    ``index`` shadows the method ``tuple.index``."""
 
     cat_id: str
     index: int
 
 
-@dataclass(frozen=True)
-class MorRef:
+class MorRef(NamedTuple):
     """Reference to a morphism: endpoints plus a category-specific payload.
 
     Lattice payload is the pair of element indices (a, b) with a <= b.
     Graph payload is a GraphHom.  Two refs are equal iff endpoints and
-    payload are equal, so composites compare on the nose.
+    payload are equal, so composites compare on the nose.  A NamedTuple,
+    as ObjRef: it equals and hashes as the plain tuple (dom, cod,
+    payload), iterates and orders, so a field-wise check that must tell a
+    ref from a tuple tests its type (MorphismSet does).
     """
 
     dom: ObjRef
@@ -342,38 +347,3 @@ def semantic_consequence(
         if not cat.is_injective(x, goal) and all(cat.is_injective(x, m) for m in mors):
             return ConsequenceVerdict(False, x, exact, bound)
     return ConsequenceVerdict(True, None, exact, bound)
-
-
-def verify_pushout_square(
-    cat: Category,
-    h: MorRef,
-    f: MorRef,
-    universe: Iterable[ObjRef],
-) -> CoconeCheckReport:
-    """Check the universal property of the canonical pushout of (h, f) by
-    enumerating cocones over the universe and demanding a unique mediator."""
-    h_prime, f_prime = cat.pushout(h, f)
-    apex = h_prime.cod
-    for z in universe:
-        us = cat.enumerate_homs(h.cod, z)
-        if not us:
-            continue
-        vs = [(v, cat.compose(v, f)) for v in cat.enumerate_homs(f.cod, z)]
-        # how many m : apex -> z give each cocone (m . f_prime, m . h_prime),
-        # counted once per z and only if some cocone commutes
-        mediators: Counter | None = None
-        for u in us:
-            uh = cat.compose(u, h)
-            for v, vf in vs:
-                if uh != vf:
-                    continue
-                if mediators is None:
-                    mediators = Counter(
-                        (cat.compose(m, f_prime), cat.compose(m, h_prime))
-                        for m in cat.enumerate_homs(apex, z)
-                    )
-                count = mediators[u, v]
-                if count != 1:
-                    kind = "missing mediator" if not count else "mediator not unique"
-                    return CoconeCheckReport(False, CoconeFailure(z, kind, (u, v)))
-    return CoconeCheckReport(True)

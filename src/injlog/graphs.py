@@ -8,7 +8,6 @@ all categorical constructions compare on the nose.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, permutations
@@ -155,39 +154,12 @@ def _check_bound(max_nodes: int) -> None:
         raise ValueError(f"node bound must be non-negative, got {max_nodes}")
 
 
-def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
-    """All labeled graphs ordered by node count, then lexicographically on
-    the edge matrix (bit (i, j) set for edge i->j) read row-major with bit
-    (0, 0) most significant.
-
-    The labeled reference: ``GraphCategory.universe`` walks
-    ``graph_classes``, and tests compare the two."""
-    _check_bound(max_nodes)
-    return chain.from_iterable(map(_labeled_graphs, range(max_nodes + 1)))
-
-
-def _labeled_graphs(n: int) -> Iterator[Graph]:
-    cells = n * n
-    for code in range(1 << cells):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if (code >> (cells - 1 - (i * n + j))) & 1
-        ]
-        yield Graph.of(n, edges)
-
-
-def count_graphs(max_nodes: int) -> int:
-    """Number of graphs ``enumerate_graphs(max_nodes)`` yields."""
-    _check_bound(max_nodes)
-    return sum(1 << (n * n) for n in range(max_nodes + 1))
-
-
 def graph_classes(max_nodes: int) -> Iterator[Graph]:
     """The lex-least labeled graph of each isomorphism class, in the order
-    of ``enumerate_graphs``: 1, 2, 10, 104, 3,044 and 291,968 graphs on
-    0..5 nodes (OEIS A000595), against 2^(n*n) labeled ones.
+    of the labeled walk (by node count, then the edge matrix read
+    row-major as a binary number; the reference in ``tests/oracles.py``):
+    1, 2, 10, 104, 3,044 and 291,968 graphs on 0..5 nodes (OEIS A000595),
+    against 2^(n*n) labeled ones.
 
     Orderly generation (Read 1978; McKay 1998).  Row i of the edge matrix
     is an n-bit int with column 0 most significant, so lex order on
@@ -466,7 +438,7 @@ class GraphCategory(Category):
         Injectivity is invariant under isomorphism, and the least member
         of a class comes no later than any other member, so the first
         object satisfying an isomorphism-invariant test is the same as in
-        the labeled walk ``enumerate_graphs``."""
+        the labeled walk of ``tests/oracles.py``."""
         return map(self.obj, graph_classes(max_nodes))
 
     def object_label(self, obj: ObjRef) -> str:
@@ -520,14 +492,3 @@ def _extension(
                 return None  # along merges nodes that images separate
             pins[at] = want
     return next(kernels.homs(mid, dst, pins), None)
-
-
-def random_graph(rng: random.Random, max_nodes: int = 4) -> Graph:
-    n = rng.randint(0, max_nodes)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            p = 0.2 if i == j else 0.35
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph.of(n, edges)

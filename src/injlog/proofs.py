@@ -57,11 +57,14 @@ class RefusedReference(ProofError):
 class _Term:
     """Equality and hash compare the pre-order sequence of (type, arity,
     non-term fields), so terms of any depth compare without recursion;
-    repr is a fold, in the dataclass form ``Compose(outer=..., inner=...)``."""
+    repr is a fold, in the dataclass form ``Compose(outer=..., inner=...)``.
+    A macro's parts are the one field that is a plain tuple: a ref is a
+    tuple too, and is a non-term field, so both sites test the exact type."""
 
     def _nodes(self) -> list[tuple]:
         return [
-            (type(t), len(premises(t)), *(v for v in vars(t).values() if not isinstance(v, (_Term, tuple))))
+            (type(t), len(premises(t)),
+             *(v for v in vars(t).values() if not isinstance(v, _Term) and type(v) is not tuple))
             for t in subterms(self)
         ]
 
@@ -79,7 +82,7 @@ class _Term:
                 v = getattr(t, f.name)
                 if isinstance(v, _Term):
                     v = next(shown)
-                elif isinstance(v, tuple):  # the parts of a macro
+                elif type(v) is tuple:  # the parts of a macro
                     v = "(" + ", ".join(next(shown) for _ in v) + ("," if len(v) == 1 else "") + ")"
                 else:
                     v = repr(v)

@@ -17,11 +17,8 @@ from injlog.graphs import (
     GraphCategory,
     GraphHom,
     clique,
-    count_graphs,
     empty_graph,
-    enumerate_graphs,
     loop_point,
-    random_graph,
 )
 from injlog.lattice import (
     LatticeCategory,
@@ -41,6 +38,7 @@ from injlog.proofs import (
     used_hypotheses,
 )
 from injlog.reflection import consequence_via_reflection, reflect, verify_weak_reflection
+from oracles import count_graphs, enumerate_graphs, random_graph
 
 SEED = int(os.environ.get("INJLOG_SEED", "0"))
 LATTICE_FIXTURE_COUNT = 200

@@ -11,11 +11,10 @@ from injlog.core import (
     MorRef,
     WidePushoutResult,
     semantic_consequence,
-    verify_pushout_square,
     wide_pushout,
 )
 from injlog import graphs as graphs_module
-from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
 from injlog.proofs import Hyp, WidePushN, check_proof
 from injlog.lattice import (
     LatticeCategory,
@@ -23,6 +22,7 @@ from injlog.lattice import (
     random_hypotheses,
     random_lattice,
 )
+from oracles import random_graph, verify_pushout_square
 from test_kernels import product_homs
 
 
@@ -78,6 +78,29 @@ def test_morphism_set_rejects_mixed_categories():
     m = g.mor(GraphHom.identity(loop_point()))
     with pytest.raises(MorphismSetError):
         MorphismSet.of([("p", cat.mor("0", "1")), ("m", m)])
+
+
+def test_morphism_set_refuses_a_plain_tuple_of_a_refs_fields():
+    m = chain3().mor("0", "1")
+    with pytest.raises(MorphismSetError, match="is not a \\(name, MorRef\\) pair"):
+        MorphismSet.of([("h", (m.dom, m.cod, m.payload))])
+
+
+def test_refs_hash_as_the_tuples_of_their_fields():
+    # what keeps the iteration order of sets and dicts of refs fixed
+    for m in [chain3().mor("0", "2"), GraphCategory().mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (1,)))]:
+        assert hash(m.dom) == hash((m.dom.cat_id, m.dom.index))
+        assert hash(m) == hash((m.dom, m.cod, m.payload))
+
+
+def test_refs_repr_with_their_field_names():
+    # proof-term reprs and engine dumps print refs this way
+    cat = chain3()
+    c = repr(cat.cat_id)
+    assert repr(cat.obj("1")) == f"ObjRef(cat_id={c}, index=1)"
+    assert repr(cat.mor("1", "2")) == (
+        f"MorRef(dom=ObjRef(cat_id={c}, index=1), cod=ObjRef(cat_id={c}, index=2), payload=(1, 2))"
+    )
 
 
 def test_wide_pushout_of_diamond_legs_is_join():

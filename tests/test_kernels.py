@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from injlog import kernels
 from injlog.core import MorphismSet, semantic_consequence
-from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
+from oracles import random_graph
 
 
 def product_homs(src: Graph, dst: Graph, pinned: list[int]) -> list[tuple[int, ...]]:

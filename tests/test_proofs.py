@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from injlog import proofs
 from injlog.core import CategoryError, MorphismSet, semantic_consequence, wide_pushout
-from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point, random_graph
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
 from injlog.proofs import (
     RULES,
@@ -33,6 +33,7 @@ from injlog.proofs import (
     used_hypotheses,
 )
 from injlog.reflection import consequence_via_reflection, reflect, reflection_proof
+from oracles import random_graph
 
 
 def chain3() -> LatticeCategory:
@@ -99,6 +100,24 @@ def test_push_requires_shared_domain_and_concludes_the_opposite_leg():
     assert check_proof(cat, h, term) == cat.mor("b", "1")
     with pytest.raises(PushDomainMismatch):
         check_proof(cat, h, Push(Hyp("p"), along=cat.mor("a", "1")))
+
+
+def test_terms_differing_only_in_a_ref_field_are_unequal_and_hash_apart():
+    cat, d = chain3(), diamond()
+    pairs = [
+        (Cancel(Hyp("h"), first=cat.mor("0", "1"), rest=cat.mor("1", "2")),
+         Cancel(Hyp("h"), first=cat.mor("0", "0"), rest=cat.mor("1", "2"))),
+        (Cancel(Hyp("h"), first=cat.mor("0", "1"), rest=cat.mor("1", "2")),
+         Cancel(Hyp("h"), first=cat.mor("0", "1"), rest=cat.mor("1", "1"))),
+        (Push(Hyp("p"), along=d.mor("0", "a")), Push(Hyp("p"), along=d.mor("0", "b"))),
+        (Identity(cat.obj("0")), Identity(cat.obj("1"))),
+    ]
+    for a, b in pairs:
+        assert a != b and hash(a) != hash(b)
+        # and one level down, where the ref field is not the root's
+        assert Compose(a, Hyp("q")) != Compose(b, Hyp("q"))
+        assert hash(WidePushN((a,))) != hash(WidePushN((b,)))
+        assert a == type(a)(**vars(a)) and hash(a) == hash(type(a)(**vars(a)))
 
 
 def test_used_hypotheses_is_sorted_and_deduplicated():

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Container, Iterable, Iterator, NamedTuple, Sequence
 
 
 class ObjRef(NamedTuple):
@@ -157,7 +157,10 @@ class Category(ABC):
     asked once per premise over a list of objects: cancellations (which
     homs dom m -> x does m factor through) and pushouts (the pushout of
     h along each hom dom h -> x).  The base bodies are generic loops
-    over enumerate_homs, which a category may override.
+    over enumerate_homs, which a category may override.  The two rule
+    questions take the engine's held set, the morphisms it already has,
+    and may leave out an answer whose conclusion is held, so the work
+    that answer costs is not done.
     Deterministic: equal inputs give equal outputs, and hom enumeration
     follows a fixed canonical order."""
 
@@ -242,7 +245,11 @@ class Category(ABC):
         return None
 
     def cancellations(
-        self, m: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+        self,
+        m: MorRef,
+        objects: Iterable[ObjRef],
+        limit: int | None = None,
+        held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         """The cancellation rule's answers for premise m, object by object
         in the order given: None once when the homs dom m -> x reach
@@ -250,25 +257,40 @@ class Category(ABC):
         canonical hom order, paired with rest: x -> cod m, the first g
         with g after first = m (what find_factorization(first, m)
         returns).  Lazy: nothing is asked about an object before the
-        answers for the ones ahead of it are taken."""
+        answers for the ones ahead of it are taken.
+
+        A first in held may be left out, and is tested when the body
+        reaches it, since the caller may add to held between answers;
+        every other answer and every None keeps its value and place.
+        Here a held first is left out before its factorization."""
         for x in objects:
             homs = self.enumerate_homs(m.dom, x, limit)
             if len(homs) == limit:
                 yield None
                 continue
             for first in homs:
+                if first in held:
+                    continue
                 rest = self.find_factorization(first, m)
                 if rest is not None:
                     yield first, rest
 
     def pushouts(
-        self, h: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+        self,
+        h: MorRef,
+        objects: Iterable[ObjRef],
+        limit: int | None = None,
+        held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         """The pushout rule's answers for premise h, object by object in
         the order given: None once when the homs dom h -> x reach limit,
         else each hom f: dom h -> x in canonical hom order, paired with
         h_prime, the leg of pushout(h, f) opposite h.  Lazy per hom: no
-        pushout is built before the pairs ahead of it are taken."""
+        pushout is built before the pairs ahead of it are taken.
+
+        An h_prime in held may be left out, as a held first in
+        cancellations.  This body keeps them all: h_prime exists only once
+        the pushout is built."""
         for x in objects:
             homs = self.enumerate_homs(h.dom, x, limit)
             if len(homs) == limit:

@@ -176,13 +176,26 @@ class Workspace:
         raise KeyError(cat_id)
 
     def _key(self) -> tuple:
+        """The declarations, each graph ref read through this workspace's
+        category as its graph or hom: two workspaces with the same
+        declarations compare equal though their graph categories differ."""
+        graphs = self.graph_category
+
+        def plain(v):
+            if isinstance(v, ObjRef) and v.cat_id == graphs.cat_id:
+                return graphs.graph_of(v)
+            if isinstance(v, MorRef) and v.dom.cat_id == graphs.cat_id:
+                return graphs.hom_of(v)
+            return v
+
         return (
             self.order,
             {n: (d.category.p.elements, d.category.p.up) for n, d in self.lattices.items()},
             {n: (d.node_names, d.graph) for n, d in self.graphs.items()},
-            {n: d.ref for n, d in self.morphisms.items()},
-            {n: d.morphisms.entries for n, d in self.hsets.items()},
-            {n: d.term for n, d in self.proofs.items()},
+            {n: plain(d.ref) for n, d in self.morphisms.items()},
+            {n: [(name, plain(m)) for name, m in d.morphisms] for n, d in self.hsets.items()},
+            # a term's nodes in pre-order, as its own equality compares them
+            {n: [tuple(map(plain, node)) for node in d.term._nodes()] for n, d in self.proofs.items()},
         )
 
     def __eq__(self, other: object) -> bool:

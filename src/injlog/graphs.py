@@ -10,8 +10,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, count, islice, permutations
+from typing import Container, Iterable, Iterator, Sequence
 
 from . import kernels
 from .core import (
@@ -245,12 +245,18 @@ def _lex_least_graphs(n: int) -> Iterator[Graph]:
     return extend(0, waiting)
 
 
+_instances = count(1)  # process-wide, so no two GraphCategory ids are equal
+
+
 class GraphCategory(Category):
     """Ambient category of all finite graphs, with an interning registry so
-    object references stay stable for the lifetime of the instance."""
+    object references stay stable for the lifetime of the instance.  Each
+    instance has its own cat_id ("graphs:1", "graphs:2", ...), since an
+    index means a graph only in the registry that gave it out: another
+    instance's ref is foreign."""
 
     def __init__(self):
-        self.cat_id = "graphs"
+        self.cat_id = f"graphs:{next(_instances)}"
         self._graphs: list[Graph] = []
         self._index: dict[Graph, int] = {}
 
@@ -406,30 +412,44 @@ class GraphCategory(Category):
         return MorRef(h.cod, f.cod, GraphHom._trusted(hh.target, ff.target, row))
 
     def cancellations(
-        self, m: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+        self,
+        m: MorRef,
+        objects: Iterable[ObjRef],
+        limit: int | None = None,
+        held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
-        # the premise is checked once, each kernel row dom m -> x gets its
-        # rest by one pinned search, and refs are built only for the pairs
-        # found.  An x with no map into cod m has no rest at all, so one
-        # unpinned search spares it the pinned ones
+        # the premise is checked once and refs are built only for answers.
+        # An x with no map into cod m has no rest at all, so one unpinned
+        # search comes first, and its rows are listed only when that could
+        # reach limit (there are at most |x| ** |dom m| of them).  Each
+        # other row first: dom m -> x whose pins agree gets its ref, and a
+        # first not held gets its rest by one pinned search
         self._check_mor(m)
         src, dst = self._graphs[m.dom.index], self._graphs[m.cod.index]
         images = m.payload.mapping
         for x in objects:
             mid = self.graph_of(x)
+            if next(kernels.homs(mid, dst), None) is None:
+                if (
+                    limit is not None
+                    and mid.node_count ** src.node_count >= limit
+                    and len(list(islice(kernels.homs(src, mid), limit))) == limit
+                ):
+                    yield None
+                continue
             rows = list(islice(kernels.homs(src, mid), limit))
             if len(rows) == limit:
                 yield None
                 continue
-            if not rows or next(kernels.homs(mid, dst), None) is None:
-                continue
             for row in rows:
+                if _pins(mid, row, images) is None:
+                    continue
+                first = MorRef(m.dom, x, GraphHom._trusted(src, mid, row))
+                if first in held:
+                    continue
                 rest = _extension(mid, dst, row, images)
                 if rest is not None:
-                    yield (
-                        MorRef(m.dom, x, GraphHom._trusted(src, mid, row)),
-                        MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest)),
-                    )
+                    yield first, MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest))
 
     def universe(self, max_nodes: int) -> Iterator[ObjRef]:
         """One object per isomorphism class of graphs with at most
@@ -478,6 +498,19 @@ class GraphCategory(Category):
             raise CategoryError(f"morphism {m} endpoints disagree with its payload")
 
 
+def _pins(mid: Graph, along: Sequence[int], images: Sequence[int]) -> list[int] | None:
+    """The pins of a search out of mid that sends node along[v] to
+    images[v] for every v (-1 where free), or None when along merges
+    nodes that images separate."""
+    pins = [-1] * mid.node_count
+    for at, want in zip(along, images):
+        if pins[at] != want:
+            if pins[at] >= 0:
+                return None
+            pins[at] = want
+    return pins
+
+
 def _extension(
     mid: Graph, dst: Graph, along: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...] | None:
@@ -485,10 +518,5 @@ def _extension(
     every v, or None: g after a map with mapping along is the map with
     mapping images.  Both come from checked refs or kernel rows, so the
     pins are in range as built."""
-    pins = [-1] * mid.node_count
-    for at, want in zip(along, images):
-        if pins[at] != want:
-            if pins[at] >= 0:
-                return None  # along merges nodes that images separate
-            pins[at] = want
-    return next(kernels.homs(mid, dst, pins), None)
+    pins = _pins(mid, along, images)
+    return None if pins is None else next(kernels.homs(mid, dst, pins), None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -272,11 +272,16 @@ class LatticeCategory(Category):
         return None
 
     def cancellations(
-        self, m: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+        self,
+        m: MorRef,
+        objects: Iterable[ObjRef],
+        limit: int | None = None,
+        held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         # thin shortcut: the one map a -> x, if a <= x, and m = a -> b
         # factors through it iff x <= b.  The premise is checked once and
-        # each object by the inline test; refs are built only for pairs
+        # each object by the inline test; refs are built only for pairs,
+        # and rest only for a first not held
         self._check_mor(m)
         a, b = m.dom.index, m.cod.index
         up, cat_id, n = self._up, self.cat_id, self._n
@@ -290,15 +295,22 @@ class LatticeCategory(Category):
                 if capped:
                     yield None
                 elif up[i] >> b & 1:
-                    yield MorRef(m.dom, x, (a, i)), MorRef(x, m.cod, (i, b))
+                    first = MorRef(m.dom, x, (a, i))
+                    if first not in held:
+                        yield first, MorRef(x, m.cod, (i, b))
             elif limit == 0:
                 yield None
 
     def pushouts(
-        self, h: MorRef, objects: Iterable[ObjRef], limit: int | None = None
+        self,
+        h: MorRef,
+        objects: Iterable[ObjRef],
+        limit: int | None = None,
+        held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         # thin shortcut: the one map f: a -> x, if a <= x, pushes h: a -> b
-        # out to x -> join(x, b), one read of the join table
+        # out to x -> join(x, b), one read of the join table; f is built
+        # only for a leg not held
         self._check_mor(h)
         a = h.dom.index
         joins = self._lattice_joins()[h.cod.index]
@@ -314,7 +326,9 @@ class LatticeCategory(Category):
                     yield None
                 else:
                     top = joins[i]
-                    yield MorRef(h.dom, x, (a, i)), MorRef(x, ObjRef(cat_id, top), (i, top))
+                    h_prime = MorRef(x, ObjRef(cat_id, top), (i, top))
+                    if h_prime not in held:
+                        yield MorRef(h.dom, x, (a, i)), h_prime
             elif limit == 0:
                 yield None
 

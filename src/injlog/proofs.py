@@ -413,6 +413,14 @@ def _fixpoint(
     offered for each morphism, and the order of the returned dict, are
     those of naive evaluation.  A budget of None is no budget.
 
+    One live set, held, is known plus the round's fresh morphisms.  Each
+    pass tests a conclusion against it before it builds the proof term,
+    and hands it to cancellations and pushouts, which may leave out an
+    answer whose conclusion is held: a held conclusion is never offered
+    again, so leaving it out changes nothing but the work.  A held
+    morphism past node_cap had its codomain refused on admission, so the
+    pushout pass may skip it before its size test.
+
     Returns (known, rounds, stop_reason); stop_reason is "goal",
     "depth_cap" or "mor_cap" when that ended the run; on running dry it is
     "node_cap" if that budget ever pruned a step, else "hom_cap" if that
@@ -443,11 +451,13 @@ def _fixpoint(
 
     known: dict[MorRef, ProofTerm] = {}
     by_cod: dict[ObjRef, list[MorRef]] = {}  # known morphisms per codomain, in known order
+    held: set[MorRef] = set()  # known and the round's fresh morphisms
 
     def learn(m: MorRef, term: ProofTerm) -> None:
         if m not in known:
             known[m] = term
             by_cod.setdefault(m.cod, []).append(m)
+            held.add(m)
 
     for name, m in hypotheses:
         learn(m, Hyp(name))
@@ -469,10 +479,11 @@ def _fixpoint(
         fresh: dict[MorRef, ProofTerm] = {}
 
         def offer(m: MorRef, term: ProofTerm) -> None:
-            if m not in known and m not in fresh:
-                if mor_cap is not None and len(known) + len(fresh) >= mor_cap:
-                    raise _BudgetStop
-                fresh[m] = term
+            """Add m, which is not held, with its term."""
+            if mor_cap is not None and len(held) >= mor_cap:
+                raise _BudgetStop
+            fresh[m] = term
+            held.add(m)
 
         mors = list(known)
         new_objs = in_play[old_objs:]
@@ -494,7 +505,9 @@ def _fixpoint(
                     if i < old_mors:
                         partners = partners[old_by_cod.get(g.dom, 0) :]
                     for f in partners:
-                        offer(cat.compose(g, f), Compose(known[g], known[f]))
+                        gf = cat.compose(g, f)
+                        if gf not in held:
+                            offer(gf, Compose(known[g], known[f]))
             # one call per premise and rule, over its objects.  Pushout has
             # a pass of its own, so every cancellation is offered before any
             # pushout, as in naive evaluation: a pass fusing the two
@@ -503,19 +516,22 @@ def _fixpoint(
             # graphs to 260
             if "cancellation" in mask:
                 for m, objects in visits():
-                    for pair in cat.cancellations(m, objects, limit):
+                    for pair in cat.cancellations(m, objects, limit, held):
                         if pair is None:
                             pruned.add("hom_cap")
                             continue
                         first, rest = pair
-                        offer(first, Cancel(known[m], first=first, rest=rest))
+                        if first not in held:
+                            offer(first, Cancel(known[m], first=first, rest=rest))
             if "pushout" in mask:
                 for h, objects in visits():
-                    for pair in cat.pushouts(h, objects, limit):
+                    for pair in cat.pushouts(h, objects, limit, held):
                         if pair is None:
                             pruned.add("hom_cap")
                             continue
                         f, h_prime = pair
+                        if h_prime in held:
+                            continue
                         if node_cap is None or cat.object_size(h_prime.cod) <= node_cap:
                             offer(h_prime, Push(known[h], along=f))
                         else:

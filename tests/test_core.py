@@ -576,6 +576,135 @@ def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
     assert searched  # the rows into K3 are still searched
 
 
+# --- the engine's held set: answers whose conclusion it holds may go ---------
+
+
+def take_growing(answers, held: set, grow: list) -> list:
+    """Take every answer while the caller adds grow[k] to held after the
+    k-th answer taken, as the engine adds what it learns between answers."""
+    taken = []
+    for pair in answers:
+        taken.append(pair)
+        held |= grow[len(taken) % len(grow)]
+    return taken
+
+
+def without_held(full: list, held: set, grow: list, conclusion) -> list:
+    """The oracle: the answers given no held set, less each whose
+    conclusion is held when the body reaches it; every None stays."""
+    taken = []
+    for pair in full:
+        if pair is not None and conclusion(pair) in held:
+            continue
+        taken.append(pair)
+        held |= grow[len(taken) % len(grow)]
+    return taken
+
+
+def first_of(pair):
+    return pair[0]
+
+
+def opposite_leg(pair):
+    return pair[1]
+
+
+def held_cases(rng: random.Random, pool: list) -> list[tuple[set, list]]:
+    """Held sets drawn from pool: empty, all of it and random halves, each
+    with what the caller adds after each answer (sometimes nothing)."""
+    def some():
+        return {ref for ref in pool if rng.random() < 0.5}
+
+    drawn = [(some(), [some() if rng.random() < 0.3 else set() for _ in range(5)]) for _ in range(3)]
+    return [(set(), [set()]), (set(pool), [set()]), *drawn]
+
+
+def check_held(body, full: list, conclusion, pool: list, rng: random.Random) -> int:
+    """Assert the body with each held case equals the oracle; returns how
+    many answers the cases left out."""
+    dropped = 0
+    for start, grow in held_cases(rng, pool):
+        held = set(start)
+        got = take_growing(body(held), held, grow)
+        assert got == without_held(full, set(start), grow, conclusion)
+        assert got.count(None) == full.count(None)
+        dropped += len(full) - len(got)
+    return dropped
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_rules_leave_out_exactly_the_held_conclusions(seed):
+    rng = random.Random(seed)
+    dropped = {"base": 0, "cancellations": 0, "pushouts": 0}
+    for i in range(8):
+        cat = random_lattice(rng, max_size=7, name=f"L{i}")
+        pool = cat.all_morphisms()
+        for m in pool:
+            for limit in (None, 0, 1, 2):
+                objects = object_list(rng, cat.objects(), m.cod)
+                full = list(Category.cancellations(cat, m, objects, limit))
+                dropped["base"] += check_held(
+                    lambda held: Category.cancellations(cat, m, objects, limit, held),
+                    full, first_of, pool, rng,
+                )
+                dropped["cancellations"] += check_held(
+                    lambda held: cat.cancellations(m, objects, limit, held), full, first_of, pool, rng
+                )
+                pushed = list(Category.pushouts(cat, m, objects, limit))
+                dropped["pushouts"] += check_held(
+                    lambda held: cat.pushouts(m, objects, limit, held), pushed, opposite_leg, pool, rng
+                )
+                # the base pushouts keep every answer
+                assert list(Category.pushouts(cat, m, objects, limit, set(pool))) == pushed
+    assert all(dropped.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_cancellations_leave_out_exactly_the_held_firsts(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    pool_objects = [g.obj(random_graph(rng)) for _ in range(5)] + [g.obj(clique(4))]
+    full_objects = g.obj(Graph.of(3, [(i, j) for i in range(3) for j in range(3)]))
+    dropped = {"base": 0, "graph": 0}
+    for _ in range(4):
+        for m in premises(g, rng):
+            for limit in (None, 1, 2, 3):
+                objects = object_list(rng, pool_objects, full_objects)
+                full = list(Category.cancellations(g, m, objects, limit))
+                # every hom dom m -> x may be held, answer or not
+                pool = [f for x in set(objects) for f in g.enumerate_homs(m.dom, x, 40)]
+                dropped["base"] += check_held(
+                    lambda held: Category.cancellations(g, m, objects, limit, held),
+                    full, first_of, pool, rng,
+                )
+                dropped["graph"] += check_held(
+                    lambda held: g.cancellations(m, objects, limit, held), full, first_of, pool, rng
+                )
+    assert all(dropped.values())
+
+
+def test_a_held_first_runs_no_pinned_search(monkeypatch):
+    g = GraphCategory()
+    searched = []  # the row along each pinned rest search
+
+    def counting(mid, dst, along, images):
+        searched.append(tuple(along))
+        return extension(mid, dst, along, images)
+
+    extension = graphs_module._extension
+    monkeypatch.setattr(graphs_module, "_extension", counting)
+    # every map from the point into K3 extends along the point's map into K3
+    k3 = g.obj(clique(3))
+    m = g.mor(GraphHom(Graph.of(1), clique(3), (2,)))
+    firsts = g.enumerate_homs(m.dom, k3)
+    assert list(g.cancellations(m, [k3])) and searched == [f.payload.mapping for f in firsts]
+    for held in ({firsts[0]}, set(firsts[1:]), set(firsts)):
+        searched.clear()
+        answers = list(g.cancellations(m, [k3], None, held))
+        assert [first for first, _ in answers] == [f for f in firsts if f not in held]
+        assert searched == [f.payload.mapping for f in firsts if f not in held]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lattice_rules_per_premise_match_the_generic_loops_and_the_order(seed):
     rng = random.Random(seed)

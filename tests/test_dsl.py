@@ -6,13 +6,15 @@ from injlog.core import MorphismSet
 from injlog.dsl import (
     Diagnostic,
     DslError,
+    Workspace,
+    _Parser,
     _tokenize,
     parse,
     parse_proof_text,
     print_workspace,
     proof_to_text,
 )
-from injlog.graphs import Graph, GraphHom, clique, empty_graph
+from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph
 from injlog.proofs import (
     Cancel,
     CoprodN,
@@ -94,6 +96,25 @@ def test_workspaces_with_different_content_compare_unequal():
     assert parse(CHAIN_SRC) != parse(GRAPH_SRC)
     other = CHAIN_SRC.replace("leq: 0<1, 1<2;", "leq: 0<1, 0<2, 1<2;")
     assert parse(CHAIN_SRC) == parse(other)
+
+
+def test_workspaces_compare_graph_refs_by_graphs_and_mappings():
+    a, b = parse(GRAPH_SRC), parse(GRAPH_SRC)
+    # each workspace has its own graph category, so their refs differ
+    assert a.graph_category.cat_id != b.graph_category.cat_id
+    assert a.morphisms["inc"].ref != b.morphisms["inc"].ref
+    assert a == b
+    # a registry that gave out other indices changes no declaration
+    ws = Workspace(graph_category=GraphCategory())
+    ws.graph_category.obj(clique(3))
+    shifted = _Parser(GRAPH_SRC, ws).parse()
+    assert shifted.graphs["zero"].obj.index == 1
+    assert shifted == a
+    # another mapping, or a proof through another graph ref, is another workspace
+    assert parse(GRAPH_SRC.replace("p |-> u", "p |-> v")) != a
+    pushed = "proof p {{ (push (hyp inc) {}) }}\n"
+    assert parse(GRAPH_SRC + pushed.format("toloop")) == parse(GRAPH_SRC + pushed.format("toloop"))
+    assert parse(GRAPH_SRC + pushed.format("toloop")) != parse(GRAPH_SRC + pushed.format("inc"))
 
 
 def test_comments_and_whitespace_are_ignored():

@@ -480,6 +480,18 @@ def test_foreign_references_are_rejected():
         cat.identity(x)
 
 
+def test_another_instances_refs_are_foreign():
+    # with the loop registered first, index 0 of a is the loop: only the
+    # cat_id tells the other instance's clique ref apart
+    a, b = GraphCategory(), GraphCategory()
+    a.obj(loop_point())
+    assert a.cat_id != b.cat_id
+    with pytest.raises(CategoryError):
+        a.graph_of(GraphCategory().obj(clique(3)))
+    with pytest.raises(CategoryError):
+        a.identity(b.obj(loop_point()))
+
+
 def forged_graph_refs(cat: GraphCategory, edge: Graph, swapped: Graph):
     """Objects from another category or out of range, and would-be
     morphisms edge -> edge: foreign, with an out-of-range end, with a payload

@@ -398,6 +398,35 @@ def test_saturation_provenance_all_recheck():
         assert check_proof(cat, h, result.provenance[m]) == m
 
 
+def boolean_lattice(k: int) -> LatticeCategory:
+    """The subsets of k atoms, each element named by its bitmask."""
+    elements = [str(s) for s in range(1 << k)]
+    pairs = [(str(s), str(s | 1 << i)) for s in range(1 << k) for i in range(k) if not s >> i & 1]
+    return LatticeCategory(presentation_from_pairs(f"B{k}", elements, pairs))
+
+
+def test_saturation_builds_one_rule_term_per_morphism_it_learns(monkeypatch):
+    # the engine tests each conclusion against what it holds before it
+    # builds the term, so no term is built for a morphism already held
+    built = []
+    for cls in (Compose, Cancel, Push):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    b4 = boolean_lattice(4)
+    atoms = MorphismSet.of((f"a{i}", b4.mor("0", str(1 << i))) for i in range(4))
+    rng = random.Random(3)
+    cases = [(b4, atoms)] + [(cat, random_hypotheses(rng, cat)) for cat in (random_lattice(rng) for _ in range(20))]
+    for cat, hyps in cases:
+        built.clear()
+        result = saturate(cat, hyps)
+        by_rule = [t for t in result.provenance.values() if not isinstance(t, (Hyp, Identity))]
+        assert sorted(map(id, built)) == sorted(map(id, by_rule))
+    assert len(saturate(b4, atoms).derived) == 81  # every a <= b among 16 subsets
+
+
 def test_saturation_rejects_open_categories_and_bad_rules():
     g = GraphCategory()
     with pytest.raises(CategoryError):
@@ -649,8 +678,8 @@ def test_a_mor_cap_stop_in_the_pushout_pass_builds_no_later_pushout(monkeypatch)
             self.made.append(legs[0])
             return legs
 
-        def pushouts(self, h, objects, limit=None):
-            for pair in super().pushouts(h, objects, limit):
+        def pushouts(self, h, objects, limit=None, held=frozenset()):
+            for pair in super().pushouts(h, objects, limit, held):
                 self.taken.append(pair)
                 yield pair
 

@@ -12,7 +12,6 @@ from .core import (
     ObjRef,
     WidePushoutResult,
     semantic_consequence,
-    wide_pushout,
 )
 from .graphs import (
     Graph,
@@ -37,7 +36,6 @@ from .lattice import (
     LatticeError,
     LatticePresentation,
     presentation_from_pairs,
-    random_hypotheses,
     random_lattice,
     validate,
 )
@@ -74,10 +72,8 @@ __all__ = [
     "presentation_from_pairs",
     "print_workspace",
     "proof_to_text",
-    "random_hypotheses",
     "random_lattice",
     "render_regular_sentence",
     "semantic_consequence",
     "validate",
-    "wide_pushout",
 ]

@@ -136,8 +136,8 @@ class CategoryError(ValueError):
 
 @dataclass(frozen=True)
 class WidePushoutResult:
-    """Composite into the apex, from a fan's shared domain or the object
-    attached to, plus the injection from each glued-on codomain."""
+    """Composite into the apex from the object attached to, plus the
+    injection from each glued-on codomain."""
 
     composite: MorRef
     injections: tuple[MorRef, ...]
@@ -156,11 +156,12 @@ class Category(ABC):
     extend along h), and the cancellation and pushout rules' questions,
     asked once per premise over a list of objects: cancellations (which
     homs dom m -> x does m factor through) and pushouts (the pushout of
-    h along each hom dom h -> x).  The base bodies are generic loops
-    over enumerate_homs, which a category may override.  The two rule
-    questions take the engine's held set, the morphisms it already has,
-    and may leave out an answer whose conclusion is held, so the work
-    that answer costs is not done.
+    h along each hom dom h -> x).  Each category answers the first
+    three itself, from its own structure; pushouts has a base body, one
+    pushout per hom over enumerate_homs, which a category may override.
+    The two rule questions take the engine's held set, the morphisms it
+    already has, and may leave out an answer whose conclusion is held, so
+    the work that answer costs is not done.
     Deterministic: equal inputs give equal outputs, and hom enumeration
     follows a fixed canonical order."""
 
@@ -232,18 +233,19 @@ class Category(ABC):
         """Raise when pushouts/coproducts are unavailable (e.g. a poset
         that is not a complete lattice); no-op otherwise."""
 
+    @abstractmethod
     def find_factorization(self, h: MorRef, f: MorRef) -> MorRef | None:
         """First g with g after h = f, in canonical hom order; None if none.
 
         h: A -> B, f: A -> X; g ranges over homs B -> X.
         """
-        if h.dom != f.dom:
-            raise CategoryError("factorization query needs a common domain")
-        for g in self.enumerate_homs(h.cod, f.cod):
-            if self.compose(g, h) == f:
-                return g
-        return None
 
+    @abstractmethod
+    def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
+        """Whether every map dom h -> x extends along h; first failure is
+        reported in canonical hom order."""
+
+    @abstractmethod
     def cancellations(
         self,
         m: MorRef,
@@ -261,19 +263,7 @@ class Category(ABC):
 
         A first in held may be left out, and is tested when the body
         reaches it, since the caller may add to held between answers;
-        every other answer and every None keeps its value and place.
-        Here a held first is left out before its factorization."""
-        for x in objects:
-            homs = self.enumerate_homs(m.dom, x, limit)
-            if len(homs) == limit:
-                yield None
-                continue
-            for first in homs:
-                if first in held:
-                    continue
-                rest = self.find_factorization(first, m)
-                if rest is not None:
-                    yield first, rest
+        every other answer and every None keeps its value and place."""
 
     def pushouts(
         self,
@@ -290,7 +280,8 @@ class Category(ABC):
 
         An h_prime in held may be left out, as a held first in
         cancellations.  This body keeps them all: h_prime exists only once
-        the pushout is built."""
+        the pushout is built.  The premise is checked first."""
+        self._check_mor(h)
         for x in objects:
             homs = self.enumerate_homs(h.dom, x, limit)
             if len(homs) == limit:
@@ -298,14 +289,6 @@ class Category(ABC):
                 continue
             for f in homs:
                 yield f, self.pushout(h, f)[0]
-
-    def is_injective(self, x: ObjRef, h: MorRef) -> InjectivityResult:
-        """Whether every map dom h -> x extends along h; first failure is
-        reported in canonical hom order."""
-        for f in self.enumerate_homs(h.dom, x):
-            if self.find_factorization(h, f) is None:
-                return InjectivityResult(False, f)
-        return InjectivityResult(True)
 
     def _check_squares(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> None:
         """The input check of attach and attach_size, through the
@@ -325,24 +308,6 @@ def check_budgets(**budgets: int) -> None:
     for name, value in budgets.items():
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:
-    """Canonical wide pushout of morphisms sharing a domain.
-
-    One attachment of every leg codomain onto the shared domain along its
-    identity.  The one-element case is the morphism itself with an
-    identity injection; the empty case is not defined (no domain to read
-    off), callers pass at least one leg.
-    """
-    if not mors:
-        raise CategoryError("wide pushout needs at least one morphism")
-    dom = mors[0].dom
-    for m in mors[1:]:
-        if m.dom != dom:
-            raise CategoryError("wide pushout legs must share a domain")
-    identity = cat.identity(dom)
-    return cat.attach(dom, [(m, identity) for m in mors])
 
 
 def semantic_consequence(

@@ -30,18 +30,19 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        # stored frozen whatever collection came in, so the graph hashes
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        # the kernel reads nodes as bit positions, so only ints get past here
-        if not isinstance(self.node_count, int):
-            raise ValueError(f"node count must be an integer, got {self.node_count!r}")
-        if self.node_count < 0:
-            raise ValueError(f"node count must be non-negative, got {self.node_count}")
-        for i, j in self.edges:
-            if not (isinstance(i, int) and isinstance(j, int)):
-                raise ValueError(f"edge ({i!r}, {j!r}) has an end that is not an integer")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise ValueError(f"edge ({i}, {j}) out of range for {self.node_count} nodes")
+        # the kernel reads nodes as bit positions, so only integers get past,
+        # stored as ints, and the edges frozen, so the graph hashes
+        n = _integer(self.node_count, "node count must be an integer, got {!r}")
+        if n < 0:
+            raise ValueError(f"node count must be non-negative, got {n}")
+        edges = []
+        for e in frozenset(self.edges):
+            i, j = (_integer(v, "edge {!r} has an end that is not an integer", e) for v in e)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+            edges.append((i, j))
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @staticmethod
     def of(node_count: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -90,16 +91,17 @@ class GraphHom:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # stored as a tuple whatever sequence came in, so the hom hashes
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        if len(self.mapping) != self.source.node_count:
+        # stored as a tuple of ints whatever sequence and integer type came
+        # in, so the hom hashes and the kernel reads plain ints
+        mapping = tuple(self.mapping)
+        if len(mapping) != self.source.node_count:
             raise ValueError(
-                f"total map required: {len(self.mapping)} images for "
+                f"total map required: {len(mapping)} images for "
                 f"{self.source.node_count} nodes"
             )
-        for v in self.mapping:
-            if not isinstance(v, int):
-                raise ValueError(f"image {v!r} is not an integer")
+        mapping = tuple(_integer(v, "image {!r} is not an integer") for v in mapping)
+        object.__setattr__(self, "mapping", mapping)
+        for v in mapping:
             if not 0 <= v < self.target.node_count:
                 raise ValueError(f"image {v} out of range")
         for i, j in self.source.edge_list():
@@ -128,12 +130,13 @@ class GraphHom:
         return GraphHom._trusted(g, g, tuple(range(g.node_count)))
 
 
-def _integer(v) -> int:
-    """v as an int through ``operator.index``, or ValueError."""
+def _integer(v, message: str = "{!r} is not an integer", *shown) -> int:
+    """v as an int through ``operator.index``, or ValueError: message
+    formatted with shown, or with v when nothing is shown."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ValueError(f"{v!r} is not an integer") from None
+        raise ValueError(message.format(*(shown or (v,)))) from None
 
 
 def empty_graph() -> Graph:

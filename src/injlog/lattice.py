@@ -442,12 +442,3 @@ def random_lattice(rng: random.Random, max_size: int = 7, name: str = "L") -> La
         if p.is_complete_lattice:
             return LatticeCategory(p)
 
-
-def random_hypotheses(
-    rng: random.Random, cat: LatticeCategory, max_count: int = 6
-) -> MorphismSet:
-    """Random named hypothesis set drawn from the lattice's morphisms."""
-    mors = cat.all_morphisms()
-    count = rng.randint(0, max_count)
-    picks = [mors[rng.randrange(len(mors))] for _ in range(count)]
-    return MorphismSet.of((f"h{i}", m) for i, m in enumerate(picks))

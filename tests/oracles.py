@@ -1,9 +1,12 @@
 """Brute-force references the tests compare the package against.
 
-The labeled graph walk (every graph on at most n nodes, 2^(n*n) of them
-on n), the random graphs that many tests draw, and a check of the
-pushout's universal property by enumerating cocones.  None of them is
-used by the package itself.
+The generic loops over enumerate_homs for the three injectivity
+questions each category answers itself (find_factorization,
+is_injective, cancellations), the wide pushout as one attachment along
+the identity, the labeled graph walk (every graph on at most n nodes,
+2^(n*n) of them on n), the random graphs and hypothesis sets that many
+tests draw, and a check of the pushout's universal property by
+enumerating cocones.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -11,10 +14,83 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
 
-from injlog.core import Category, CoconeCheckReport, CoconeFailure, MorRef, ObjRef
+from injlog.core import (
+    Category,
+    CategoryError,
+    CoconeCheckReport,
+    CoconeFailure,
+    InjectivityResult,
+    MorphismSet,
+    MorRef,
+    ObjRef,
+    WidePushoutResult,
+)
 from injlog.graphs import Graph, _check_bound
+from injlog.lattice import LatticeCategory
+
+
+def generic_find_factorization(cat: Category, h: MorRef, f: MorRef) -> MorRef | None:
+    """``Category.find_factorization`` by trying every hom cod h -> cod f
+    in canonical order.  It checks no ref: with no hom to try it returns
+    None where the categories raise ``CategoryError``."""
+    if h.dom != f.dom:
+        raise CategoryError("factorization query needs a common domain")
+    for g in cat.enumerate_homs(h.cod, f.cod):
+        if cat.compose(g, h) == f:
+            return g
+    return None
+
+
+def generic_is_injective(cat: Category, x: ObjRef, h: MorRef) -> InjectivityResult:
+    """``Category.is_injective`` by one ``cat.find_factorization`` per
+    hom dom h -> x."""
+    for f in cat.enumerate_homs(h.dom, x):
+        if cat.find_factorization(h, f) is None:
+            return InjectivityResult(False, f)
+    return InjectivityResult(True)
+
+
+def generic_cancellations(
+    cat: Category,
+    m: MorRef,
+    objects: Iterable[ObjRef],
+    limit: int | None = None,
+    held: Container[MorRef] = frozenset(),
+) -> Iterator[tuple[MorRef, MorRef] | None]:
+    """``Category.cancellations`` by one ``cat.find_factorization`` per
+    hom dom m -> x; lazy as the contract asks, and a held first is left
+    out before its factorization."""
+    for x in objects:
+        homs = cat.enumerate_homs(m.dom, x, limit)
+        if len(homs) == limit:
+            yield None
+            continue
+        for first in homs:
+            if first in held:
+                continue
+            rest = cat.find_factorization(first, m)
+            if rest is not None:
+                yield first, rest
+
+
+def wide_pushout(cat: Category, mors: Sequence[MorRef]) -> WidePushoutResult:
+    """Canonical wide pushout of morphisms sharing a domain.
+
+    One attachment of every leg codomain onto the shared domain along its
+    identity.  The one-element case is the morphism itself with an
+    identity injection; the empty case is not defined (no domain to read
+    off), callers pass at least one leg.
+    """
+    if not mors:
+        raise CategoryError("wide pushout needs at least one morphism")
+    dom = mors[0].dom
+    for m in mors[1:]:
+        if m.dom != dom:
+            raise CategoryError("wide pushout legs must share a domain")
+    identity = cat.identity(dom)
+    return cat.attach(dom, [(m, identity) for m in mors])
 
 
 def enumerate_graphs(max_nodes: int) -> Iterator[Graph]:
@@ -55,6 +131,16 @@ def random_graph(rng: random.Random, max_nodes: int = 4) -> Graph:
             if rng.random() < p:
                 edges.append((i, j))
     return Graph.of(n, edges)
+
+
+def random_hypotheses(
+    rng: random.Random, cat: LatticeCategory, max_count: int = 6
+) -> MorphismSet:
+    """Random named hypothesis set drawn from the lattice's morphisms."""
+    mors = cat.all_morphisms()
+    count = rng.randint(0, max_count)
+    picks = [mors[rng.randrange(len(mors))] for _ in range(count)]
+    return MorphismSet.of((f"h{i}", m) for i, m in enumerate(picks))
 
 
 def verify_pushout_square(

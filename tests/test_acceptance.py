@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from injlog.core import MorphismSet, semantic_consequence, wide_pushout
+from injlog.core import MorphismSet, semantic_consequence
 from injlog.graphs import (
     Graph,
     GraphCategory,
@@ -23,7 +23,6 @@ from injlog.graphs import (
 from injlog.lattice import (
     LatticeCategory,
     presentation_from_pairs,
-    random_hypotheses,
     random_lattice,
 )
 from injlog.proofs import (
@@ -38,7 +37,7 @@ from injlog.proofs import (
     used_hypotheses,
 )
 from injlog.reflection import consequence_via_reflection, reflect, verify_weak_reflection
-from oracles import count_graphs, enumerate_graphs, random_graph
+from oracles import count_graphs, enumerate_graphs, random_graph, random_hypotheses, wide_pushout
 
 SEED = int(os.environ.get("INJLOG_SEED", "0"))
 LATTICE_FIXTURE_COUNT = 200

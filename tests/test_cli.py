@@ -10,8 +10,9 @@ from injlog import cli
 from injlog.cli import main
 from injlog.core import semantic_consequence
 from injlog.dsl import MAX_PROOF_DEPTH, parse, print_workspace, proof_to_text
-from injlog.lattice import random_hypotheses, random_lattice
+from injlog.lattice import random_lattice
 from injlog.proofs import RULES, check_proof, saturate, used_hypotheses
+from oracles import random_hypotheses
 
 WORKSPACE = """
 lattice chain {

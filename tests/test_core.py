@@ -11,7 +11,6 @@ from injlog.core import (
     MorRef,
     WidePushoutResult,
     semantic_consequence,
-    wide_pushout,
 )
 from injlog import graphs as graphs_module
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
@@ -19,11 +18,13 @@ from injlog.proofs import Hyp, WidePushN, check_proof
 from injlog.lattice import (
     LatticeCategory,
     presentation_from_pairs,
-    random_hypotheses,
     random_lattice,
 )
-from oracles import random_graph, verify_pushout_square
+import oracles
+from oracles import random_graph, random_hypotheses, verify_pushout_square, wide_pushout
+from test_graphs import forged_graph_refs
 from test_kernels import product_homs
+from test_lattice import forged_morphisms
 
 
 def chain3() -> LatticeCategory:
@@ -239,6 +240,16 @@ def test_pushout_square_universal_on_random_lattices(seed):
     assert verify_pushout_square(cat, h, f, cat.search_universe()).verified
 
 
+@pytest.mark.parametrize("question", ["find_factorization", "is_injective", "cancellations"])
+def test_each_category_answers_the_three_injectivity_questions_itself(question):
+    # a body for every other abstract method, so only the question is missing
+    body = lambda self, *args: None  # noqa: E731
+    others = {name: body for name in Category.__abstractmethods__ if name != question}
+    with pytest.raises(TypeError, match=question):
+        type("WithoutIt", (Category,), others)()
+    type("WithIt", (Category,), {**others, question: body})()
+
+
 def test_find_factorization_prefers_canonical_order():
     cat = chain3()
     assert cat.find_factorization(cat.mor("0", "1"), cat.mor("0", "2")) == cat.mor(
@@ -258,7 +269,7 @@ def test_generic_injectivity_agrees_with_lattice_shortcut():
     for x in cat.objects():
         for h in cat.all_morphisms():
             fast = cat.is_injective(x, h)
-            slow = Category.is_injective(cat, x, h)
+            slow = oracles.generic_is_injective(cat, x, h)
             assert fast.holds == slow.holds
             if not fast.holds:
                 assert fast.counterexample == slow.counterexample
@@ -271,7 +282,7 @@ def test_generic_injectivity_agrees_on_random_lattices(seed):
     hyps = random_hypotheses(rng, cat, max_count=4)
     x = rng.choice(cat.objects())
     for h in hyps.morphisms():
-        assert cat.is_injective(x, h).holds == Category.is_injective(cat, x, h).holds
+        assert cat.is_injective(x, h).holds == oracles.generic_is_injective(cat, x, h).holds
 
 
 def test_enumerate_homs_respects_limit():
@@ -436,7 +447,7 @@ def test_graph_cancellations_match_the_generic_loop_and_brute_force(seed):
         for m in premises(g, rng):
             limit = rng.choice([None, None, 0, 1, 2, 3, 5])
             fast = list(g.cancellations(m, [x], limit))
-            assert fast == list(Category.cancellations(g, m, [x], limit))
+            assert fast == list(oracles.generic_cancellations(g, m, [x], limit))
             assert pairs_of(fast) == product_cancellations(m.payload, g.graph_of(x), limit)
             for first, rest in filter(None, fast):
                 assert (first.dom, first.cod, rest.dom, rest.cod) == (m.dom, x, x, m.cod)
@@ -453,7 +464,7 @@ def test_graph_injectivity_matches_the_generic_loop_and_brute_force(seed):
         x = g.obj(random_graph(rng))
         for h in premises(g, rng):
             fast = g.is_injective(x, h)
-            slow = Category.is_injective(g, x, h)
+            slow = oracles.generic_is_injective(g, x, h)
             assert (fast.holds, fast.counterexample) == (slow.holds, slow.counterexample)
             witness = product_counterexample(g.graph_of(x), h.payload)
             assert fast.holds == (witness is None)
@@ -473,7 +484,7 @@ def test_lattice_cancellations_match_the_generic_loop_and_the_order(seed):
             for x in cat.objects():
                 for limit in (None, 0, 1, 2):
                     fast = list(cat.cancellations(m, [x], limit))
-                    assert fast == list(Category.cancellations(cat, m, [x], limit))
+                    assert fast == list(oracles.generic_cancellations(cat, m, [x], limit))
                     # one hom a -> x when a <= x; m factors through it when x <= b
                     if limit is not None and int(leq[a, x.index]) >= limit:
                         assert fast == [None]
@@ -491,13 +502,34 @@ def test_cancellations_return_none_exactly_when_the_listing_reaches_limit():
         assert list(g.cancellations(m, [edge], 2)) == [None]
         listed = list(g.cancellations(m, [edge], 3))
         assert listed != [None] and listed == list(g.cancellations(m, [edge]))
-        assert listed == list(Category.cancellations(g, m, [edge], 3))
+        assert listed == list(oracles.generic_cancellations(g, m, [edge], 3))
     # only the second hom: no map edge -> edge sends the tail onto the head
     assert [first.payload.mapping for first, _ in listed] == [(1,)]
     cat = chain3()
     m = cat.mor("0", "2")
     assert list(cat.cancellations(m, [cat.obj("1")], 1)) == [None]
     assert list(cat.cancellations(m, [cat.obj("1")], 2)) == [(cat.mor("0", "1"), cat.mor("1", "2"))]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "graph"])
+def test_pushouts_refuse_a_forged_premise_with_no_hom_to_try(kind):
+    # the premise is refused before any object is read: with no object at
+    # all, and with the least one (the empty graph, the bottom), which most
+    # premises have no hom into, so no pushout is built to refuse it
+    if kind == "graph":
+        cat = GraphCategory()
+        edge, swapped = Graph.of(2, [(0, 1)]), Graph.of(2, [(1, 0)])
+        cat.obj(swapped)
+        _, forged = forged_graph_refs(cat, edge, swapped)
+        least = cat.obj(empty_graph())
+    else:
+        cat = diamond()
+        forged = forged_morphisms(cat)
+        least = cat.obj("0")
+    for objects in ([], [least]):
+        for h in forged:
+            with pytest.raises(CategoryError):
+                list(cat.pushouts(h, objects))
 
 
 # --- the rule questions per premise, over lists of objects -------------------
@@ -534,7 +566,7 @@ def test_graph_rules_per_premise_match_the_generic_loops_and_brute_force(seed):
             for limit in (None, 1, 2, 3):
                 objects = object_list(rng, pool, full)
                 fast = list(g.cancellations(m, objects, limit))
-                assert fast == list(Category.cancellations(g, m, objects, limit))
+                assert fast == list(oracles.generic_cancellations(g, m, objects, limit))
                 want = [p for x in objects for p in product_cancellations(m.payload, g.graph_of(x), limit)]
                 assert pairs_of(fast) == want
                 pushed = list(g.pushouts(m, objects, limit))
@@ -569,7 +601,7 @@ def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
             fast = list(g.cancellations(m, objects, limit))
             assert clique(4) not in pinned
             searched += len(pinned)
-            assert fast == list(Category.cancellations(g, m, objects, limit))
+            assert fast == list(oracles.generic_cancellations(g, m, objects, limit))
             want = [p for x in objects for p in product_cancellations(m.payload, g.graph_of(x), limit)]
             assert pairs_of(fast) == want
             assert list(g.cancellations(m, [k4], limit)) in ([], [None])
@@ -642,9 +674,9 @@ def test_lattice_rules_leave_out_exactly_the_held_conclusions(seed):
         for m in pool:
             for limit in (None, 0, 1, 2):
                 objects = object_list(rng, cat.objects(), m.cod)
-                full = list(Category.cancellations(cat, m, objects, limit))
+                full = list(oracles.generic_cancellations(cat, m, objects, limit))
                 dropped["base"] += check_held(
-                    lambda held: Category.cancellations(cat, m, objects, limit, held),
+                    lambda held: oracles.generic_cancellations(cat, m, objects, limit, held),
                     full, first_of, pool, rng,
                 )
                 dropped["cancellations"] += check_held(
@@ -670,11 +702,11 @@ def test_graph_cancellations_leave_out_exactly_the_held_firsts(seed):
         for m in premises(g, rng):
             for limit in (None, 1, 2, 3):
                 objects = object_list(rng, pool_objects, full_objects)
-                full = list(Category.cancellations(g, m, objects, limit))
+                full = list(oracles.generic_cancellations(g, m, objects, limit))
                 # every hom dom m -> x may be held, answer or not
                 pool = [f for x in set(objects) for f in g.enumerate_homs(m.dom, x, 40)]
                 dropped["base"] += check_held(
-                    lambda held: Category.cancellations(g, m, objects, limit, held),
+                    lambda held: oracles.generic_cancellations(g, m, objects, limit, held),
                     full, first_of, pool, rng,
                 )
                 dropped["graph"] += check_held(
@@ -719,7 +751,7 @@ def test_lattice_rules_per_premise_match_the_generic_loops_and_the_order(seed):
                 objects = object_list(rng, cat.objects(), m.cod)
                 cancelled = list(cat.cancellations(m, objects, limit))
                 pushed = list(cat.pushouts(m, objects, limit))
-                assert cancelled == list(Category.cancellations(cat, m, objects, limit))
+                assert cancelled == list(oracles.generic_cancellations(cat, m, objects, limit))
                 assert pushed == list(Category.pushouts(cat, m, objects, limit))
                 # one hom a -> x when a <= x; m factors through it when x <= b,
                 # and pushes out to x -> join(x, b)

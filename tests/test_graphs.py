@@ -111,6 +111,15 @@ def test_graph_of_takes_any_integer_type():
     g = Graph.of(np.int64(2), [(np.int32(0), np.int64(1))])
     assert g == Graph.of(2, [(0, 1)])
     assert all(type(v) is int for edge in g.edges for v in (*edge, g.node_count))
+    # the constructors refused the numpy ints that Graph.of converts; they
+    # take them too, and store plain ints
+    built = [(Graph(np.int64(2), frozenset()), Graph.of(2)), (Graph(2, {(np.int64(0), 1)}), Graph.of(2, [(0, 1)]))]
+    for g, plain in built:
+        assert g == plain
+        assert all(type(v) is int for edge in g.edges for v in (*edge, g.node_count))
+    hom = GraphHom(Graph.of(1), loop_point(), np.array([0]))
+    assert hom == GraphHom(Graph.of(1), loop_point(), (0,))
+    assert all(type(v) is int for v in hom.mapping)
 
 
 def test_hom_composition_and_identity():

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injlog.core import Category, CategoryError, MorphismSet, MorRef, ObjRef, wide_pushout
+from injlog.core import CategoryError, MorphismSet, MorRef, ObjRef
 from injlog.lattice import (
     LatticeCategory,
     LatticeError,
     LatticePresentation,
     presentation_from_pairs,
-    random_hypotheses,
     random_lattice,
     validate,
 )
 from injlog.proofs import Cancel, Hyp, ProofError, check_proof
+import oracles
+from oracles import random_hypotheses, wide_pushout
 
 
 def diamond() -> LatticeCategory:
@@ -479,10 +480,10 @@ def test_thin_shortcuts_match_the_generic_searches(leq):
     mors = cat.all_morphisms()
     for h in mors:
         for x in cat.objects():
-            assert cat.is_injective(x, h) == Category.is_injective(cat, x, h)
+            assert cat.is_injective(x, h) == oracles.generic_is_injective(cat, x, h)
         for f in mors:
             if h.dom == f.dom:
-                assert cat.find_factorization(h, f) == Category.find_factorization(cat, h, f)
+                assert cat.find_factorization(h, f) == oracles.generic_find_factorization(cat, h, f)
             else:
                 with pytest.raises(CategoryError):
                     cat.find_factorization(h, f)

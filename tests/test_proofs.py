@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injlog import proofs
-from injlog.core import CategoryError, MorphismSet, semantic_consequence, wide_pushout
+from injlog.core import CategoryError, MorphismSet, semantic_consequence
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
-from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
+from injlog.lattice import LatticeCategory, presentation_from_pairs, random_lattice
 from injlog.proofs import (
     RULES,
     Cancel,
@@ -33,7 +33,7 @@ from injlog.proofs import (
     used_hypotheses,
 )
 from injlog.reflection import consequence_via_reflection, reflect, reflection_proof
-from oracles import random_graph
+from oracles import random_graph, random_hypotheses, wide_pushout
 
 
 def chain3() -> LatticeCategory:

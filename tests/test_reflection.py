@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from injlog.core import CoconeCheckReport, CoconeFailure, MorphismSet
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
-from injlog.lattice import LatticeCategory, presentation_from_pairs, random_hypotheses, random_lattice
+from injlog.lattice import LatticeCategory, presentation_from_pairs, random_lattice
 from injlog.proofs import Cancel, Identity, check_proof, saturate
 from injlog.reflection import (
     ReflectionTrace,
@@ -16,7 +16,7 @@ from injlog.reflection import (
     trace_to_text,
     verify_weak_reflection,
 )
-from oracles import random_graph
+from oracles import random_graph, random_hypotheses
 from test_core import random_graph_mor, staged_wide_pushout
 
 

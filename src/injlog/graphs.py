@@ -75,6 +75,39 @@ class Graph:
         first search from it."""
         return kernels.source_plan(self.plan)
 
+    @cached_property
+    def components(self) -> tuple["Graph", ...]:
+        """The connected parts of this graph, edges read undirected, in the
+        order of their least nodes, each relabelled from 0 in node order;
+        the graph itself when it is connected.  The kernel counts homs
+        out of a graph part by part."""
+        succ, pred = self.plan.succ, self.plan.pred
+        parts = []
+        seen = 0
+        for v in range(self.node_count):
+            if seen >> v & 1:
+                continue
+            reach = todo = 1 << v
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                u = low.bit_length() - 1
+                new = (succ[u] | pred[u]) & ~reach
+                reach |= new
+                todo |= new
+            seen |= reach
+            parts.append(reach)
+        if len(parts) == 1:
+            return (self,)
+        graphs = []
+        for reach in parts:
+            nodes = [v for v in range(self.node_count) if reach >> v & 1]
+            index = {v: k for k, v in enumerate(nodes)}
+            graphs.append(Graph._trusted(len(nodes), frozenset(
+                (index[i], index[j]) for i, j in self.edges if reach >> i & 1
+            )))
+        return tuple(graphs)
+
     def has_loop(self) -> bool:
         return any(i == j for i, j in self.edges)
 
@@ -422,21 +455,24 @@ class GraphCategory(Category):
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         # the premise is checked once and refs are built only for answers.
-        # An x with no map into cod m has no rest at all, so one unpinned
-        # search comes first, and its rows are listed only when that could
-        # reach limit (there are at most |x| ** |dom m| of them).  Each
-        # other row first: dom m -> x whose pins agree gets its ref, and a
-        # first not held gets its rest by one pinned search
+        # A first merges no nodes that m separates, so an x with fewer
+        # nodes than m's image has no answer, nor has an x with no map into
+        # cod m: on such an x the homs dom m -> x are only counted, and
+        # only when they could reach limit (there are at most
+        # |x| ** |dom m| of them).  On every other x each row first:
+        # dom m -> x gets its pins once; a first whose pins agree gets its
+        # ref, and one not held gets its rest by one pinned search
         self._check_mor(m)
         src, dst = self._graphs[m.dom.index], self._graphs[m.cod.index]
         images = m.payload.mapping
+        image_size = len(set(images))
         for x in objects:
             mid = self.graph_of(x)
-            if next(kernels.homs(mid, dst), None) is None:
+            if mid.node_count < image_size or next(kernels.homs(mid, dst), None) is None:
                 if (
                     limit is not None
                     and mid.node_count ** src.node_count >= limit
-                    and len(list(islice(kernels.homs(src, mid), limit))) == limit
+                    and kernels.count(src, mid, limit) == limit
                 ):
                     yield None
                 continue
@@ -445,12 +481,13 @@ class GraphCategory(Category):
                 yield None
                 continue
             for row in rows:
-                if _pins(mid, row, images) is None:
+                pins = _pins(mid, row, images)
+                if pins is None:
                     continue
                 first = MorRef(m.dom, x, GraphHom._trusted(src, mid, row))
                 if first in held:
                     continue
-                rest = _extension(mid, dst, row, images)
+                rest = next(kernels.homs(mid, dst, pins), None)
                 if rest is not None:
                     yield first, MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest))
 

@@ -1,10 +1,18 @@
 """Search kernel for graph homomorphism queries.
 
-One lazy backtracking search with forward checking over bitset domains
-(Ullmann, J. ACM 1976; bitset domains as in the Glasgow Subgraph Solver),
-``homs``, serves every query.  It yields node assignments in
+One backtracking search with forward checking over bitset domains
+(Ullmann, J. ACM 1976; bitset domains as in the Glasgow Subgraph Solver)
+serves every query, read two ways.  ``homs`` lists its rows lazily, in
 lexicographic order, node 0 most significant, so whether a map exists is
-its first row and the first k homs are its first k rows.
+its first row and the first k homs are its first k rows.  ``count``
+answers how many homs there are, up to a limit, without listing them:
+the last source node narrows no later domain, so each leaf of the search
+is that node's domain, and its bit count is the number of rows it
+stands for.  A source falls apart into its connected components, whose
+counts multiply, so a disjoint union of cliques is counted clique by
+clique.  Cancellation asks ``count`` the hom-cap question on an object
+that can hold no answer (one smaller than the image of m, or with no
+map into cod m), where the rows would only be counted.
 
 A graph is read through its search plan, in two halves built once per
 graph and cached on it: the target half (``Plan``) on its first search,
@@ -70,9 +78,36 @@ def source_plan(p: Plan) -> SourcePlan:
 def homs(src: Graph, dst: Graph, pins: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
     """Every pin-respecting homomorphism src -> dst, in lex order, lazily;
     no pins leaves every node free."""
+    return _search(src, dst, pins, True)
+
+
+def count(src: Graph, dst: Graph, limit: int) -> int:
+    """min(number of homomorphisms src -> dst, limit), without listing
+    them: the homs of a disjoint union are the product of its components'
+    homs, and each component's are counted leaf by leaf, up to limit."""
+    total = 1
+    for part in src.components:
+        n = 0
+        for leaf in _search(part, dst, None, False):
+            n += leaf.bit_count()
+            if n >= limit:
+                break
+        if not n:
+            return 0
+        # capped only now: a component with no hom must still answer 0
+        total *= min(n, limit)
+    return min(total, limit)
+
+
+def _search(
+    src: Graph, dst: Graph, pins: Sequence[int] | None, rows: bool
+) -> Iterator[tuple[int, ...] | int]:
+    """The search: with rows, every pin-respecting hom src -> dst in lex
+    order; else one bitset per leaf, the last node's domain once every
+    other node is set, whose bits count the homs that leaf stands for."""
     s = src.node_count
     if s == 0:
-        yield ()
+        yield () if rows else 1
         return
     dp, sp = dst.plan, src.source_plan
     later_out, later_in = sp.later_out, sp.later_in
@@ -86,6 +121,19 @@ def homs(src: Graph, dst: Graph, pins: Sequence[int] | None = None) -> Iterator[
         if not d:
             return
         domain.append(d)
+    # the last node narrows no later domain, so every value left in its
+    # domain once the others are set completes a hom
+    last = s - 1
+    if not last:
+        bits = domain[0]
+        if not rows:
+            yield bits
+            return
+        while bits:
+            low = bits & -bits
+            yield (low.bit_length() - 1,)
+            bits ^= low
+        return
     assign = [0] * s
     domains = [domain] + [None] * (s - 1)
     left = [domain[0]] + [0] * (s - 1)
@@ -121,12 +169,20 @@ def homs(src: Graph, dst: Graph, pins: Sequence[int] | None = None) -> Iterator[
             if dead:
                 continue
         assign[i] = c
-        if i + 1 == s:
-            yield tuple(assign)
-        else:
+        if i + 1 < last:
             i += 1
             domains[i] = d
             left[i] = d[i]
+            continue
+        bits = d[last]
+        if not rows:
+            yield bits
+            continue
+        while bits:
+            low = bits & -bits
+            assign[last] = low.bit_length() - 1
+            yield tuple(assign)
+            bits ^= low
 
 
 def _bits(x: int) -> Iterator[int]:

@@ -12,7 +12,7 @@ from injlog.core import (
     WidePushoutResult,
     semantic_consequence,
 )
-from injlog import graphs as graphs_module
+from injlog import kernels
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
 from injlog.proofs import Hyp, WidePushN, check_proof
 from injlog.lattice import (
@@ -582,12 +582,13 @@ def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
     k3, k4 = g.obj(clique(3)), g.obj(clique(4))
     pinned = []  # the middle graph of each pinned rest search
 
-    def counting(mid, dst, along, images):
-        pinned.append(mid)
-        return extension(mid, dst, along, images)
+    def counting(src, dst, pins=None):
+        if pins is not None:
+            pinned.append(src)
+        return homs(src, dst, pins)
 
-    extension = graphs_module._extension
-    monkeypatch.setattr(graphs_module, "_extension", counting)
+    homs = kernels.homs
+    monkeypatch.setattr(kernels, "homs", counting)
     searched = 0
     # K4 has rows from each dom m but no map into K3, so no rest at all
     for m in (
@@ -606,6 +607,33 @@ def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
             assert pairs_of(fast) == want
             assert list(g.cancellations(m, [k4], limit)) in ([], [None])
     assert searched  # the rows into K3 are still searched
+
+
+@pytest.mark.parametrize("small", [loop_point(), Graph.of(1)], ids=["loop", "point"])
+def test_graph_cancellations_list_no_rows_on_an_object_smaller_than_m_s_image(monkeypatch, small):
+    # every first into a 1-node graph merges the two nodes m separates, so
+    # the homs dom m -> x are only counted; the point maps into cod m, the
+    # loop does not
+    g = GraphCategory()
+    m = g.identity(g.obj(Graph.of(2)))
+    x = g.obj(small)
+    searched = []
+
+    def counting(src, dst, pins=None):
+        searched.append((src, dst))
+        return homs(src, dst, pins)
+
+    homs = kernels.homs
+    monkeypatch.setattr(kernels, "homs", counting)
+    answers = {}
+    for limit in (None, 0, 1, 2, 3):
+        searched.clear()
+        answers[limit] = list(g.cancellations(m, [x], limit))
+        assert searched == []
+        assert answers[limit] == list(oracles.generic_cancellations(g, m, [x], limit))
+        assert pairs_of(answers[limit]) == product_cancellations(m.payload, small, limit)
+    # one hom dom m -> x: it reaches limit 1 and not limit 2
+    assert answers == {None: [], 0: [None], 1: [None], 2: [], 3: []}
 
 
 # --- the engine's held set: answers whose conclusion it holds may go ---------
@@ -717,24 +745,29 @@ def test_graph_cancellations_leave_out_exactly_the_held_firsts(seed):
 
 def test_a_held_first_runs_no_pinned_search(monkeypatch):
     g = GraphCategory()
-    searched = []  # the row along each pinned rest search
+    searched = []  # the pins of each pinned rest search
 
-    def counting(mid, dst, along, images):
-        searched.append(tuple(along))
-        return extension(mid, dst, along, images)
+    def counting(src, dst, pins=None):
+        if pins is not None:
+            searched.append(tuple(pins))
+        return homs(src, dst, pins)
 
-    extension = graphs_module._extension
-    monkeypatch.setattr(graphs_module, "_extension", counting)
+    homs = kernels.homs
+    monkeypatch.setattr(kernels, "homs", counting)
     # every map from the point into K3 extends along the point's map into K3
     k3 = g.obj(clique(3))
     m = g.mor(GraphHom(Graph.of(1), clique(3), (2,)))
     firsts = g.enumerate_homs(m.dom, k3)
-    assert list(g.cancellations(m, [k3])) and searched == [f.payload.mapping for f in firsts]
+
+    def pins(first):  # the rest pinned at the image of first, sent to 2
+        return tuple(2 if v == first.payload.mapping[0] else -1 for v in range(3))
+
+    assert list(g.cancellations(m, [k3])) and searched == [pins(f) for f in firsts]
     for held in ({firsts[0]}, set(firsts[1:]), set(firsts)):
         searched.clear()
         answers = list(g.cancellations(m, [k3], None, held))
         assert [first for first, _ in answers] == [f for f in firsts if f not in held]
-        assert searched == [f.payload.mapping for f in firsts if f not in held]
+        assert searched == [pins(f) for f in firsts if f not in held]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -122,6 +122,17 @@ def test_graph_of_takes_any_integer_type():
     assert all(type(v) is int for v in hom.mapping)
 
 
+def test_components_are_the_undirected_parts_in_node_order():
+    assert Graph.of(5, [(0, 2), (3, 3)]).components == (
+        Graph.of(2, [(0, 1)]), Graph.of(1), loop_point(), Graph.of(1),
+    )
+    # an edge from a later node to an earlier one joins them as well
+    assert Graph.of(4, [(3, 1), (0, 0)]).components == (loop_point(), Graph.of(2, [(1, 0)]), Graph.of(1))
+    path = Graph.of(3, [(2, 0), (1, 2)])
+    assert path.components == (path,) and path.components[0] is path
+    assert Graph.of(0).components == ()
+
+
 def test_hom_composition_and_identity():
     cat = GraphCategory()
     edge = Graph.of(2, [(0, 1)])

@@ -78,6 +78,51 @@ def test_kernel_matches_product_oracle(query):
             assert list(islice(kernels.homs(src, dst), limit)) == expected[:limit]
 
 
+@st.composite
+def sparse_graphs(draw, max_nodes: int) -> Graph:
+    """Graphs with about one cell in four an edge, so that most sources
+    fall apart into several components."""
+    n = draw(st.integers(0, max_nodes))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return Graph.of(n, [c for c in cells if draw(st.integers(0, 3)) == 0])
+
+
+# K2 on nodes 0, 1 beside K3 on nodes 2, 3, 4
+_K2_K3 = Graph.of(5, [(i, j) for part in ((0, 1), (2, 3, 4)) for i in part for j in part if i != j])
+
+
+@settings(max_examples=400)
+@given(st.one_of(graphs(5), sparse_graphs(5)), graphs(4), st.integers(0, 6))
+@example(Graph.of(0), clique(3), 0)
+@example(Graph.of(0), Graph.of(0), 1)
+@example(Graph.of(2, [(1, 1)]), Graph.of(1), 1)
+@example(_K2_K3, clique(4), 6)
+def test_count_matches_the_product_oracle(src, dst, limit):
+    expected = len(product_homs(src, dst, [-1] * src.node_count))
+    assert kernels.count(src, dst, limit) == min(expected, limit)
+
+
+def test_count_is_zero_when_one_component_has_no_hom():
+    # node 0 maps anywhere, but the looped node 1 has nowhere to go: the
+    # count must not stop at limit on the first component's one hom
+    src = Graph.of(2, [(1, 1)])
+    assert [kernels.count(src, Graph.of(1), limit) for limit in (0, 1, 2)] == [0, 0, 0]
+    assert [kernels.count(src, loop_point(), limit) for limit in (0, 1, 2)] == [0, 1, 1]
+
+
+def test_count_of_the_empty_source_is_one_hom():
+    for dst in (Graph.of(0), loop_point(), clique(3)):
+        assert [kernels.count(Graph.of(0), dst, limit) for limit in (0, 1, 5)] == [0, 1, 1]
+
+
+def test_count_multiplies_the_components_counts():
+    # 12 homs K2 -> K4 times 24 homs K3 -> K4
+    assert len(product_homs(_K2_K3, clique(4), [-1] * 5)) == 288
+    assert [kernels.count(_K2_K3, clique(4), limit) for limit in (13, 287, 288, 289, 10**6)] == [
+        13, 287, 288, 288, 288,
+    ]
+
+
 class CountingRows(tuple):
     """A tuple of bitset rows that counts how often the search reads one."""
 

@@ -148,17 +148,20 @@ class WidePushoutResult:
 
 
 class Category(ABC):
-    """Finitely computable category: identities, composites, hom sets,
-    pushouts, attachments (a wide pushout, or a weak reflection round,
-    glues many codomains onto one object at once), finite coproducts.
-    Four questions factor maps or apply a rule: find_factorization
-    (does f extend along h), is_injective (does every map dom h -> x
-    extend along h), and the cancellation and pushout rules' questions,
-    asked once per premise over a list of objects: cancellations (which
-    homs dom m -> x does m factor through) and pushouts (the pushout of
-    h along each hom dom h -> x).  Each category answers the first
-    three itself, from its own structure; pushouts has a base body, one
-    pushout per hom over enumerate_homs, which a category may override.
+    """Finitely computable category: identities, composites, hom sets and
+    finite colimits.  A category builds one colimit, _glue (a coproduct
+    with parts glued along maps); attach (a wide pushout, or a weak
+    reflection round, glues many codomains onto one object at once),
+    pushout, coproduct, cotuple and coproduct_morphism are written here
+    on top of it.  Four questions factor maps or apply a rule:
+    find_factorization (does f extend along h), is_injective (does every
+    map dom h -> x extend along h), and the cancellation and pushout
+    rules' questions, asked once per premise over a list of objects:
+    cancellations (which homs dom m -> x does m factor through) and
+    pushouts (the pushout of h along each hom dom h -> x).  Each category
+    answers the first three itself, from its own structure; pushouts has
+    a base body, one pushout per hom over enumerate_homs, which a
+    category may override.
     The two rule questions take the engine's held set, the morphisms it
     already has, and may leave out an answer whose conclusion is held, so
     the work that answer costs is not done.
@@ -179,28 +182,62 @@ class Category(ABC):
         """Morphisms a -> x in canonical order; with limit, the first limit."""
 
     @abstractmethod
-    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
-        """Pushout of each h along its f at once, for squares (h, f) with
-        dom h = dom f and cod f = x: every cod h glued onto x.  The
-        composite is x -> apex; the injections come from each cod h."""
+    def _glue(self, parts: Sequence[ObjRef], seams: Sequence[tuple]) -> tuple[ObjRef, list[MorRef]]:
+        """The coproduct of parts with p and q made to agree for each seam
+        (i, j, p, q), where p: S -> parts[i] and q: S -> parts[j]; the
+        apex and the injection from each part.  Parts and seams come
+        checked."""
+
+    # the input checks: each raises CategoryError on a ref from elsewhere
+    @abstractmethod
+    def _check_obj(self, obj: ObjRef) -> None: ...
 
     @abstractmethod
-    def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
-        """Finite coproduct with injections; empty input gives the initial object."""
-
-    @abstractmethod
-    def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
-        """Mediator out of the coproduct of the leg domains into target.
-
-        Every leg must end at target; the result composed with the i-th
-        canonical injection gives the i-th leg.
-        """
+    def _check_mor(self, m: MorRef) -> None: ...
 
     @abstractmethod
     def object_label(self, obj: ObjRef) -> str: ...
 
     @abstractmethod
     def morphism_label(self, m: MorRef) -> str: ...
+
+    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
+        """Pushout of each h along its f at once, for squares (h, f) with
+        dom h = dom f and cod f = x: every cod h glued onto x.  The
+        composite is x -> apex; the injections come from each cod h."""
+        self._check_squares(x, squares)
+        # x after the first cod h: a graph numbers the apex by its parts in
+        # order, so a fan (each f an identity) is numbered as its leg codomains
+        at = min(1, len(squares))
+        parts = [h.cod for h, _ in squares]
+        parts.insert(at, x)
+        _, injections = self._glue(parts, [(i + (i >= at), at, h, f) for i, (h, f) in enumerate(squares)])
+        composite = injections.pop(at)
+        return WidePushoutResult(composite, tuple(injections))
+
+    def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
+        """Finite coproduct with injections; empty input gives the initial object."""
+        self.validate_for_colimits()
+        for o in objs:
+            self._check_obj(o)
+        return self._glue(objs, ())
+
+    def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
+        """Mediator out of the coproduct of the leg domains into target.
+
+        Every leg must end at target; the result composed with the i-th
+        canonical injection gives the i-th leg: it is the coproduct's
+        injection into target glued to it along the legs.
+        """
+        self.validate_for_colimits()
+        self._check_obj(target)
+        for m in legs:
+            self._check_mor(m)
+            if m.cod != target:
+                raise CategoryError("cotuple legs must share the target")
+        src, injections = self.coproduct([m.dom for m in legs])
+        _, (_, mediator) = self._glue([target, src], [(0, 1, m, inj) for m, inj in zip(legs, injections)])
+        return mediator
 
     def pushout(self, h: MorRef, f: MorRef) -> tuple[MorRef, MorRef]:
         """Canonical pushout of the span (h, f) sharing a domain, as the
@@ -291,10 +328,8 @@ class Category(ABC):
                 yield f, self.pushout(h, f)[0]
 
     def _check_squares(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> None:
-        """The input check of attach and attach_size, through the
-        subclass's _check_obj and _check_mor (each raises CategoryError on
-        a ref from elsewhere): x, then each square's h and f, and then the
-        square's shape."""
+        """The input check of attach and attach_size: x, then each square's
+        h and f, and then the square's shape."""
         self._check_obj(x)
         for h, f in squares:
             self._check_mor(h)

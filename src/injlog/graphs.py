@@ -14,14 +14,7 @@ from itertools import chain, count, islice, permutations
 from typing import Container, Iterable, Iterator, Sequence
 
 from . import kernels
-from .core import (
-    Category,
-    CategoryError,
-    InjectivityResult,
-    MorRef,
-    ObjRef,
-    WidePushoutResult,
-)
+from .core import Category, CategoryError, InjectivityResult, MorRef, ObjRef
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,8 @@ class GraphHom:
     @classmethod
     def _trusted(cls, source: Graph, target: Graph, mapping: tuple[int, ...]) -> "GraphHom":
         """A hom the package built from kernel rows, from homs already
-        checked or from a checked graph (an identity, a cotuple of checked
-        legs); skips ``__post_init__``.  Outside input goes through
+        checked or from checked graphs (an identity, a glued injection);
+        skips ``__post_init__``.  Outside input goes through
         ``GraphHom(...)``."""
         hom = object.__new__(cls)
         # one attribute at a time, as the dataclass __init__ does: an
@@ -337,29 +330,13 @@ class GraphCategory(Category):
             for row in islice(kernels.homs(src, dst), limit)
         ]
 
-    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
-        self._check_squares(x, squares)
-        # x after the first cod h, so no node of x glued to it is least in its
-        # class: a fan (each f an identity) is numbered as its leg codomains
-        at = min(1, len(squares))
-        parts = [h.cod for h, _ in squares]
-        parts.insert(at, x)
-        _, injections = self._glue(parts, [
-            (i + (i >= at), at, h.payload.mapping, f.payload.mapping)
-            for i, (h, f) in enumerate(squares)
-        ])
-        composite = injections.pop(at)
-        return WidePushoutResult(composite, tuple(injections))
-
-    def coproduct(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
-        return self._glue(objs, ())
-
-    def _glue(self, parts: Sequence[ObjRef], seams: Iterable[tuple]) -> tuple[ObjRef, list[MorRef]]:
+    def _glue(self, parts: Sequence[ObjRef], seams: Sequence[tuple]) -> tuple[ObjRef, list[MorRef]]:
         """Quotient of the disjoint union of parts: a seam (i, j, p, q) makes
-        node p[v] of part i and node q[v] of part j one node, for every v.
-        Nodes are numbered by their class's least member in the union.
+        node p(v) of part i and node q(v) of part j one node, for every node
+        v of their domain.  Nodes are numbered by their class's least member
+        in the union, so a part ahead of the others keeps its numbering.
         Returns the apex and the injection from each part."""
-        graphs = [self.graph_of(o) for o in parts]
+        graphs = [self._graphs[o.index] for o in parts]
         offsets = [0]
         for g in graphs:
             offsets.append(offsets[-1] + g.node_count)
@@ -373,7 +350,7 @@ class GraphCategory(Category):
 
         for i, j, p, q in seams:
             oi, oj = offsets[i], offsets[j]
-            for u, v in zip(p, q):
+            for u, v in zip(p.payload.mapping, q.payload.mapping):
                 a, b = root(oi + u), root(oj + v)
                 if a < b:  # the smaller root stays a root
                     parent[b] = a
@@ -397,19 +374,6 @@ class GraphCategory(Category):
             MorRef(o, apex, GraphHom._trusted(g, apex_graph, tuple(index_map[off : off + g.node_count])))
             for o, g, off in zip(parts, graphs, offsets)
         ]
-
-    def cotuple(self, legs: Sequence[MorRef], target: ObjRef) -> MorRef:
-        # checked legs into the target preserve the edges of their
-        # coproduct, whose nodes are the legs' domains in turn
-        mapping: list[int] = []
-        for m in legs:
-            self._check_mor(m)
-            if m.cod != target:
-                raise CategoryError("cotuple legs must share the target")
-            mapping.extend(m.payload.mapping)
-        src, _ = self.coproduct([m.dom for m in legs])
-        dst = self.graph_of(target)  # checked here for want of a leg
-        return MorRef(src, target, GraphHom._trusted(self._graphs[src.index], dst, tuple(mapping)))
 
     def object_size(self, obj: ObjRef) -> int:
         return self.graph_of(obj).node_count

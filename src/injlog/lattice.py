@@ -22,7 +22,6 @@ from .core import (
     MorphismSet,
     MorRef,
     ObjRef,
-    WidePushoutResult,
 )
 
 
@@ -332,36 +331,16 @@ class LatticeCategory(Category):
             elif limit == 0:
                 yield None
 
-    def attach(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> WidePushoutResult:
-        self._check_squares(x, squares)
-        _, (composite, *injections) = self._join([x, *(h.cod for h, _ in squares)])
-        return WidePushoutResult(composite, tuple(injections))
-
-    def coproduct(self, objs) -> tuple[ObjRef, list[MorRef]]:
-        self._lattice_joins()
-        for o in objs:
-            self._check_obj(o)
-        return self._join(objs)
-
-    def cotuple(self, legs, target: ObjRef) -> MorRef:
-        self._lattice_joins()
-        self._check_obj(target)
-        for m in legs:
-            self._check_mor(m)
-            if m.cod != target:
-                raise CategoryError("cotuple legs must share the target")
-        src, _ = self._join([m.dom for m in legs])
-        return self.mor(src.index, target.index)
-
-    def _join(self, objs: Sequence[ObjRef]) -> tuple[ObjRef, list[MorRef]]:
-        """Join of objs (bottom when there are none) with the injection
-        from each; the one place a lattice glues objects."""
+    def _glue(self, parts: Sequence[ObjRef], seams: Sequence[tuple]) -> tuple[ObjRef, list[MorRef]]:
+        """Join of parts (bottom when there are none) with the injection
+        from each.  Seams are ignored: the category is thin, so any two
+        maps into the join agree already."""
         joins = self._lattice_joins()
-        top = objs[0].index if objs else self._bottom
-        for o in objs[1:]:
+        top = parts[0].index if parts else self._bottom
+        for o in parts[1:]:
             top = joins[top][o.index]
         apex = ObjRef(self.cat_id, top)
-        return apex, [MorRef(o, apex, (o.index, top)) for o in objs]
+        return apex, [MorRef(o, apex, (o.index, top)) for o in parts]
 
     def search_universe(self) -> list[ObjRef]:
         return self.objects()

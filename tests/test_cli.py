@@ -342,6 +342,59 @@ def assert_usage_error(capsys, argv, message):
     assert json.loads(out) == {"verdict": "usage-error", "error": message}
 
 
+def test_no_subcommand_prints_the_usage_and_exits_64(capsys):
+    assert main([]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: injlog [-h]")
+    # --json belongs to the subcommands, so alone it is a usage error too
+    assert main(["--json"]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: unrecognized arguments: --json\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check-inj", "--cat", "graphs", "--object", "nope", "--hset", "HL"), "unknown graph 'nope'"),
+        (("prove", "--hset", "H", "--goal", "nope"), "unknown morphism 'nope'"),
+        (("check-inj", "--cat", "chain", "--object", "0", "--hset", "nope"), "unknown hset 'nope'"),
+        (("check-proof", "--proof", "nope", "--hset", "H"), "unknown proof 'nope'"),
+        (
+            ("check-inj", "--cat", "chain", "--object", "0", "--hset", "HL"),
+            "hset 'HL' is not in the selected category",
+        ),
+        (
+            ("saturate", "--cat", "graphs", "--hset", "HL"),
+            "saturation needs a finite closed category: pick a lattice",
+        ),
+    ],
+    ids=["graph", "morphism", "hset", "proof", "foreign-hset", "saturate-graphs"],
+)
+def test_unknown_and_misplaced_names_are_usage_errors(ws_file, capsys, argv, message):
+    assert_usage_error(capsys, [argv[0], ws_file, *argv[1:]], message)
+
+
+def test_a_qualified_object_names_its_element(ws_file, capsys):
+    argv = ["check-inj", ws_file, "--cat", "chain", "--hset", "H", "--object"]
+    assert run(capsys, *argv, "chain.1") == run(capsys, *argv, "1") == (
+        1, "h: not injective (no extension of 0->1)\nverdict: not-injective\n"
+    )
+    code, out = run(capsys, *argv, "chain.1", "--json")
+    report = json.loads(out)
+    assert (code, report["object"], report["verdict"]) == (1, "1", "not-injective")
+
+
+def test_a_proof_naming_no_object_takes_its_category_from_the_hset(tmp_path, capsys):
+    path = tmp_path / "bare.inj"
+    path.write_text(WORKSPACE + "proof bare { (hyp h) }\n")
+    argv = ["check-proof", str(path), "--proof", "bare", "--hset"]
+    assert run(capsys, *argv, "H") == (0, "verdict: valid\nconclusion: 0->2\nhypotheses used: h\n")
+    code, out = run(capsys, *argv, "H", "--json")
+    assert (code, json.loads(out)["conclusion"]) == (0, "0->2")
+    assert_usage_error(capsys, [*argv, "none"], "cannot infer the category from an empty hset")
+
+
 @pytest.mark.parametrize("goal", ["inc", "xy"])
 def test_saturate_refuses_a_goal_from_another_category(tmp_path, capsys, goal):
     path = tmp_path / "two.inj"

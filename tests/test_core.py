@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +249,55 @@ def test_each_category_answers_the_three_injectivity_questions_itself(question):
     with pytest.raises(TypeError, match=question):
         type("WithoutIt", (Category,), others)()
     type("WithIt", (Category,), {**others, question: body})()
+
+
+@pytest.mark.parametrize("member", ["_glue", "_check_obj", "_check_mor"])
+def test_each_category_builds_its_glue_and_checks_its_refs_itself(member):
+    # the colimits and the input checks written on Category call these
+    body = lambda self, *args: None  # noqa: E731
+    others = {name: body for name in Category.__abstractmethods__ if name != member}
+    with pytest.raises(TypeError, match=member):
+        type("WithoutIt", (Category,), others)()
+    type("WithIt", (Category,), {**others, member: body})()
+
+
+def test_categories_write_no_colimit_but_their_glue():
+    for cls in (GraphCategory, LatticeCategory):
+        assert "_glue" in cls.__dict__
+        for name in ("attach", "coproduct", "cotuple", "pushout", "coproduct_morphism"):
+            assert name not in cls.__dict__
+
+
+def two_categories():
+    """(category, a leg into one of its objects, an object of another
+    category) for a lattice and for graphs."""
+    lattice = diamond()
+    graphs = GraphCategory()
+    return [
+        (lattice, lattice.mor("0", "a"), chain3().obj("1")),
+        (graphs, graphs.mor(GraphHom(Graph.of(1), clique(2), (0,))), GraphCategory().obj(clique(3))),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["lattice", "graph"])
+def test_cotuple_refuses_a_foreign_target_before_its_legs(case):
+    # the target is checked first, so a leg into another object does not
+    # decide the error
+    cat, leg, foreign = two_categories()[case]
+    message = f"^{re.escape(f'object {foreign} is not from {cat.cat_id}')}$"
+    for legs in ([], [leg], [leg, leg]):
+        with pytest.raises(CategoryError, match=message):
+            cat.cotuple(legs, foreign)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["lattice", "graph"])
+def test_compose_refuses_maps_that_do_not_meet(case):
+    cat, leg, _ = two_categories()[case]
+    message = "^composability mismatch: cod of inner != dom of outer$"
+    with pytest.raises(CategoryError, match=message):
+        cat.compose(leg, leg)
+    with pytest.raises(CategoryError, match=message):
+        cat.compose(cat.identity(leg.dom), cat.identity(leg.cod))
 
 
 def test_find_factorization_prefers_canonical_order():

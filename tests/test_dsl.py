@@ -207,6 +207,62 @@ def test_declaration_errors_are_pinned(src, message, hint, line, col):
     assert diag(src) == Diagnostic(line, col, message, hint)
 
 
+L_SRC = "lattice L { elements: a b; leq: a<b; }\n"
+G_SRC = "graph G { nodes: u v; edges: u->v; }\ngraph H { nodes: x; }\n"
+
+# (source, message, hint, line, col): the errors of the morphism and proof
+# readers, each at the token it names
+REFERENCE_ERRORS = [
+    (
+        "lattice L { elements: a b; leq: a<b, b<a; }",
+        "not a partial order: not-antisymmetric at ('a', 'b')", "check the leq pairs", 1, 1,
+    ),
+    (L_SRC + "mor f : K.a -> L.b;", "unknown lattice 'K'", "", 2, 9),
+    (L_SRC + "mor f : L.a -> L.c;", "lattice 'L' has no element 'c'", "", 2, 16),
+    (
+        L_SRC + "mor f : a -> b ->",
+        "expected ';' or a '{ ... }' map", "lattice morphisms end with ';', graph morphisms map every node", 2, 16,
+    ),
+    (
+        L_SRC + "lattice M { elements: c d; leq: c<d; }\nmor f : a -> c;",
+        "elements 'a' and 'c' are in different lattices", "", 3, 14,
+    ),
+    (
+        L_SRC + "mor f : a -> b { a |-> b }",
+        "unknown graph 'a'", "lattice morphisms are written 'mor NAME : a -> b;'", 2, 9,
+    ),
+    (G_SRC + "mor f : G -> H { w |-> x }", "unknown node 'w' in graph 'G'", "", 3, 18),
+    (G_SRC + "mor f : H -> G { x |-> w }", "unknown node 'w' in graph 'G'", "", 3, 24),
+    (L_SRC + "proof p { (id (g x ())) }", "expected a number, found 'x'", "", 2, 18),
+    (L_SRC + "proof p { (id (h 1 ())) }", "expected graph literal (g ...), found 'h'", "", 2, 16),
+    (L_SRC + "proof p { (id (g 1 ((0 1)))) }", "edge (0, 1) out of range for 1 nodes", "", 2, 16),
+    (G_SRC + "proof p { (push (hyp h) (gmor nope G ())) }", "unknown graph 'nope'", "", 3, 31),
+    (L_SRC + "proof p { (push (hyp h) nope) }", "unknown morphism 'nope'", "", 2, 25),
+    (
+        L_SRC + "proof p { (push (hyp h) (fmor a b)) }",
+        "expected a morphism, found (fmor ...)", "use a name, (lmor a b), or (gmor ...)", 2, 26,
+    ),
+    (
+        L_SRC + "proof p { (frob (hyp h)) }",
+        "unknown proof form 'frob'", "use hyp, id, comp, cancel, push, coprod, or widepush", 2, 12,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "src, message, hint, line, col",
+    REFERENCE_ERRORS,
+    ids=[
+        "not-a-partial-order", "unknown-lattice", "no-such-element", "no-mor-body", "different-lattices",
+        "lattice-name-hint", "unknown-source-node", "unknown-target-node", "not-a-number",
+        "not-a-graph-literal", "edge-out-of-range", "unknown-graph-operand", "unknown-morphism-operand",
+        "unknown-morphism-form", "unknown-proof-form",
+    ],
+)
+def test_reference_errors_are_pinned(src, message, hint, line, col):
+    assert diag(src) == Diagnostic(line, col, message, hint)
+
+
 def test_non_homomorphism_reports_the_violating_edge():
     d = diag(
         "graph A { nodes: x y; edges: x->y; }\n"

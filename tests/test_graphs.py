@@ -252,6 +252,66 @@ def test_coproduct_morphism_and_cotuple_agree_blockwise():
     assert cat.cotuple(cod_inj, cod) == cat.identity(cod)
 
 
+def test_attachment_squares_of_the_wrong_shape_are_refused():
+    cat = GraphCategory()
+    node, edge, c3 = Graph.of(1), Graph.of(2, [(0, 1)]), clique(3)
+    h = cat.mor(GraphHom(node, edge, (0,)))
+    f = cat.mor(GraphHom(node, c3, (0,)))
+    g = cat.mor(GraphHom(edge, c3, (0, 1)))
+    # cod f is not x, and dom h is not dom f
+    for x, squares in ((cat.obj(edge), [(h, f)]), (cat.obj(c3), [(h, g)]), (cat.obj(c3), [(h, f), (h, g)])):
+        for build in (cat.attach, cat.attach_size):
+            with pytest.raises(CategoryError, match="^attachment squares need dom h = dom f and cod f = x$"):
+                build(x, squares)
+
+
+def test_cotuple_legs_must_share_the_target():
+    cat = GraphCategory()
+    node, c2, c3 = Graph.of(1), clique(2), clique(3)
+    into_c2 = cat.mor(GraphHom(node, c2, (0,)))
+    into_c3 = cat.mor(GraphHom(node, c3, (0,)))
+    for legs in ([into_c2], [into_c3, into_c2]):
+        with pytest.raises(CategoryError, match="^cotuple legs must share the target$"):
+            cat.cotuple(legs, cat.obj(c3))
+
+
+def concatenated_cotuple(cat: GraphCategory, legs, target: ObjRef) -> MorRef:
+    """The cotuple as the leg mappings laid end to end: the coproduct's
+    nodes are the legs' domains in turn."""
+    src, _ = cat.coproduct([m.dom for m in legs])
+    mapping = tuple(v for m in legs for v in m.payload.mapping)
+    return cat.mor(GraphHom(cat.graph_of(src), cat.graph_of(target), mapping))
+
+
+def test_cotuple_is_the_concatenation_of_its_legs():
+    rng = random.Random(29)
+    cat = GraphCategory()
+    lengths = set()
+    for _ in range(150):
+        target = cat.obj(random_graph(rng, max_nodes=4))
+        legs = []
+        for _ in range(rng.randint(0, 4)):
+            homs = cat.enumerate_homs(cat.obj(random_graph(rng, max_nodes=3)), target, limit=4)
+            legs += rng.sample(homs, min(len(homs), 1))
+        lengths.add(len(legs))
+        expected = concatenated_cotuple(cat, legs, target)
+        registered = len(cat._graphs)
+        got = cat.cotuple(legs, target)
+        assert got == expected
+        # the glued apex is target itself: its ref, and no graph registered
+        assert got.cod == target and got.payload.target is cat.graph_of(target)
+        assert len(cat._graphs) == registered
+    assert lengths == {0, 1, 2, 3, 4}
+
+
+def test_find_factorization_needs_a_common_domain():
+    cat = GraphCategory()
+    h = cat.mor(GraphHom(Graph.of(1), clique(2), (0,)))
+    f = cat.mor(GraphHom(clique(2), clique(3), (0, 1)))
+    with pytest.raises(CategoryError, match="^factorization query needs a common domain$"):
+        cat.find_factorization(h, f)
+
+
 def test_find_factorization_uses_pinning():
     cat = GraphCategory()
     node = Graph.of(1)

@@ -138,6 +138,16 @@ def test_morphism_existence_follows_leq():
             assert cat.enumerate_homs(a, x, limit=k) == homs[:k]
 
 
+def test_obj_refuses_an_index_out_of_range_and_an_unknown_name():
+    cat = diamond()
+    for i in (4, -1):
+        with pytest.raises(CategoryError, match=f"^no element with index {i}$"):
+            cat.obj(i)
+    with pytest.raises(LatticeError) as err:
+        cat.obj("c")
+    assert (err.value.kind, err.value.witness, str(err.value)) == ("unknown-element", ("c",), "unknown-element at ('c',)")
+
+
 def test_morphism_count_of_diamond_and_chain():
     assert len(diamond().all_morphisms()) == 9
     chain = LatticeCategory(
@@ -161,6 +171,44 @@ def test_coproduct_is_join_and_empty_coproduct_is_bottom():
     bottom, none = cat.coproduct([])
     assert bottom == cat.obj("0")
     assert none == []
+
+
+def test_attachment_squares_of_the_wrong_shape_are_refused():
+    cat = diamond()
+    # cod f is not x, and dom h is not dom f
+    for x, squares in (
+        (cat.obj("a"), [(cat.mor("0", "a"), cat.mor("0", "b"))]),
+        (cat.obj("1"), [(cat.mor("a", "1"), cat.mor("0", "1"))]),
+        (cat.obj("1"), [(cat.mor("0", "a"), cat.mor("0", "1")), (cat.mor("a", "1"), cat.mor("0", "1"))]),
+    ):
+        with pytest.raises(CategoryError, match="^attachment squares need dom h = dom f and cod f = x$"):
+            cat.attach(x, squares)
+
+
+def test_cotuple_legs_must_share_the_target():
+    cat = diamond()
+    for legs in ([cat.mor("0", "a")], [cat.mor("0", "1"), cat.mor("b", "b")]):
+        with pytest.raises(CategoryError, match="^cotuple legs must share the target$"):
+            cat.cotuple(legs, cat.obj("1"))
+
+
+def test_cotuple_composed_with_each_injection_is_its_leg():
+    rng = random.Random(41)
+    lengths = set()
+    for _ in range(60):
+        cat = random_lattice(rng, max_size=7)
+        objs = cat.objects()
+        bottom = next(b for b in objs if all(cat.enumerate_homs(b, x) for x in objs))
+        for target in objs:
+            assert cat.cotuple([], target) == cat.mor(bottom.index, target.index)
+            into = [m for m in cat.all_morphisms() if m.cod == target]
+            legs = [rng.choice(into) for _ in range(rng.randint(1, 4))]
+            lengths.add(len(legs))
+            mediator = cat.cotuple(legs, target)
+            src, injections = cat.coproduct([m.dom for m in legs])
+            assert (mediator.dom, mediator.cod) == (src, target)
+            assert [cat.compose(mediator, inj) for inj in injections] == legs
+    assert lengths == {1, 2, 3, 4}
 
 
 def test_injectives_of_principal_hypothesis():

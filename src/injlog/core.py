@@ -156,12 +156,13 @@ class Category(ABC):
     on top of it.  Four questions factor maps or apply a rule:
     find_factorization (does f extend along h), is_injective (does every
     map dom h -> x extend along h), and the cancellation and pushout
-    rules' questions, asked once per premise over a list of objects:
-    cancellations (which homs dom m -> x does m factor through) and
-    pushouts (the pushout of h along each hom dom h -> x).  Each category
-    answers the first three itself, from its own structure; pushouts has
-    a base body, one pushout per hom over enumerate_homs, which a
-    category may override.
+    rules' questions, asked once per premise over a list of objects, or
+    over objects=None, which on a closed category means every object of
+    search_universe(), in its order: cancellations (which homs dom m -> x
+    does m factor through) and pushouts (the pushout of h along each hom
+    dom h -> x).  Each category answers the first three itself, from its
+    own structure; pushouts has a base body, one pushout per hom over
+    enumerate_homs, which a category may override.
     The two rule questions take the engine's held set, the morphisms it
     already has, and may leave out an answer whose conclusion is held, so
     the work that answer costs is not done.
@@ -259,7 +260,9 @@ class Category(ABC):
 
     def attach_size(self, x: ObjRef, squares: Sequence[tuple[MorRef, MorRef]]) -> int:
         """An upper bound on the object_size of attach(x, squares)'s apex,
-        read without building it; 1, as object_size, unless overridden."""
+        read without building it; 1, as object_size, unless overridden.
+        Checks its input as attach does."""
+        self._check_squares(x, squares)
         return 1
 
     def search_universe(self) -> list[ObjRef] | None:
@@ -286,7 +289,7 @@ class Category(ABC):
     def cancellations(
         self,
         m: MorRef,
-        objects: Iterable[ObjRef],
+        objects: Iterable[ObjRef] | None,
         limit: int | None = None,
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
@@ -296,7 +299,8 @@ class Category(ABC):
         canonical hom order, paired with rest: x -> cod m, the first g
         with g after first = m (what find_factorization(first, m)
         returns).  Lazy: nothing is asked about an object before the
-        answers for the ones ahead of it are taken.
+        answers for the ones ahead of it are taken.  objects=None, on a
+        closed category, is search_universe().
 
         A first in held may be left out, and is tested when the body
         reaches it, since the caller may add to held between answers;
@@ -305,7 +309,7 @@ class Category(ABC):
     def pushouts(
         self,
         h: MorRef,
-        objects: Iterable[ObjRef],
+        objects: Iterable[ObjRef] | None,
         limit: int | None = None,
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
@@ -319,7 +323,7 @@ class Category(ABC):
         cancellations.  This body keeps them all: h_prime exists only once
         the pushout is built.  The premise is checked first."""
         self._check_mor(h)
-        for x in objects:
+        for x in self.search_universe() if objects is None else objects:
             homs = self.enumerate_homs(h.dom, x, limit)
             if len(homs) == limit:
                 yield None

@@ -199,6 +199,8 @@ class LatticeCategory(Category):
     unless the poset is a complete lattice), plus the bottom and the
     element count.  Every public operation still checks the refs it is
     handed, since proof checking passes user terms straight through.
+    The rule bodies read refs off tables they build on first use, and
+    compose reads its answer there once they exist.
     """
 
     def __init__(self, presentation: LatticePresentation):
@@ -213,6 +215,9 @@ class LatticeCategory(Category):
         self.cat_id = f"lattice:{presentation.name}:{hashlib.sha256(order).hexdigest()[:16]}"
         full = (1 << self._n) - 1
         self._bottom = next((i for i, u in enumerate(self._up) if u == full), None)
+        # built by _tables on first rule use; plain attributes, so the
+        # instance keeps its compact attribute storage
+        self._objs = self._hom = self._down = None
 
     def obj(self, element: str | int) -> ObjRef:
         i = element if isinstance(element, int) else self.p.index(element)
@@ -250,7 +255,12 @@ class LatticeCategory(Category):
         # both refs are checked, so their objects compare by index
         if f.cod.index != g.dom.index:
             raise CategoryError("composability mismatch: cod of inner != dom of outer")
-        return MorRef(f.dom, g.cod, (f.dom.index, g.cod.index))
+        # thin: the one map dom f -> cod g, read off the rule bodies' table
+        # once they built it; one compose is not worth building it for
+        a, c = f.dom.index, g.cod.index
+        if self._hom is not None:
+            return self._hom[a][c]
+        return MorRef(f.dom, g.cod, (a, c))
 
     def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
         self._check_obj(a)
@@ -273,19 +283,34 @@ class LatticeCategory(Category):
     def cancellations(
         self,
         m: MorRef,
-        objects: Iterable[ObjRef],
+        objects: Iterable[ObjRef] | None,
         limit: int | None = None,
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         # thin shortcut: the one map a -> x, if a <= x, and m = a -> b
-        # factors through it iff x <= b.  The premise is checked once and
-        # each object by the inline test; refs are built only for pairs,
-        # and rest only for a first not held
+        # factors through it iff x <= b.  The premise is checked once; over
+        # the whole universe the answers are the bits of up[a] & down[b],
+        # walked inline (a _bits generator per premise is slower), and over
+        # a list each object is checked by the inline test.  rest is read
+        # only for a first not held
         self._check_mor(m)
         a, b = m.dom.index, m.cod.index
-        up, cat_id, n = self._up, self.cat_id, self._n
-        above = up[a]
+        hom = self._hom or self._tables()
+        above = self._up[a]
         capped = limit is not None and limit <= 1  # one hom reaches the limit
+        if objects is None:
+            if not capped:
+                between = above & self._down[b]
+                while between:
+                    low = between & -between
+                    between ^= low
+                    i = low.bit_length() - 1
+                    first = hom[a][i]
+                    if first not in held:
+                        yield first, hom[i][b]
+                return
+            objects = self._objs
+        up, cat_id, n = self._up, self.cat_id, self._n
         for x in objects:
             i = x.index
             if x.cat_id != cat_id or not 0 <= i < n:
@@ -294,28 +319,41 @@ class LatticeCategory(Category):
                 if capped:
                     yield None
                 elif up[i] >> b & 1:
-                    first = MorRef(m.dom, x, (a, i))
+                    first = hom[a][i]
                     if first not in held:
-                        yield first, MorRef(x, m.cod, (i, b))
+                        yield first, hom[i][b]
             elif limit == 0:
                 yield None
 
     def pushouts(
         self,
         h: MorRef,
-        objects: Iterable[ObjRef],
+        objects: Iterable[ObjRef] | None,
         limit: int | None = None,
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
         # thin shortcut: the one map f: a -> x, if a <= x, pushes h: a -> b
-        # out to x -> join(x, b), one read of the join table; f is built
-        # only for a leg not held
+        # out to x -> join(x, b), one read of the join table.  Over the
+        # whole universe the objects are the bits of up[a]; f is read only
+        # for a leg not held
         self._check_mor(h)
         a = h.dom.index
         joins = self._lattice_joins()[h.cod.index]
-        cat_id, n = self.cat_id, self._n
+        hom = self._hom or self._tables()
         above = self._up[a]
         capped = limit is not None and limit <= 1
+        if objects is None:
+            if not capped:
+                while above:
+                    low = above & -above
+                    above ^= low
+                    i = low.bit_length() - 1
+                    h_prime = hom[i][joins[i]]
+                    if h_prime not in held:
+                        yield hom[a][i], h_prime
+                return
+            objects = self._objs
+        cat_id, n = self.cat_id, self._n
         for x in objects:
             i = x.index
             if x.cat_id != cat_id or not 0 <= i < n:
@@ -324,10 +362,9 @@ class LatticeCategory(Category):
                 if capped:
                     yield None
                 else:
-                    top = joins[i]
-                    h_prime = MorRef(x, ObjRef(cat_id, top), (i, top))
+                    h_prime = hom[i][joins[i]]
                     if h_prime not in held:
-                        yield MorRef(h.dom, x, (a, i)), h_prime
+                        yield hom[a][i], h_prime
             elif limit == 0:
                 yield None
 
@@ -372,6 +409,19 @@ class LatticeCategory(Category):
     def morphism_label(self, m: MorRef) -> str:
         self._check_mor(m)
         return f"{self.p.elements[m.dom.index]}->{self.p.elements[m.cod.index]}"
+
+    def _tables(self) -> tuple[tuple[MorRef | None, ...], ...]:
+        """Build the rule bodies' tables and return hom: each element's
+        ref, the interned ref of each map i -> j (None unless i <= j) and
+        the down-sets."""
+        n, up = self._n, self._up
+        self._objs = objs = tuple(ObjRef(self.cat_id, i) for i in range(n))
+        self._down = tuple(sum(1 << i for i, above in enumerate(up) if above >> j & 1) for j in range(n))
+        self._hom = tuple(
+            tuple(MorRef(objs[i], objs[j], (i, j)) if above >> j & 1 else None for j in range(n))
+            for i, above in enumerate(up)
+        )
+        return self._hom
 
     def _lattice_joins(self) -> tuple[tuple[int, ...], ...]:
         """The join table; raises the no-join error on a poset that is not

@@ -371,7 +371,8 @@ def prove(
     otherwise exhaustion is inconclusive, since derivability over an open
     universe is only semi-decidable.  stop_reason names what ended the
     run: a run that ran dry after node_cap or hom_cap pruned a step stops
-    on that budget.  A negative budget raises ValueError.
+    on that budget.  A negative budget raises ValueError, and a hypothesis
+    or goal the category refuses raises CategoryError.
     """
     check_budgets(node_cap=node_cap, depth_cap=depth_cap, hom_cap=hom_cap, mor_cap=mor_cap)
     cat.validate_for_colimits()
@@ -403,8 +404,12 @@ def _fixpoint(
 ) -> tuple[dict[MorRef, ProofTerm], int, str]:
     """Semi-naive closure of the hypotheses under the rules in mask.
 
-    Objects are in play from the start when the category is closed, and
-    otherwise enter with the morphisms that reach them (within node_cap).
+    The hypotheses and the goal are checked where they enter, by the
+    category's input check; every other ref the engine handles the
+    category made.  Objects are in play from the start when the category
+    is closed, and otherwise enter with the morphisms that reach them
+    (within node_cap).  When in play is the whole closed universe, the
+    rule bodies are handed objects=None for it.
     A round only tries steps with a premise, or a cancellation or
     pushout object, added by the round before: every other step was
     tried in an earlier round and yields nothing new.  The steps it does
@@ -440,8 +445,20 @@ def _fixpoint(
         in_play_set.add(obj)
         return True
 
-    for x in cat.search_universe() or ():
+    # checked once, where they enter: a rule that never reads one would
+    # otherwise pass it through unchecked
+    for _, m in hypotheses:
+        cat._check_mor(m)
+    if goal is not None:
+        cat._check_mor(goal)
+
+    universe = cat.search_universe()
+    for x in universe or ():
         admit(x)
+    # when admission pruned none of a closed universe, in_play is all of it
+    # in search_universe() order, and stays so, since no object lies outside
+    # it: the rule bodies are then handed None, which means just that
+    everything = None if universe is not None and not pruned else in_play
     for _, m in hypotheses:
         admit(m.dom)
         admit(m.cod)
@@ -496,7 +513,7 @@ def _fixpoint(
                 for m in mors[:old_mors]:
                     yield m, new_objs
             for m in mors[old_mors:]:
-                yield m, in_play
+                yield m, everything
 
         try:
             if "composition" in mask:

@@ -55,14 +55,14 @@ def generic_is_injective(cat: Category, x: ObjRef, h: MorRef) -> InjectivityResu
 def generic_cancellations(
     cat: Category,
     m: MorRef,
-    objects: Iterable[ObjRef],
+    objects: Iterable[ObjRef] | None,
     limit: int | None = None,
     held: Container[MorRef] = frozenset(),
 ) -> Iterator[tuple[MorRef, MorRef] | None]:
     """``Category.cancellations`` by one ``cat.find_factorization`` per
     hom dom m -> x; lazy as the contract asks, and a held first is left
-    out before its factorization."""
-    for x in objects:
+    out before its factorization.  objects=None is the closed universe."""
+    for x in cat.search_universe() if objects is None else objects:
         homs = cat.enumerate_homs(m.dom, x, limit)
         if len(homs) == limit:
             yield None

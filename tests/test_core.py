@@ -10,6 +10,7 @@ from injlog.core import (
     MorphismSet,
     MorphismSetError,
     MorRef,
+    ObjRef,
     WidePushoutResult,
     semantic_consequence,
 )
@@ -750,8 +751,11 @@ def test_lattice_rules_leave_out_exactly_the_held_conclusions(seed):
         cat = random_lattice(rng, max_size=7, name=f"L{i}")
         pool = cat.all_morphisms()
         for m in pool:
-            for limit in (None, 0, 1, 2):
-                objects = object_list(rng, cat.objects(), m.cod)
+            for limit, objects in [
+                *((limit, object_list(rng, cat.objects(), m.cod)) for limit in (None, 0, 1, 2)),
+                # objects=None is the whole universe, walked on up-set bits
+                *((limit, None) for limit in (None, 1, 2, 3)),
+            ]:
                 full = list(oracles.generic_cancellations(cat, m, objects, limit))
                 dropped["base"] += check_held(
                     lambda held: oracles.generic_cancellations(cat, m, objects, limit, held),
@@ -830,23 +834,50 @@ def test_lattice_rules_per_premise_match_the_generic_loops_and_the_order(seed):
             a, b = m.dom.index, m.cod.index
             for limit in (None, 0, 1, 2, 3):
                 # the codomain is above a, so it has a hom from a: at limit 1
-                # it is over the cap
-                objects = object_list(rng, cat.objects(), m.cod)
-                cancelled = list(cat.cancellations(m, objects, limit))
-                pushed = list(cat.pushouts(m, objects, limit))
-                assert cancelled == list(oracles.generic_cancellations(cat, m, objects, limit))
-                assert pushed == list(Category.pushouts(cat, m, objects, limit))
-                # one hom a -> x when a <= x; m factors through it when x <= b,
-                # and pushes out to x -> join(x, b)
-                want_cancelled, want_pushed = [], []
-                for x in objects:
-                    j = x.index
-                    if limit is not None and int(leq[a, j]) >= limit:
-                        want_cancelled.append(None)
-                        want_pushed.append(None)
-                    elif leq[a, j]:
-                        if leq[j, b]:
-                            want_cancelled.append((cat.mor(a, j), cat.mor(j, b)))
-                        want_pushed.append((cat.mor(a, j), cat.mor(j, join[j][b])))
-                assert cancelled == want_cancelled
-                assert pushed == want_pushed
+                # it is over the cap.  objects=None is the whole universe,
+                # walked on up-set bits past the cap
+                for objects in (object_list(rng, cat.objects(), m.cod), None):
+                    cancelled = list(cat.cancellations(m, objects, limit))
+                    pushed = list(cat.pushouts(m, objects, limit))
+                    assert cancelled == list(oracles.generic_cancellations(cat, m, objects, limit))
+                    assert pushed == list(Category.pushouts(cat, m, objects, limit))
+                    if objects is None:
+                        objects = cat.search_universe()
+                        assert cancelled == list(cat.cancellations(m, objects, limit))
+                        assert pushed == list(cat.pushouts(m, objects, limit))
+                    # one hom a -> x when a <= x; m factors through it when
+                    # x <= b, and pushes out to x -> join(x, b)
+                    want_cancelled, want_pushed = [], []
+                    for x in objects:
+                        j = x.index
+                        if limit is not None and int(leq[a, j]) >= limit:
+                            want_cancelled.append(None)
+                            want_pushed.append(None)
+                        elif leq[a, j]:
+                            if leq[j, b]:
+                                want_cancelled.append((cat.mor(a, j), cat.mor(j, b)))
+                            want_pushed.append((cat.mor(a, j), cat.mor(j, join[j][b])))
+                    assert cancelled == want_cancelled
+                    assert pushed == want_pushed
+        # compose reads the table the rule bodies built: f: a -> dom g
+        # composes to the one map a -> cod g
+        for g in cat.all_morphisms():
+            for f in cat.all_morphisms():
+                if f.cod == g.dom:
+                    assert cat.compose(g, f) == cat.mor(f.dom.index, g.cod.index)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "graph"])
+def test_attach_size_refuses_what_attach_refuses(kind):
+    if kind == "graph":
+        cat = GraphCategory()
+        x = cat.obj(Graph.of(2, [(0, 1)]))
+        f = cat.identity(cat.obj(Graph.of(1)))  # ends at the point, not at x
+    else:
+        cat = diamond()
+        x = cat.obj("a")
+        f = cat.mor("0", "b")  # ends at b, not at x
+    for where, squares in [(ObjRef("x", 99), []), (x, [(f, f)])]:
+        for body in (cat.attach, cat.attach_size):
+            with pytest.raises(CategoryError):
+                body(where, squares)

@@ -622,6 +622,7 @@ def test_every_operation_refuses_forged_refs():
             lambda x=x: list(cat.cancellations(cat.mor("0", "a"), [good, cat.obj("1"), x])),
             lambda x=x: list(cat.pushouts(cat.mor("0", "a"), [good, cat.obj("1"), x])),
             lambda x=x: cat.attach(x, []),
+            lambda x=x: cat.attach_size(x, []),
             lambda x=x: cat.identity(x),
         ]
     for m in forged_morphisms(cat):
@@ -634,12 +635,16 @@ def test_every_operation_refuses_forged_refs():
             lambda m=m: cat.pushout(loop_at(m.dom), m),
             lambda m=m: cat.attach(m.dom, [(m, loop_at(m.dom))]),
             lambda m=m: cat.attach(m.cod, [(loop_at(m.dom), m)]),
+            lambda m=m: cat.attach_size(m.dom, [(m, loop_at(m.dom))]),
+            lambda m=m: cat.attach_size(m.cod, [(loop_at(m.dom), m)]),
             lambda m=m: cat.is_injective(good, m),
             lambda m=m: cat.is_injective(m.cod, m),
             lambda m=m: list(cat.cancellations(m, [good])),
             lambda m=m: list(cat.cancellations(m, [m.cod])),
             lambda m=m: list(cat.pushouts(m, [good])),
             lambda m=m: list(cat.pushouts(m, [m.cod])),
+            lambda m=m: list(cat.pushouts(m, None)),
+            lambda m=m: list(cat.cancellations(m, None)),
         ]
     for case in cases:
         with pytest.raises(CategoryError):

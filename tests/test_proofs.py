@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injlog import proofs
-from injlog.core import CategoryError, MorphismSet, semantic_consequence
+from injlog.core import CategoryError, MorphismSet, MorRef, semantic_consequence
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_lattice
 from injlog.proofs import (
@@ -550,6 +550,8 @@ def test_prove_agrees_with_saturation_on_random_lattices(seed):
     cat = random_lattice(rng, max_size=6)
     h = random_hypotheses(rng, cat, max_count=4)
     closure = saturate(cat, h)
+    # node_cap=0 admits no object, so only composition can derive anything
+    composed = saturate(cat, h, ["composition"])
     for g in cat.all_morphisms():
         result = prove(cat, h, g)
         if closure.has(g):
@@ -557,6 +559,12 @@ def test_prove_agrees_with_saturation_on_random_lattices(seed):
             assert result.proof == closure.provenance[g]
         else:
             assert result.status == "refuted"
+        capped = prove(cat, h, g, node_cap=0)
+        if composed.has(g):
+            assert capped.status == "found"
+            assert capped.proof == composed.provenance[g]
+        else:
+            assert (capped.status, capped.stop_reason) == ("inconclusive", "node_cap")
 
 
 # bounded search
@@ -600,6 +608,42 @@ def test_prove_does_not_refute_when_a_budget_pruned_the_search(budget):
     assert result.status == "inconclusive"
     assert result.stop_reason == budget
     assert result.proof is None
+
+
+def forged_hypotheses() -> list[tuple]:
+    """(category, forged morphism, a genuine morphism) on both categories:
+    on the diamond, 0 -> 1 carrying the payload of 0 -> b; on graphs, the
+    edge's identity whose payload starts at the reversed edge."""
+    cat = diamond()
+    o = cat.objects()
+    g = GraphCategory()
+    edge, swapped = Graph.of(2, [(0, 1)]), Graph.of(2, [(1, 0)])
+    e = g.obj(edge)
+    g.obj(swapped)
+    return [
+        (cat, MorRef(o[0], o[3], (0, 2)), cat.mor("0", "a")),
+        (g, MorRef(e, e, GraphHom(swapped, edge, (1, 0))), g.identity(e)),
+    ]
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_the_engine_refuses_a_forged_hypothesis_under_every_rule_mask(mask):
+    # checked where it enters: with no rule that builds on it, a forged
+    # hypothesis would otherwise come back among the derived morphisms
+    for cat, forged, genuine in forged_hypotheses():
+        hyps = MorphismSet.of([("ok", genuine), ("forged", forged)])
+        with pytest.raises(CategoryError):
+            _fixpoint(cat, hyps, frozenset(mask), node_cap=2, depth_cap=2)
+    cat, forged, genuine = forged_hypotheses()[0]
+    with pytest.raises(CategoryError):
+        saturate(cat, MorphismSet.of([("forged", forged)]), mask)
+
+
+def test_prove_refuses_a_forged_goal():
+    # a goal no rule can reach would otherwise be refuted on a lattice
+    for cat, forged, genuine in forged_hypotheses():
+        with pytest.raises(CategoryError):
+            prove(cat, MorphismSet.of([("ok", genuine)]), forged, node_cap=2, depth_cap=2)
 
 
 @pytest.mark.parametrize("budget", ["node_cap", "depth_cap", "hom_cap", "mor_cap"])

@@ -9,6 +9,7 @@ reflection.  Plain posets still answer injectivity and semantic queries.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Sequence
@@ -199,8 +200,9 @@ class LatticeCategory(Category):
     unless the poset is a complete lattice), plus the bottom and the
     element count.  Every public operation still checks the refs it is
     handed, since proof checking passes user terms straight through.
-    The rule bodies read refs off tables they build on first use, and
-    compose reads its answer there once they exist.
+    Every ref an operation answers with is an entry of the tables built
+    with the category: one ObjRef per element and the interned MorRef of
+    each map i -> j.
     """
 
     def __init__(self, presentation: LatticePresentation):
@@ -215,39 +217,47 @@ class LatticeCategory(Category):
         self.cat_id = f"lattice:{presentation.name}:{hashlib.sha256(order).hexdigest()[:16]}"
         full = (1 << self._n) - 1
         self._bottom = next((i for i, u in enumerate(self._up) if u == full), None)
-        # built by _tables on first rule use; plain attributes, so the
-        # instance keeps its compact attribute storage
-        self._objs = self._hom = self._down = None
+        # every ref the category answers with, each element's and the map
+        # i -> j's (None unless i <= j), and the down-sets the rule bodies
+        # walk
+        n, up = self._n, self._up
+        self._objs = objs = tuple(ObjRef(self.cat_id, i) for i in range(n))
+        self._hom = tuple(
+            tuple(MorRef(objs[i], objs[j], (i, j)) if above >> j & 1 else None for j in range(n))
+            for i, above in enumerate(up)
+        )
+        self._down = tuple(sum(1 << i for i, above in enumerate(up) if above >> j & 1) for j in range(n))
 
     def obj(self, element: str | int) -> ObjRef:
-        i = element if isinstance(element, int) else self.p.index(element)
+        """The element of that name, or at that index (any integer,
+        through ``operator.index``)."""
+        if isinstance(element, str):
+            i = self.p.index(element)
+        else:
+            try:
+                i = operator.index(element)
+            except TypeError:
+                raise LatticeError("unknown-element", (element,)) from None
         if not 0 <= i < self._n:
             raise CategoryError(f"no element with index {i}")
-        return ObjRef(self.cat_id, i)
+        return self._objs[i]
 
     def objects(self) -> list[ObjRef]:
-        return [ObjRef(self.cat_id, i) for i in range(self._n)]
+        return list(self._objs)
 
     def mor(self, a: str | int, b: str | int) -> MorRef:
-        ra, rb = self.obj(a), self.obj(b)
-        if not self._up[ra.index] >> rb.index & 1:
-            raise CategoryError(
-                f"no morphism {self.p.elements[ra.index]} -> {self.p.elements[rb.index]}"
-            )
-        return MorRef(ra, rb, (ra.index, rb.index))
+        i, j = self.obj(a).index, self.obj(b).index
+        m = self._hom[i][j]
+        if m is None:
+            raise CategoryError(f"no morphism {self.p.elements[i]} -> {self.p.elements[j]}")
+        return m
 
     def all_morphisms(self) -> list[MorRef]:
-        objs = self.objects()
-        return [
-            MorRef(a, b, (a.index, b.index))
-            for a, above in zip(objs, self._up)
-            for b in objs
-            if above >> b.index & 1
-        ]
+        return [m for row in self._hom for m in row if m is not None]
 
     def identity(self, obj: ObjRef) -> MorRef:
         self._check_obj(obj)
-        return MorRef(obj, obj, (obj.index, obj.index))
+        return self._hom[obj.index][obj.index]
 
     def compose(self, g: MorRef, f: MorRef) -> MorRef:
         self._check_mor(g)
@@ -255,19 +265,14 @@ class LatticeCategory(Category):
         # both refs are checked, so their objects compare by index
         if f.cod.index != g.dom.index:
             raise CategoryError("composability mismatch: cod of inner != dom of outer")
-        # thin: the one map dom f -> cod g, read off the rule bodies' table
-        # once they built it; one compose is not worth building it for
-        a, c = f.dom.index, g.cod.index
-        if self._hom is not None:
-            return self._hom[a][c]
-        return MorRef(f.dom, g.cod, (a, c))
+        # thin: the one map dom f -> cod g
+        return self._hom[f.dom.index][g.cod.index]
 
     def enumerate_homs(self, a: ObjRef, x: ObjRef, limit: int | None = None) -> list[MorRef]:
         self._check_obj(a)
         self._check_obj(x)
-        if self._up[a.index] >> x.index & 1 and limit != 0:
-            return [MorRef(a, x, (a.index, x.index))]
-        return []
+        h = self._hom[a.index][x.index]
+        return [h] if h is not None and limit != 0 else []
 
     def find_factorization(self, h: MorRef, f: MorRef) -> MorRef | None:
         # thin shortcut: the one map cod h -> cod f, if cod h <= cod f
@@ -275,10 +280,7 @@ class LatticeCategory(Category):
         self._check_mor(f)
         if h.dom.index != f.dom.index:
             raise CategoryError("factorization query needs a common domain")
-        b, x = h.cod, f.cod
-        if self._up[b.index] >> x.index & 1:
-            return MorRef(b, x, (b.index, x.index))
-        return None
+        return self._hom[h.cod.index][f.cod.index]
 
     def cancellations(
         self,
@@ -295,7 +297,7 @@ class LatticeCategory(Category):
         # only for a first not held
         self._check_mor(m)
         a, b = m.dom.index, m.cod.index
-        hom = self._hom or self._tables()
+        hom = self._hom
         above = self._up[a]
         capped = limit is not None and limit <= 1  # one hom reaches the limit
         if objects is None:
@@ -339,7 +341,7 @@ class LatticeCategory(Category):
         self._check_mor(h)
         a = h.dom.index
         joins = self._lattice_joins()[h.cod.index]
-        hom = self._hom or self._tables()
+        hom = self._hom
         above = self._up[a]
         capped = limit is not None and limit <= 1
         if objects is None:
@@ -376,8 +378,7 @@ class LatticeCategory(Category):
         top = parts[0].index if parts else self._bottom
         for o in parts[1:]:
             top = joins[top][o.index]
-        apex = ObjRef(self.cat_id, top)
-        return apex, [MorRef(o, apex, (o.index, top)) for o in parts]
+        return self._objs[top], [self._hom[o.index][top] for o in parts]
 
     def search_universe(self) -> list[ObjRef]:
         return self.objects()
@@ -391,7 +392,7 @@ class LatticeCategory(Category):
         self._check_mor(h)
         a, i = h.dom.index, x.index
         if self._up[a] >> i & 1 and not self._up[h.cod.index] >> i & 1:
-            return InjectivityResult(False, MorRef(h.dom, x, (a, i)))
+            return InjectivityResult(False, self._hom[a][i])
         return InjectivityResult(True)
 
     def injectives(self, hypotheses: MorphismSet) -> list[ObjRef]:
@@ -409,19 +410,6 @@ class LatticeCategory(Category):
     def morphism_label(self, m: MorRef) -> str:
         self._check_mor(m)
         return f"{self.p.elements[m.dom.index]}->{self.p.elements[m.cod.index]}"
-
-    def _tables(self) -> tuple[tuple[MorRef | None, ...], ...]:
-        """Build the rule bodies' tables and return hom: each element's
-        ref, the interned ref of each map i -> j (None unless i <= j) and
-        the down-sets."""
-        n, up = self._n, self._up
-        self._objs = objs = tuple(ObjRef(self.cat_id, i) for i in range(n))
-        self._down = tuple(sum(1 << i for i, above in enumerate(up) if above >> j & 1) for j in range(n))
-        self._hom = tuple(
-            tuple(MorRef(objs[i], objs[j], (i, j)) if above >> j & 1 else None for j in range(n))
-            for i, above in enumerate(up)
-        )
-        return self._hom
 
     def _lattice_joins(self) -> tuple[tuple[int, ...], ...]:
         """The join table; raises the no-join error on a poset that is not

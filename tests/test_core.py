@@ -859,8 +859,8 @@ def test_lattice_rules_per_premise_match_the_generic_loops_and_the_order(seed):
                             want_pushed.append((cat.mor(a, j), cat.mor(j, join[j][b])))
                     assert cancelled == want_cancelled
                     assert pushed == want_pushed
-        # compose reads the table the rule bodies built: f: a -> dom g
-        # composes to the one map a -> cod g
+        # compose reads the category's hom table: f: a -> dom g composes to
+        # the one map a -> cod g
         for g in cat.all_morphisms():
             for f in cat.all_morphisms():
                 if f.cod == g.dom:

@@ -148,6 +148,22 @@ def test_obj_refuses_an_index_out_of_range_and_an_unknown_name():
     assert (err.value.kind, err.value.witness, str(err.value)) == ("unknown-element", ("c",), "unknown-element at ('c',)")
 
 
+def test_integer_arguments_name_elements_through_operator_index():
+    cat = diamond()
+    for one in (np.int64(1), True):
+        assert cat.obj(one) is cat.obj(1)
+        assert type(cat.obj(one).index) is int
+        m = cat.mor(0, one)
+        assert m is cat.mor("0", "a")
+        assert [type(i) for i in m.payload] == [int, int]
+    assert cat.obj("1").index == 3  # a str is still an element name
+    with pytest.raises(LatticeError) as err:
+        cat.obj(1.0)
+    assert (err.value.kind, err.value.witness) == ("unknown-element", (1.0,))
+    with pytest.raises(CategoryError, match="^no element with index 4$"):
+        cat.obj(np.int64(4))
+
+
 def test_morphism_count_of_diamond_and_chain():
     assert len(diamond().all_morphisms()) == 9
     chain = LatticeCategory(
@@ -560,6 +576,78 @@ def test_pushout_and_attach_read_the_join_table(seed):
         result = cat.attach(x, squares)
         assert result.composite == mor(x.index, top)
         assert result.injections == tuple(mor(h.cod.index, top) for h, _ in squares)
+
+
+@given(st.integers(0, 10**6))
+def test_every_ref_an_operation_answers_with_is_the_tables_entry(seed):
+    rng = random.Random(seed)
+    cat = random_lattice(rng, max_size=7)
+    objs, hom = cat._objs, cat._hom
+
+    def entry(x):
+        assert x is objs[x.index]
+        assert x == ObjRef(cat.cat_id, x.index)
+
+    def interned(m):
+        i, j = m.dom.index, m.cod.index
+        assert m is hom[i][j]
+        assert m == MorRef(ObjRef(cat.cat_id, i), ObjRef(cat.cat_id, j), (i, j))
+        entry(m.dom)
+        entry(m.cod)
+
+    def answers(it):
+        for answer in it:
+            if answer is not None:
+                for m in answer:
+                    interned(m)
+
+    els = cat.p.elements
+    for x in cat.objects() + cat.search_universe() + [cat.obj(i) for i in range(len(els))]:
+        entry(x)
+    for x in els:
+        entry(cat.obj(x))
+    mors = cat.all_morphisms()
+    for m in mors + [cat.identity(x) for x in objs]:
+        interned(m)
+    for m in mors:
+        interned(cat.mor(m.dom.index, m.cod.index))
+        interned(cat.mor(els[m.dom.index], els[m.cod.index]))
+        held = {f for f in mors if rng.random() < 0.3}
+        some = [x for x in objs if rng.random() < 0.5]
+        for objects in (None, some):
+            for limit in (None, 0, 1, 2):
+                answers(cat.cancellations(m, objects, limit, held))
+                answers(cat.pushouts(m, objects, limit, held))
+        for x in objs:
+            for h in cat.enumerate_homs(m.dom, x):
+                interned(h)
+            witness = cat.is_injective(x, m).counterexample
+            if witness is not None:
+                interned(witness)
+        for f in mors:
+            if f.cod == m.dom:
+                interned(cat.compose(m, f))
+            if f.dom == m.dom:
+                g = cat.find_factorization(m, f)
+                if g is not None:
+                    interned(g)
+                for leg in cat.pushout(m, f):
+                    interned(leg)
+    for x in objs:
+        squares = [(h, f) for h in mors for f in cat.enumerate_homs(h.dom, x) if rng.random() < 0.3]
+        result = cat.attach(x, squares)
+        for m in (result.composite, *result.injections):
+            interned(m)
+    for k in range(3):
+        parts = rng.choices(objs, k=k)
+        apex, injections = cat.coproduct(parts)
+        entry(apex)
+        for m in injections:
+            interned(m)
+        legs = rng.choices(mors, k=k)
+        interned(cat.coproduct_morphism(legs))
+        target = objs[-1]
+        interned(cat.cotuple([h for h in mors if h.cod == target][:k], target))
 
 
 # --- every public operation checks the refs it is handed --------------------

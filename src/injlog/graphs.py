@@ -74,6 +74,13 @@ class Graph:
         order of their least nodes, each relabelled from 0 in node order;
         the graph itself when it is connected.  The kernel counts homs
         out of a graph part by part."""
+        return tuple(part for _, part in self.parts)
+
+    @cached_property
+    def parts(self) -> tuple[tuple[tuple[int, ...], "Graph"], ...]:
+        """Each of ``components`` with its nodes in this graph, ascending:
+        node k of the part is node nodes[k] here.  A pinned search out of
+        this graph goes part by part (``_first``)."""
         succ, pred = self.plan.succ, self.plan.pred
         parts = []
         seen = 0
@@ -91,15 +98,15 @@ class Graph:
             seen |= reach
             parts.append(reach)
         if len(parts) == 1:
-            return (self,)
-        graphs = []
+            return ((tuple(range(self.node_count)), self),)
+        found = []
         for reach in parts:
-            nodes = [v for v in range(self.node_count) if reach >> v & 1]
+            nodes = tuple(v for v in range(self.node_count) if reach >> v & 1)
             index = {v: k for k, v in enumerate(nodes)}
-            graphs.append(Graph._trusted(len(nodes), frozenset(
+            found.append((nodes, Graph._trusted(len(nodes), frozenset(
                 (index[i], index[j]) for i, j in self.edges if reach >> i & 1
-            )))
-        return tuple(graphs)
+            ))))
+        return tuple(found)
 
     def has_loop(self) -> bool:
         return any(i == j for i, j in self.edges)
@@ -393,9 +400,10 @@ class GraphCategory(Category):
         self._check_mor(h)
         dst = self.graph_of(x)
         src, mid = self._graphs[h.dom.index], self._graphs[h.cod.index]
-        along = h.payload.mapping
+        along, parts = h.payload.mapping, mid.parts
         for row in kernels.homs(src, dst):
-            if _extension(mid, dst, along, row) is None:
+            pins = _pins(mid, along, row)
+            if pins is None or _first(parts, dst, pins) is None:
                 return InjectivityResult(False, MorRef(h.dom, x, GraphHom._trusted(src, dst, row)))
         return InjectivityResult(True)
 
@@ -406,7 +414,8 @@ class GraphCategory(Category):
             raise CategoryError("factorization query needs a common domain")
         hh: GraphHom = h.payload
         ff: GraphHom = f.payload
-        row = _extension(hh.target, ff.target, hh.mapping, ff.mapping)
+        pins = _pins(hh.target, hh.mapping, ff.mapping)
+        row = None if pins is None else _first(hh.target.parts, ff.target, pins)
         if row is None:
             return None
         return MorRef(h.cod, f.cod, GraphHom._trusted(hh.target, ff.target, row))
@@ -425,7 +434,8 @@ class GraphCategory(Category):
         # only when they could reach limit (there are at most
         # |x| ** |dom m| of them).  On every other x each row first:
         # dom m -> x gets its pins once; a first whose pins agree gets its
-        # ref, and one not held gets its rest by one pinned search
+        # ref, and one not held gets its rest x -> cod m part by part, each
+        # part's pins searched once per x
         self._check_mor(m)
         src, dst = self._graphs[m.dom.index], self._graphs[m.cod.index]
         images = m.payload.mapping
@@ -444,6 +454,8 @@ class GraphCategory(Category):
             if len(rows) == limit:
                 yield None
                 continue
+            parts = mid.parts
+            answers: dict = {}  # a part's pins recur across the rows
             for row in rows:
                 pins = _pins(mid, row, images)
                 if pins is None:
@@ -451,7 +463,7 @@ class GraphCategory(Category):
                 first = MorRef(m.dom, x, GraphHom._trusted(src, mid, row))
                 if first in held:
                     continue
-                rest = next(kernels.homs(mid, dst, pins), None)
+                rest = _first(parts, dst, pins, answers)
                 if rest is not None:
                     yield first, MorRef(x, m.cod, GraphHom._trusted(mid, dst, rest))
 
@@ -505,7 +517,10 @@ class GraphCategory(Category):
 def _pins(mid: Graph, along: Sequence[int], images: Sequence[int]) -> list[int] | None:
     """The pins of a search out of mid that sends node along[v] to
     images[v] for every v (-1 where free), or None when along merges
-    nodes that images separate."""
+    nodes that images separate: a map g out of mid with these pins is one
+    with g after (the map with mapping along) = (the map with mapping
+    images).  Both come from checked refs or kernel rows, so the pins are
+    in range as built."""
     pins = [-1] * mid.node_count
     for at, want in zip(along, images):
         if pins[at] != want:
@@ -515,12 +530,35 @@ def _pins(mid: Graph, along: Sequence[int], images: Sequence[int]) -> list[int] 
     return pins
 
 
-def _extension(
-    mid: Graph, dst: Graph, along: Sequence[int], images: Sequence[int]
+def _first(
+    parts: Sequence[tuple[tuple[int, ...], Graph]],
+    dst: Graph,
+    pins: Sequence[int],
+    answers: dict | None = None,
 ) -> tuple[int, ...] | None:
-    """The first kernel row g: mid -> dst with g[along[v]] = images[v] for
-    every v, or None: g after a map with mapping along is the map with
-    mapping images.  Both come from checked refs or kernel rows, so the
-    pins are in range as built."""
-    pins = _pins(mid, along, images)
-    return None if pins is None else next(kernels.homs(mid, dst, pins), None)
+    """The first kernel row mid -> dst that respects pins, or None, where
+    parts is ``mid.parts``.  A map out of a disjoint union is a tuple of
+    maps out of its parts, so each part is searched alone, with its own
+    pins, and the search stops at the first part with no map.  The parts
+    fix disjoint nodes, so the lex-first row of mid is the lex-first rows
+    of its parts put together: the row a search over all of mid finds.
+    answers, when given, keeps each part's answer by (part index, part
+    pins), for a caller that searches out of one mid many times.  A
+    connected mid asked without answers is one kernel search, and so is
+    each part, asked here as a one-part graph."""
+    if len(parts) == 1 and answers is None:
+        return next(kernels.homs(parts[0][1], dst, pins), None)
+    row = [0] * len(pins)
+    for k, part in enumerate(parts):
+        nodes = part[0]
+        own = tuple(map(pins.__getitem__, nodes))
+        found = False if answers is None else answers.get((k, own), False)
+        if found is False:  # not asked yet: an answer is a row or None
+            found = _first((part,), dst, own)
+            if answers is not None:
+                answers[k, own] = found
+        if found is None:
+            return None
+        for v, c in zip(nodes, found):
+            row[v] = c
+    return tuple(row)

@@ -14,6 +14,14 @@ clique.  Cancellation asks ``count`` the hom-cap question on an object
 that can hold no answer (one smaller than the image of m, or with no
 map into cod m), where the rows would only be counted.
 
+Pinned searches go part by part too, in ``graphs``: a map out of a
+disjoint union is a tuple of maps out of its parts, so each part is
+searched alone with its own pins, and a part with no map ends the
+search before any other part's maps are tried.  Searched whole, a
+failing last part would be tried again for each way the parts ahead of
+it map.  The answer is the same: the parts fix disjoint nodes, so the
+lex-first row of the union is its parts' lex-first rows put together.
+
 A graph is read through its search plan, in two halves built once per
 graph and cached on it: the target half (``Plan``) on its first search,
 the source half (``SourcePlan``), read off the target half, on its

@@ -4,9 +4,10 @@ The generic loops over enumerate_homs for the three injectivity
 questions each category answers itself (find_factorization,
 is_injective, cancellations), the wide pushout as one attachment along
 the identity, the labeled graph walk (every graph on at most n nodes,
-2^(n*n) of them on n), the random graphs and hypothesis sets that many
-tests draw, and a check of the pushout's universal property by
-enumerating cocones.  None of them is used by the package itself.
+2^(n*n) of them on n), the random graphs, disjoint unions and
+hypothesis sets that many tests draw, and a check of the pushout's
+universal property by enumerating cocones.  None of them is used by the
+package itself.
 """
 
 from __future__ import annotations
@@ -131,6 +132,27 @@ def random_graph(rng: random.Random, max_nodes: int = 4) -> Graph:
             if rng.random() < p:
                 edges.append((i, j))
     return Graph.of(n, edges)
+
+
+def random_union(rng: random.Random, max_parts: int = 4, max_nodes: int = 3) -> Graph:
+    """A disjoint union of up to max_parts pieces, each a ``random_graph``
+    draw (itself often in parts), a point, a loop or the empty graph,
+    with the union's nodes shuffled so that a part's nodes are seldom
+    consecutive."""
+    def piece() -> Graph:
+        kind = rng.randrange(5)
+        if kind < 2:
+            return random_graph(rng, max_nodes)
+        return [Graph.of(1), Graph.of(1, [(0, 0)]), Graph.of(0)][kind - 2]
+
+    pieces = [piece() for _ in range(rng.randint(1, max_parts))]
+    order = list(range(sum(piece.node_count for piece in pieces)))
+    rng.shuffle(order)
+    edges, offset = [], 0
+    for piece in pieces:
+        edges += [(order[offset + i], order[offset + j]) for i, j in piece.edges]
+        offset += piece.node_count
+    return Graph.of(len(order), edges)
 
 
 def random_hypotheses(

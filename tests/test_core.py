@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,7 @@ from injlog.lattice import (
     random_lattice,
 )
 import oracles
-from oracles import random_graph, random_hypotheses, verify_pushout_square, wide_pushout
+from oracles import random_graph, random_hypotheses, random_union, verify_pushout_square, wide_pushout
 from test_graphs import forged_graph_refs
 from test_kernels import product_homs
 from test_lattice import forged_morphisms
@@ -453,11 +454,9 @@ def product_cancellations(m: GraphHom, x: Graph, limit: int | None) -> list:
     if limit is not None and len(firsts) >= limit:
         return [None]
     pairs = []
+    rests = free_homs(x, m.target)
     for first in firsts:
-        rest = next(
-            (r for r in free_homs(x, m.target) if all(r[w] == v for w, v in zip(first, m.mapping))),
-            None,
-        )
+        rest = next((r for r in rests if all(r[w] == v for w, v in zip(first, m.mapping))), None)
         if rest is not None:
             pairs.append((first, rest))
     return pairs
@@ -522,6 +521,104 @@ def test_graph_injectivity_matches_the_generic_loop_and_brute_force(seed):
             if witness is not None:
                 assert fast.counterexample.payload.mapping == witness
                 assert (fast.counterexample.dom, fast.counterexample.cod) == (h.dom, x)
+
+
+# --- searches out of graphs in parts -----------------------------------------
+
+
+def union_premises(g: GraphCategory, rng: random.Random) -> list[MorRef]:
+    """Premises whose codomain is a random disjoint union: its identity, the
+    map from the empty graph and a random map into it."""
+    found = []
+    while len(found) < 4:
+        dom, cod = random_graph(rng, 2), random_union(rng, 3, 2)
+        homs = free_homs(dom, cod)
+        found += [g.identity(g.obj(cod)), g.mor(GraphHom(empty_graph(), cod, ()))]
+        if homs:
+            found.append(g.mor(GraphHom(dom, cod, rng.choice(homs))))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_extensions_through_unions_match_the_generic_loops_and_brute_force(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    through = 0  # factorizations found through a cod h in several parts
+    for _ in range(10):
+        x = g.obj(random_graph(rng))
+        for h in union_premises(g, rng):
+            fast = g.is_injective(x, h)
+            slow = oracles.generic_is_injective(g, x, h)
+            assert (fast.holds, fast.counterexample) == (slow.holds, slow.counterexample)
+            witness = product_counterexample(g.graph_of(x), h.payload)
+            assert fast.holds == (witness is None)
+            if witness is not None:
+                assert fast.counterexample.payload.mapping == witness
+            for f in g.enumerate_homs(h.dom, x, 6):
+                rest = g.find_factorization(h, f)
+                assert rest == oracles.generic_find_factorization(g, h, f)
+                through += rest is not None and len(h.payload.target.parts) > 1
+    assert through
+
+
+def whole_cancellations(m: GraphHom, x: Graph, limit: int | None) -> list:
+    """The (first, rest) mappings with each rest found by one search over
+    all of x, pinned at the image of first; [None] when the firsts reach
+    limit."""
+    firsts = list(islice(kernels.homs(m.source, x), limit))
+    if len(firsts) == limit:
+        return [None]
+    pairs = []
+    for first in firsts:
+        pinned: dict[int, int] = {}
+        if all(pinned.setdefault(w, v) == v for w, v in zip(first, m.mapping)):
+            rest = next(kernels.homs(x, m.target, [pinned.get(w, -1) for w in range(x.node_count)]), None)
+            if rest is not None:
+                pairs.append((first, rest))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_graph_cancellations_on_objects_in_parts_match_the_oracles(seed):
+    rng = random.Random(seed)
+    g = GraphCategory()
+    k1, k2, k3, k4 = (g.obj(clique(n)) for n in range(1, 5))
+
+    def union(*parts):
+        return g.coproduct(parts)[0]
+
+    unions = [union(k3, k4), union(k4, k4), union(k3, k3, k1)]
+    premises_in_parts = [
+        g.identity(union(k3, k4)),
+        g.identity(union(k1, k2)),
+        g.identity(union(k3, k1)),
+        g.mor(GraphHom(empty_graph(), clique(3), ())),
+        g.mor(GraphHom(Graph.of(1), clique(3), (2,))),
+        g.mor(GraphHom(g.graph_of(union(k2, k1)), clique(3), (0, 1, 0))),  # merges two nodes
+        g.coproduct([k2, k1])[1][0],
+        g.coproduct([k3, k2])[1][1],
+        *union_premises(g, rng),
+    ]
+    answered = dropped = listed = 0
+    for m in premises_in_parts:
+        for limit in (None, 0, 1, 2, 3):
+            objects = [*unions, *rng.sample(unions, 2)]
+            fast = list(g.cancellations(m, objects, limit))
+            assert fast == list(oracles.generic_cancellations(g, m, objects, limit))
+            want = [p for x in objects for p in whole_cancellations(m.payload, g.graph_of(x), limit)]
+            assert pairs_of(fast) == want
+            for x in unions:
+                # the product order, where the maps x -> cod m are few enough to list
+                xg = g.graph_of(x)
+                if m.payload.target.node_count ** xg.node_count <= 7000:
+                    assert pairs_of(g.cancellations(m, [x], limit)) == product_cancellations(m.payload, xg, limit)
+                    listed += 1
+            answered += sum(pair is not None for pair in fast)
+            pool = [f for x in set(objects) for f in g.enumerate_homs(m.dom, x, 40)]
+            dropped += check_held(
+                lambda held: g.cancellations(m, objects, limit, held), fast, first_of, pool, rng
+            )
+    assert answered and dropped and listed
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -822,6 +919,35 @@ def test_a_held_first_runs_no_pinned_search(monkeypatch):
         answers = list(g.cancellations(m, [k3], None, held))
         assert [first for first, _ in answers] == [f for f in firsts if f not in held]
         assert searched == [pins(f) for f in firsts if f not in held]
+
+
+def test_a_pinned_search_out_of_a_union_never_spans_two_parts(monkeypatch):
+    g = GraphCategory()
+    searched = []  # the source of each pinned search
+
+    def counting(src, dst, pins=None):
+        if pins is not None:
+            searched.append(src)
+        return homs(src, dst, pins)
+
+    homs = kernels.homs
+    monkeypatch.setattr(kernels, "homs", counting)
+    # each triangle maps into K3 six ways and K4 none: a search over the
+    # whole union would try the 6^4 maps of the triangles before K4 fails
+    k3, k4 = clique(3), clique(4)
+    union = g.coproduct([g.obj(k3)] * 4 + [g.obj(k4)])[0]
+    h = g.mor(GraphHom(empty_graph(), g.graph_of(union), ()))
+    f = g.mor(GraphHom(empty_graph(), k3, ()))
+    assert g.find_factorization(h, f) is None
+    assert searched == [k3] * 4 + [k4]
+    searched.clear()
+    assert not g.is_injective(g.obj(k3), h).holds
+    assert searched == [k3] * 4 + [k4]
+    # the search stops at the first part with no map
+    searched.clear()
+    union = g.coproduct([g.obj(k4), g.obj(k3)])[0]
+    assert g.find_factorization(g.mor(GraphHom(empty_graph(), g.graph_of(union), ())), f) is None
+    assert searched == [k4]
 
 
 @pytest.mark.parametrize("seed", range(4))

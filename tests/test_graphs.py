@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injlog import kernels
 from injlog.graphs import (
     Graph,
     GraphCategory,
     GraphHom,
+    _first,
     clique,
     empty_graph,
     graph_classes,
@@ -23,7 +25,7 @@ from injlog.core import (
 )
 from injlog.proofs import prove
 from injlog.reflection import reflect
-from oracles import count_graphs, enumerate_graphs, random_graph, verify_pushout_square
+from oracles import count_graphs, enumerate_graphs, random_graph, random_union, verify_pushout_square
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -131,6 +133,61 @@ def test_components_are_the_undirected_parts_in_node_order():
     path = Graph.of(3, [(2, 0), (1, 2)])
     assert path.components == (path,) and path.components[0] is path
     assert Graph.of(0).components == ()
+
+
+def test_parts_name_each_component_s_nodes():
+    g = Graph.of(5, [(0, 2), (3, 3)])
+    assert g.parts == (
+        ((0, 2), Graph.of(2, [(0, 1)])), ((1,), Graph.of(1)), ((3,), loop_point()), ((4,), Graph.of(1)),
+    )
+    assert g.components == tuple(part for _, part in g.parts)
+    path = Graph.of(3, [(2, 0), (1, 2)])
+    assert path.parts == (((0, 1, 2), path),) and path.parts[0][1] is path
+    assert Graph.of(0).parts == ()
+
+
+def random_pins(rng: random.Random, mid: Graph, dst: Graph) -> list[int]:
+    """Pins of a search mid -> dst, each node free or pinned at random, so
+    that pins often ask for an edge or a loop dst lacks."""
+    return [
+        rng.randrange(dst.node_count) if dst.node_count and rng.random() < 0.4 else -1
+        for _ in range(mid.node_count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_search_part_by_part_finds_the_whole_search_s_first_row(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(40):
+        mid = random_union(rng)
+        # the parts put back at their nodes are mid again
+        assert sorted(v for nodes, _ in mid.parts for v in nodes) == list(range(mid.node_count))
+        assert mid.edges == {(nodes[i], nodes[j]) for nodes, part in mid.parts for i, j in part.edges}
+        for dst in (random_graph(rng), random_union(rng, 2)):
+            answers: dict = {}  # kept across pins, as cancellation keeps it per object
+            for _ in range(8):
+                pins = random_pins(rng, mid, dst)
+                want = next(kernels.homs(mid, dst, pins), None)
+                assert _first(mid.parts, dst, pins) == want
+                assert _first(mid.parts, dst, pins, answers) == want
+                seen.add((len(mid.parts) > 1, want is not None))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_search_part_by_part_stops_at_a_part_with_no_map():
+    k3 = clique(3)
+    # K2 at nodes 0 and 2, a loop at 1, K3 at 3..5
+    mid = Graph.of(6, [(0, 2), (2, 0), (1, 1), *((i + 3, j + 3) for i, j in k3.edges)])
+    cases = [
+        ([-1] * 6, k3, None),  # the loop, left free, has no map into K3
+        ([-1] * 6, Graph.of(3, [*k3.edges, (2, 2)]), (0, 2, 1, 0, 1, 2)),
+        ([1, 2, -1, -1, -1, 0], Graph.of(3, [*k3.edges, (2, 2)]), (1, 2, 0, 1, 2, 0)),
+        ([1, -1, 1, -1, -1, -1], Graph.of(3, [*k3.edges, (2, 2)]), None),  # K2 pinned onto one node
+    ]
+    for pins, dst, want in cases:
+        assert _first(mid.parts, dst, pins) == want == next(kernels.homs(mid, dst, pins), None)
+    assert _first(Graph.of(0).parts, k3, []) == () == next(kernels.homs(Graph.of(0), k3, []))
 
 
 def test_hom_composition_and_identity():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injlog import proofs
+from injlog import kernels, proofs
 from injlog.core import CategoryError, MorphismSet, MorRef, semantic_consequence
 from injlog.graphs import Graph, GraphCategory, GraphHom, clique, empty_graph, loop_point
 from injlog.lattice import LatticeCategory, presentation_from_pairs, random_lattice
@@ -768,6 +768,31 @@ def test_prove_reports_inconclusive_on_the_clique_family():
     assert result.stop_reason == "mor_cap"
     assert result.proof is None
     assert not result.found()
+
+
+def test_the_clique_prove_searches_each_part_of_an_object_alone(monkeypatch):
+    # a rest x -> cod m out of a union such as K4+K4 is searched part by
+    # part, each part's pins once per object; searched whole, each object
+    # would take 7,592 searches in all
+    pinned = []
+
+    def counting(src, dst, pins=None):
+        if pins is not None:
+            pinned.append(src)
+        return homs(src, dst, pins)
+
+    homs = kernels.homs
+    monkeypatch.setattr(kernels, "homs", counting)
+    g = GraphCategory()
+    zero = empty_graph()
+    h = MorphismSet.of(
+        [(f"c{k}", g.mor(GraphHom(zero, clique(k), ()))) for k in range(1, 5)]
+    )
+    goal = g.mor(GraphHom(zero, loop_point(), ()))
+    result = prove(g, h, goal, node_cap=8, depth_cap=4)
+    assert (result.status, result.stop_reason) == ("inconclusive", "mor_cap")
+    assert 0 < len(pinned) <= 2000
+    assert all(src.components == (src,) for src in pinned)
 
 
 # --- mutation fuzzing of lattice proof terms ---------------------------------

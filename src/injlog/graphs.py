@@ -69,18 +69,11 @@ class Graph:
         return kernels.source_plan(self.plan)
 
     @cached_property
-    def components(self) -> tuple["Graph", ...]:
-        """The connected parts of this graph, edges read undirected, in the
-        order of their least nodes, each relabelled from 0 in node order;
-        the graph itself when it is connected.  The kernel counts homs
-        out of a graph part by part."""
-        return tuple(part for _, part in self.parts)
-
-    @cached_property
     def parts(self) -> tuple[tuple[tuple[int, ...], "Graph"], ...]:
-        """Each of ``components`` with its nodes in this graph, ascending:
-        node k of the part is node nodes[k] here.  A pinned search out of
-        this graph goes part by part (``_first``)."""
+        """The connected parts of this graph, edges read undirected, in the
+        order of their least nodes: each part's nodes here, ascending, and
+        its graph, whose node k is node nodes[k] here (a connected graph is
+        its own one part).  ``kernels.count`` and ``_first`` read them."""
         succ, pred = self.plan.succ, self.plan.pred
         parts = []
         seen = 0
@@ -430,7 +423,8 @@ class GraphCategory(Category):
         # the premise is checked once and refs are built only for answers.
         # A first merges no nodes that m separates, so an x with fewer
         # nodes than m's image has no answer, nor has an x with no map into
-        # cod m: on such an x the homs dom m -> x are only counted, and
+        # cod m (a count up to 1, which stops at the first part of x with
+        # no map): on such an x the homs dom m -> x are only counted, and
         # only when they could reach limit (there are at most
         # |x| ** |dom m| of them).  On every other x each row first:
         # dom m -> x gets its pins once; a first whose pins agree gets its
@@ -442,7 +436,7 @@ class GraphCategory(Category):
         image_size = len(set(images))
         for x in objects:
             mid = self.graph_of(x)
-            if mid.node_count < image_size or next(kernels.homs(mid, dst), None) is None:
+            if mid.node_count < image_size or not kernels.count(mid, dst, 1):
                 if (
                     limit is not None
                     and mid.node_count ** src.node_count >= limit

@@ -8,11 +8,12 @@ its first row and the first k homs are its first k rows.  ``count``
 answers how many homs there are, up to a limit, without listing them:
 the last source node narrows no later domain, so each leaf of the search
 is that node's domain, and its bit count is the number of rows it
-stands for.  A source falls apart into its connected components, whose
-counts multiply, so a disjoint union of cliques is counted clique by
-clique.  Cancellation asks ``count`` the hom-cap question on an object
-that can hold no answer (one smaller than the image of m, or with no
-map into cod m), where the rows would only be counted.
+stands for.  A source falls apart into its connected parts
+(``Graph.parts``), whose counts multiply, so a disjoint union of cliques
+is counted clique by clique, and a part with no map answers 0 at once.
+Cancellation asks ``count`` whether an object maps into cod m (up to 1)
+and, on an object that can hold no answer, the hom-cap question, where
+the rows would only be counted.
 
 Pinned searches go part by part too, in ``graphs``: a map out of a
 disjoint union is a tuple of maps out of its parts, so each part is
@@ -91,10 +92,10 @@ def homs(src: Graph, dst: Graph, pins: Sequence[int] | None = None) -> Iterator[
 
 def count(src: Graph, dst: Graph, limit: int) -> int:
     """min(number of homomorphisms src -> dst, limit), without listing
-    them: the homs of a disjoint union are the product of its components'
-    homs, and each component's are counted leaf by leaf, up to limit."""
+    them: the homs of a disjoint union are the product of its parts'
+    homs, and each part's are counted leaf by leaf, up to limit."""
     total = 1
-    for part in src.components:
+    for _, part in src.parts:
         n = 0
         for leaf in _search(part, dst, None, False):
             n += leaf.bit_count()
@@ -102,7 +103,7 @@ def count(src: Graph, dst: Graph, limit: int) -> int:
                 break
         if not n:
             return 0
-        # capped only now: a component with no hom must still answer 0
+        # capped only now: a part with no hom must still answer 0
         total *= min(n, limit)
     return min(total, limit)
 

@@ -41,8 +41,8 @@ class LatticePresentation:
     """Elements plus a reflexive-transitive leq matrix.
 
     validate() fills the up-set bitsets (bit b of up[a] set iff a <= b) and
-    the join table, None unless the poset is a complete lattice.  Treated
-    as immutable once validated.
+    the join table, None unless the poset is a complete lattice, which is
+    all that records completeness.  Treated as immutable once validated.
     """
 
     name: str
@@ -50,8 +50,15 @@ class LatticePresentation:
     leq: np.ndarray
     up: tuple[int, ...] | None = field(default=None, repr=False)
     join: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
-    is_complete_lattice: bool = False
-    missing_join: tuple[int, int] | None = None
+
+    @property
+    def is_complete_lattice(self) -> bool:
+        return self.join is not None
+
+    @property
+    def missing_join(self) -> tuple[int, int] | None:
+        """The first pair without a join (see _join_table), recomputed."""
+        return None if self.up is None else _join_table(self.up)[1]
 
     def index(self, element: str) -> int:
         try:
@@ -137,8 +144,6 @@ def _fill(p: LatticePresentation, up: tuple[int, ...], require_lattice=False) ->
     complete = n > 0 and missing is None and has_bottom
     p.up = up
     p.join = tuple(map(tuple, join)) if complete else None
-    p.is_complete_lattice = complete
-    p.missing_join = missing
     if require_lattice and not complete:
         raise _no_join(p)
     return p
@@ -186,10 +191,8 @@ def _no_join(p: LatticePresentation) -> LatticeError:
     witness names the first pair of elements without a join, or is empty
     when every pair has one but the join of no elements, the bottom, is
     missing."""
-    if p.missing_join is None:
-        return LatticeError("no-join", ())
-    a, b = p.missing_join
-    return LatticeError("no-join", (p.elements[a], p.elements[b]))
+    missing = p.missing_join
+    return LatticeError("no-join", () if missing is None else tuple(p.elements[i] for i in missing))
 
 
 class LatticeCategory(Category):
@@ -289,43 +292,17 @@ class LatticeCategory(Category):
         limit: int | None = None,
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
-        # thin shortcut: the one map a -> x, if a <= x, and m = a -> b
-        # factors through it iff x <= b.  The premise is checked once; over
-        # the whole universe the answers are the bits of up[a] & down[b],
-        # walked inline (a _bits generator per premise is slower), and over
-        # a list each object is checked by the inline test.  rest is read
-        # only for a first not held
+        # thin shortcut: m = a -> b factors through the one map a -> x iff
+        # x <= b.  The premise is checked once; rest is read only for a
+        # first not held
         self._check_mor(m)
         a, b = m.dom.index, m.cod.index
         hom = self._hom
-        above = self._up[a]
-        capped = limit is not None and limit <= 1  # one hom reaches the limit
-        if objects is None:
-            if not capped:
-                between = above & self._down[b]
-                while between:
-                    low = between & -between
-                    between ^= low
-                    i = low.bit_length() - 1
-                    first = hom[a][i]
-                    if first not in held:
-                        yield first, hom[i][b]
-                return
-            objects = self._objs
-        up, cat_id, n = self._up, self.cat_id, self._n
-        for x in objects:
-            i = x.index
-            if x.cat_id != cat_id or not 0 <= i < n:
-                self._check_obj(x)
-            if above >> i & 1:
-                if capped:
-                    yield None
-                elif up[i] >> b & 1:
-                    first = hom[a][i]
-                    if first not in held:
-                        yield first, hom[i][b]
-            elif limit == 0:
+        for i in self._above(a, self._down[b], objects, limit):
+            if i is None:
                 yield None
+            elif (first := hom[a][i]) not in held:
+                yield first, hom[i][b]
 
     def pushouts(
         self,
@@ -334,25 +311,35 @@ class LatticeCategory(Category):
         limit: int | None = None,
         held: Container[MorRef] = frozenset(),
     ) -> Iterator[tuple[MorRef, MorRef] | None]:
-        # thin shortcut: the one map f: a -> x, if a <= x, pushes h: a -> b
-        # out to x -> join(x, b), one read of the join table.  Over the
-        # whole universe the objects are the bits of up[a]; f is read only
-        # for a leg not held
+        # thin shortcut: the one map f: a -> x pushes h: a -> b out to
+        # x -> join(x, b), one read of the join table; f is read only for a
+        # leg not held
         self._check_mor(h)
         a = h.dom.index
         joins = self._lattice_joins()[h.cod.index]
         hom = self._hom
+        for i in self._above(a, -1, objects, limit):
+            if i is None:
+                yield None
+            elif (h_prime := hom[i][joins[i]]) not in held:
+                yield hom[a][i], h_prime
+
+    def _above(self, a: int, within: int, objects: Iterable[ObjRef] | None, limit: int | None):
+        """The rule bodies' one object walk: in the order given, the index
+        of each object x with a <= x whose bit is in within, or None where
+        the one map a -> x reaches limit (every x at limit 0).  Uncapped
+        over the whole universe it walks the bits of up[a] & within inline
+        (a _bits generator per premise is slower); over a list, or capped,
+        it checks each object inline."""
         above = self._up[a]
-        capped = limit is not None and limit <= 1
+        capped = limit is not None and limit <= 1  # one hom reaches the limit
         if objects is None:
             if not capped:
-                while above:
-                    low = above & -above
-                    above ^= low
-                    i = low.bit_length() - 1
-                    h_prime = hom[i][joins[i]]
-                    if h_prime not in held:
-                        yield hom[a][i], h_prime
+                between = above & within
+                while between:
+                    low = between & -between
+                    between ^= low
+                    yield low.bit_length() - 1
                 return
             objects = self._objs
         cat_id, n = self.cat_id, self._n
@@ -363,10 +350,8 @@ class LatticeCategory(Category):
             if above >> i & 1:
                 if capped:
                     yield None
-                else:
-                    h_prime = hom[i][joins[i]]
-                    if h_prime not in held:
-                        yield hom[a][i], h_prime
+                elif within >> i & 1:
+                    yield i
             elif limit == 0:
                 yield None
 

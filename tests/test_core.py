@@ -729,8 +729,10 @@ def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
     g = GraphCategory()
     k3, k4 = g.obj(clique(3)), g.obj(clique(4))
     pinned = []  # the middle graph of each pinned rest search
+    starts = []  # the source graph of every search
 
     def counting(src, dst, pins=None):
+        starts.append(src)
         if pins is not None:
             pinned.append(src)
         return homs(src, dst, pins)
@@ -738,6 +740,17 @@ def test_graph_cancellations_skip_objects_with_no_hom_into_cod_m(monkeypatch):
     homs = kernels.homs
     monkeypatch.setattr(kernels, "homs", counting)
     searched = 0
+    # K2+K4 has rows from K3, and its K2 part maps into K3 but its K4 part
+    # does not: the existence test is a count, part by part, so no search,
+    # pinned or not, starts from the union
+    union = g.coproduct([g.obj(clique(2)), k4])[0]
+    m = g.identity(k3)
+    for limit in (None, 1, 2, 3):
+        starts.clear()
+        fast = list(g.cancellations(m, [union], limit))
+        assert g.graph_of(union) not in starts
+        assert fast == list(oracles.generic_cancellations(g, m, [union], limit))
+        assert pairs_of(fast) == product_cancellations(m.payload, g.graph_of(union), limit)
     # K4 has rows from each dom m but no map into K3, so no rest at all
     for m in (
         g.mor(GraphHom(Graph.of(1), clique(3), (2,))),

@@ -792,7 +792,7 @@ def test_the_clique_prove_searches_each_part_of_an_object_alone(monkeypatch):
     result = prove(g, h, goal, node_cap=8, depth_cap=4)
     assert (result.status, result.stop_reason) == ("inconclusive", "mor_cap")
     assert 0 < len(pinned) <= 2000
-    assert all(src.components == (src,) for src in pinned)
+    assert all(len(src.parts) == 1 for src in pinned)
 
 
 # --- mutation fuzzing of lattice proof terms ---------------------------------

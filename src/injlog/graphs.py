@@ -2,40 +2,44 @@
 
 Nodes are 0..n-1; a homomorphism is a total node map preserving edges.
 Graphs are immutable values: equality is node count plus edge set, so
-all categorical constructions compare on the nose.
+all categorical constructions compare on the nose.  ``Graph`` and
+``GraphHom`` are named tuples, as the refs are: each equals and hashes as
+the plain tuple of its fields, so the engine's dicts and sets keyed by
+graph refs hash and compare them in C.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice, permutations
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .core import Category, CategoryError, InjectivityResult, MorRef, ObjRef
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
     node_count: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
+
+class Graph(_GraphFields):
+    # no __slots__: the instance dict holds the cached plans and parts
+
+    def __new__(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         # the kernel reads nodes as bit positions, so only integers get past,
         # stored as ints, and the edges frozen, so the graph hashes
-        n = _integer(self.node_count, "node count must be an integer, got {!r}")
+        n = _integer(node_count, "node count must be an integer, got {!r}")
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
-        edges = []
-        for e in frozenset(self.edges):
+        checked = []
+        for e in frozenset(edges):
             i, j = (_integer(v, "edge {!r} has an end that is not an integer", e) for v in e)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-            edges.append((i, j))
-        object.__setattr__(self, "node_count", n)
-        object.__setattr__(self, "edges", frozenset(edges))
+            checked.append((i, j))
+        return tuple.__new__(cls, (n, frozenset(checked)))
 
     @staticmethod
     def of(node_count: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -46,12 +50,10 @@ class Graph:
     @classmethod
     def _trusted(cls, node_count: int, edges: frozenset[tuple[int, int]]) -> "Graph":
         """A graph the package built from node indices it computed itself,
-        so every edge is an int pair in range; skips ``__post_init__``.
-        Outside input goes through ``Graph(...)`` or ``Graph.of``."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "node_count", node_count)
-        object.__setattr__(g, "edges", edges)
-        return g
+        so every edge is an int pair in range; skips the checks of
+        ``Graph(...)``.  Outside input goes through ``Graph(...)`` or
+        ``Graph.of``."""
+        return tuple.__new__(cls, (node_count, edges))
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -108,48 +110,45 @@ class Graph:
         return f"Graph({self.node_count}, {self.edge_list()})"
 
 
-@dataclass(frozen=True)
-class GraphHom:
-    """Edge-preserving total node map."""
-
+class _GraphHomFields(NamedTuple):
     source: Graph
     target: Graph
     mapping: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class GraphHom(_GraphHomFields):
+    """Edge-preserving total node map."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: Graph, target: Graph, mapping: Sequence[int]) -> "GraphHom":
         # stored as a tuple of ints whatever sequence and integer type came
         # in, so the hom hashes and the kernel reads plain ints
-        mapping = tuple(self.mapping)
-        if len(mapping) != self.source.node_count:
+        mapping = tuple(mapping)
+        if len(mapping) != source.node_count:
             raise ValueError(
                 f"total map required: {len(mapping)} images for "
-                f"{self.source.node_count} nodes"
+                f"{source.node_count} nodes"
             )
         mapping = tuple(_integer(v, "image {!r} is not an integer") for v in mapping)
-        object.__setattr__(self, "mapping", mapping)
         for v in mapping:
-            if not 0 <= v < self.target.node_count:
+            if not 0 <= v < target.node_count:
                 raise ValueError(f"image {v} out of range")
-        for i, j in self.source.edge_list():
-            if (self.mapping[i], self.mapping[j]) not in self.target.edges:
+        for i, j in source.edge_list():
+            if (mapping[i], mapping[j]) not in target.edges:
                 raise ValueError(
                     f"map does not preserve edge ({i}, {j}): "
-                    f"({self.mapping[i]}, {self.mapping[j]}) missing in target"
+                    f"({mapping[i]}, {mapping[j]}) missing in target"
                 )
+        return tuple.__new__(cls, (source, target, mapping))
 
     @classmethod
     def _trusted(cls, source: Graph, target: Graph, mapping: tuple[int, ...]) -> "GraphHom":
         """A hom the package built from kernel rows, from homs already
         checked or from checked graphs (an identity, a glued injection);
-        skips ``__post_init__``.  Outside input goes through
+        skips the checks of ``GraphHom(...)``.  Outside input goes through
         ``GraphHom(...)``."""
-        hom = object.__new__(cls)
-        # one attribute at a time, as the dataclass __init__ does: an
-        # instance dict written through __dict__ takes twice the memory
-        object.__setattr__(hom, "source", source)
-        object.__setattr__(hom, "target", target)
-        object.__setattr__(hom, "mapping", mapping)
-        return hom
+        return tuple.__new__(cls, (source, target, mapping))
 
     @staticmethod
     def identity(g: Graph) -> "GraphHom":
@@ -309,7 +308,7 @@ class GraphCategory(Category):
         return m.payload
 
     def identity(self, obj: ObjRef) -> MorRef:
-        return self.mor(GraphHom.identity(self.graph_of(obj)))
+        return MorRef(obj, obj, GraphHom.identity(self.graph_of(obj)))
 
     def compose(self, g: MorRef, f: MorRef) -> MorRef:
         self._check_mor(g)
@@ -486,15 +485,15 @@ class GraphCategory(Category):
 
     def _check_mor(self, m: MorRef) -> None:
         # the common case in one test: a ref this category made holds its
-        # interned graphs, so ``is`` answers before ``==`` is asked
+        # interned graphs, and tuple == answers on them by identity, in C
         hom, dom, cod, graphs = m.payload, m.dom, m.cod, self._graphs
         if (
             isinstance(hom, GraphHom)
             and dom.cat_id == cod.cat_id == self.cat_id
             and 0 <= dom.index < len(graphs)
             and 0 <= cod.index < len(graphs)
-            and (graphs[dom.index] is hom.source or graphs[dom.index] == hom.source)
-            and (graphs[cod.index] is hom.target or graphs[cod.index] == hom.target)
+            and graphs[dom.index] == hom.source
+            and graphs[cod.index] == hom.target
         ):
             return
         if not isinstance(hom, GraphHom):

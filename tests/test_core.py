@@ -92,9 +92,14 @@ def test_morphism_set_refuses_a_plain_tuple_of_a_refs_fields():
 
 def test_refs_hash_as_the_tuples_of_their_fields():
     # what keeps the iteration order of sets and dicts of refs fixed
-    for m in [chain3().mor("0", "2"), GraphCategory().mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (1,)))]:
+    hom = GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (1,))
+    for m in [chain3().mor("0", "2"), GraphCategory().mor(hom)]:
         assert hash(m.dom) == hash((m.dom.cat_id, m.dom.index))
         assert hash(m) == hash((m.dom, m.cod, m.payload))
+    # and so do a graph ref's payload and its graphs
+    for g in (hom.source, hom.target):
+        assert hash(g) == hash((g.node_count, g.edges))
+    assert hash(hom) == hash((hom.source, hom.target, hom.mapping))
 
 
 def test_refs_repr_with_their_field_names():
@@ -104,6 +109,12 @@ def test_refs_repr_with_their_field_names():
     assert repr(cat.obj("1")) == f"ObjRef(cat_id={c}, index=1)"
     assert repr(cat.mor("1", "2")) == (
         f"MorRef(dom=ObjRef(cat_id={c}, index=1), cod=ObjRef(cat_id={c}, index=2), payload=(1, 2))"
+    )
+    graphs = GraphCategory()
+    g = repr(graphs.cat_id)
+    assert repr(graphs.mor(GraphHom(Graph.of(1), Graph.of(2, [(0, 1)]), (1,)))) == (
+        f"MorRef(dom=ObjRef(cat_id={g}, index=0), cod=ObjRef(cat_id={g}, index=1), "
+        "payload=GraphHom(source=Graph(1, []), target=Graph(2, [(0, 1)]), mapping=(1,)))"
     )
 
 

@@ -189,7 +189,8 @@ class Category(ABC):
         apex and the injection from each part.  Parts and seams come
         checked."""
 
-    # the input checks: each raises CategoryError on a ref from elsewhere
+    # the input checks: each raises CategoryError on any ref the category
+    # did not make, whatever the types of its fields
     @abstractmethod
     def _check_obj(self, obj: ObjRef) -> None: ...
 
@@ -365,10 +366,14 @@ def semantic_consequence(
 
     Only an object that fails the goal can refute it, so the goal is
     tested first and the hypotheses only there; both tests are pure, so
-    the first counterexample is the same in either order."""
+    the first counterexample is the same in either order.  The refs are
+    checked once, where they enter, since the walk may never test one."""
     if exact and cat.search_universe() is None:
         raise ValueError(f"{cat.cat_id} has no closed universe, so no verdict over it is exact")
     mors = hypotheses.morphisms()
+    for m in mors:
+        cat._check_mor(m)
+    cat._check_mor(goal)
     for x in universe:
         if not cat.is_injective(x, goal) and all(cat.is_injective(x, m) for m in mors):
             return ConsequenceVerdict(False, x, exact, bound)

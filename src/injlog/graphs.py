@@ -480,22 +480,33 @@ class GraphCategory(Category):
         return f"[{images}]:{self.object_label(m.dom)}=>{self.object_label(m.cod)}"
 
     def _check_obj(self, obj: ObjRef) -> None:
-        if obj.cat_id != self.cat_id or not 0 <= obj.index < len(self._graphs):
-            raise CategoryError(f"object {obj} is not from {self.cat_id}")
+        # the registry must have an entry at the index; one it cannot take
+        # (past its end, or no integer) is foreign
+        try:
+            if obj.cat_id == self.cat_id and obj.index >= 0:
+                self._graphs[obj.index]
+                return
+        except (IndexError, TypeError):
+            pass
+        raise CategoryError(f"object {obj} is not from {self.cat_id}")
 
     def _check_mor(self, m: MorRef) -> None:
         # the common case in one test: a ref this category made holds its
-        # interned graphs, and tuple == answers on them by identity, in C
+        # interned graphs, and tuple == answers on them by identity, in C;
+        # an end whose index is no integer is left to _check_obj below
         hom, dom, cod, graphs = m.payload, m.dom, m.cod, self._graphs
-        if (
-            isinstance(hom, GraphHom)
-            and dom.cat_id == cod.cat_id == self.cat_id
-            and 0 <= dom.index < len(graphs)
-            and 0 <= cod.index < len(graphs)
-            and graphs[dom.index] == hom.source
-            and graphs[cod.index] == hom.target
-        ):
-            return
+        try:
+            if (
+                isinstance(hom, GraphHom)
+                and dom.cat_id == cod.cat_id == self.cat_id
+                and 0 <= dom.index < len(graphs)
+                and 0 <= cod.index < len(graphs)
+                and graphs[dom.index] == hom.source
+                and graphs[cod.index] == hom.target
+            ):
+                return
+        except TypeError:
+            pass
         if not isinstance(hom, GraphHom):
             raise CategoryError(f"morphism {m} is not a graph morphism")
         self._check_obj(m.dom)

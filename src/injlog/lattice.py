@@ -201,11 +201,12 @@ class LatticeCategory(Category):
     Queries read the plain-int tables validate() stored on the
     presentation, one up-set bitset per element and the join table (None
     unless the poset is a complete lattice), plus the bottom and the
-    element count.  Every public operation still checks the refs it is
-    handed, since proof checking passes user terms straight through.
-    Every ref an operation answers with is an entry of the tables built
-    with the category: one ObjRef per element and the interned MorRef of
-    each map i -> j.
+    element count.  Every ref an operation answers with is an entry of
+    the tables built with the category, one ObjRef per element and the
+    interned MorRef of each map i -> j, and every public operation checks
+    the refs it is handed (proof checking passes user terms straight
+    through) against the entry at their indices: the tables decide both
+    which refs the category gives out and which it accepts.
     """
 
     def __init__(self, presentation: LatticePresentation):
@@ -330,7 +331,7 @@ class LatticeCategory(Category):
         the one map a -> x reaches limit (every x at limit 0).  Uncapped
         over the whole universe it walks the bits of up[a] & within inline
         (a _bits generator per premise is slower); over a list, or capped,
-        it checks each object inline."""
+        it checks each object with _check_obj."""
         above = self._up[a]
         capped = limit is not None and limit <= 1  # one hom reaches the limit
         if objects is None:
@@ -342,11 +343,9 @@ class LatticeCategory(Category):
                     yield low.bit_length() - 1
                 return
             objects = self._objs
-        cat_id, n = self.cat_id, self._n
         for x in objects:
+            self._check_obj(x)
             i = x.index
-            if x.cat_id != cat_id or not 0 <= i < n:
-                self._check_obj(x)
             if above >> i & 1:
                 if capped:
                     yield None
@@ -404,24 +403,24 @@ class LatticeCategory(Category):
         return self.p.join
 
     def _check_obj(self, obj: ObjRef) -> None:
-        if obj.cat_id != self.cat_id or not 0 <= obj.index < self._n:
-            raise CategoryError(f"object {obj} is not from {self.cat_id}")
+        # a ref of this category is the table's entry at its index; an index
+        # the table cannot take (out of range, or no integer) is foreign
+        try:
+            if self._objs[obj.index] == obj:
+                return
+        except (IndexError, TypeError):
+            pass
+        raise CategoryError(f"object {obj} is not from {self.cat_id}")
 
     def _check_mor(self, m: MorRef) -> None:
-        # one inline test on the hot path: calling _check_obj twice here
-        # costs a few percent of lattice-theory run_s (BENCH_8.json)
-        dom, cod = m.dom, m.cod
-        i, j, n = dom.index, cod.index, self._n
-        if (
-            dom.cat_id == cod.cat_id == self.cat_id
-            and m.payload == (i, j)
-            and 0 <= i < n
-            and 0 <= j < n
-            and self._up[i] >> j & 1
-        ):
-            return
-        self._check_obj(dom)
-        self._check_obj(cod)
+        # as _check_obj, against the hom table, whose entry is None off leq
+        try:
+            if self._hom[m.dom.index][m.cod.index] == m:
+                return
+        except (IndexError, TypeError):
+            pass
+        self._check_obj(m.dom)
+        self._check_obj(m.cod)
         raise CategoryError(f"morphism {m} is not from {self.cat_id}")
 
 

@@ -223,6 +223,20 @@ def test_semantic_consequence_bounded_label():
     assert verdict.label() == "holds-up-to(2)"
 
 
+def test_semantic_consequence_refuses_foreign_refs_the_walk_never_tests():
+    # the walk tests a hypothesis only where the goal fails, and the goal
+    # only on universe objects: an identity goal fails nowhere, and an
+    # empty universe has no object
+    cat = chain3()
+    foreign = diamond().mor("0", "a")
+    with pytest.raises(CategoryError):
+        semantic_consequence(
+            cat, MorphismSet.of([("p", foreign)]), cat.identity(cat.obj("0")), cat.objects(), exact=True
+        )
+    with pytest.raises(CategoryError):
+        semantic_consequence(cat, MorphismSet.of([]), foreign, [], exact=True)
+
+
 def test_pushout_square_commutes_and_is_universal_on_lattice():
     cat = diamond()
     h, f = cat.mor("0", "a"), cat.mor("0", "b")

@@ -633,19 +633,23 @@ def test_another_instances_refs_are_foreign():
 
 
 def forged_graph_refs(cat: GraphCategory, edge: Graph, swapped: Graph):
-    """Objects from another category or out of range, and would-be
-    morphisms edge -> edge: foreign, with an out-of-range end, with a payload
+    """Objects from another category, out of range or at an index that is
+    no integer, and would-be morphisms edge -> edge: foreign, with an
+    out-of-range end or one at an index that is no integer, with a payload
     that is no graph hom, or whose source or target is another graph with
     the same node count."""
     e = cat.obj(edge)
     other = ObjRef("other", e.index)  # edge's index under another cat_id
     beyond = ObjRef(cat.cat_id, 99)
-    objects = [other, beyond, ObjRef(cat.cat_id, -1)]
+    as_float, as_str = ObjRef(cat.cat_id, float(e.index)), ObjRef(cat.cat_id, str(e.index))
+    objects = [other, beyond, ObjRef(cat.cat_id, -1), as_float, as_str]
     ident = GraphHom.identity(edge)
     morphisms = [
         MorRef(other, other, ident),
         MorRef(e, beyond, ident),
         MorRef(beyond, e, ident),
+        MorRef(e, as_float, ident),
+        MorRef(as_str, e, ident),
         MorRef(e, e, (0, 1)),
         MorRef(e, e, GraphHom(swapped, edge, (1, 0))),
         MorRef(e, e, GraphHom(edge, swapped, (1, 0))),

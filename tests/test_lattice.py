@@ -666,25 +666,30 @@ def chain_named_diamond() -> LatticeCategory:
 
 
 def forged_objects(cat):
-    """Foreign objects, one from a same-named lattice, and two out-of-range
-    indices."""
+    """Foreign objects, one from a same-named lattice, two out-of-range
+    indices, and two indices that are no integer."""
     return [
         twin_of_diamond().obj("a"),
         chain_named_diamond().obj("a"),
         ObjRef(cat.cat_id, cat.p.size),
         ObjRef(cat.cat_id, -1),
+        ObjRef(cat.cat_id, 1.0),
+        ObjRef(cat.cat_id, "1"),
     ]
 
 
 def forged_morphisms(cat):
     """Foreign morphisms, one from a same-named lattice, one into an
-    out-of-range index, payloads that do not match their endpoints, and
-    pairs that are not in leq."""
+    out-of-range index, two with an end whose index is no integer,
+    payloads that do not match their endpoints, and pairs that are not in
+    leq."""
     o = cat.objects()
     return [
         twin_of_diamond().mor("0", "a"),
         chain_named_diamond().mor("0", "a"),
         MorRef(o[0], ObjRef(cat.cat_id, cat.p.size), (0, cat.p.size)),
+        MorRef(o[0], ObjRef(cat.cat_id, 1.0), (0, 1)),
+        MorRef(ObjRef(cat.cat_id, "0"), o[1], (0, 1)),
         MorRef(o[0], o[1], (0, 3)),
         MorRef(o[0], o[1], "0->a"),
         MorRef(o[1], o[2], (1, 2)),
@@ -745,7 +750,9 @@ def test_check_proof_rejects_a_cancellation_through_a_forged_rest():
     o = cat.objects()
     first = cat.mor("0", "1")
     # rest . first would be 0->a, but 1 -> a is not in leq: accepting it
-    # would derive 0->1, which {0->a} does not entail
-    for rest in (MorRef(o[3], o[1], (3, 1)), MorRef(o[3], o[1], (0, 1))):
+    # would derive 0->1, which {0->a} does not entail.  An end at index
+    # 1.0 equals a, but is no ref of the category either
+    forged_end = MorRef(o[3], ObjRef(cat.cat_id, 1.0), (3, 1))
+    for rest in (MorRef(o[3], o[1], (3, 1)), MorRef(o[3], o[1], (0, 1)), forged_end):
         with pytest.raises(ProofError):
             check_proof(cat, hyps, Cancel(Hyp("p"), first=first, rest=rest))

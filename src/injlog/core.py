@@ -190,12 +190,22 @@ class Category(ABC):
         checked."""
 
     # the input checks: each raises CategoryError on any ref the category
-    # did not make, whatever the types of its fields
+    # did not make, whatever the types of its fields.  Operations check
+    # their own refs; the engines check a theory once, where it enters,
+    # with _check_theory, since a rule that never reads a ref would
+    # otherwise pass it through unchecked
     @abstractmethod
     def _check_obj(self, obj: ObjRef) -> None: ...
 
     @abstractmethod
     def _check_mor(self, m: MorRef) -> None: ...
+
+    def _check_theory(self, hypotheses: MorphismSet, goal: MorRef | None = None) -> None:
+        """Each hypothesis, then the goal, when there is one."""
+        for _, m in hypotheses:
+            self._check_mor(m)
+        if goal is not None:
+            self._check_mor(goal)
 
     @abstractmethod
     def object_label(self, obj: ObjRef) -> str: ...
@@ -370,10 +380,8 @@ def semantic_consequence(
     checked once, where they enter, since the walk may never test one."""
     if exact and cat.search_universe() is None:
         raise ValueError(f"{cat.cat_id} has no closed universe, so no verdict over it is exact")
+    cat._check_theory(hypotheses, goal)
     mors = hypotheses.morphisms()
-    for m in mors:
-        cat._check_mor(m)
-    cat._check_mor(goal)
     for x in universe:
         if not cat.is_injective(x, goal) and all(cat.is_injective(x, m) for m in mors):
             return ConsequenceVerdict(False, x, exact, bound)

@@ -16,7 +16,9 @@ characters from 1; end of input is one column past the last character.
 
 The leq relation is closed reflexively and transitively before validation.
 Lattice elements may be written qualified as LAT.elem; unqualified names
-must be unique across the declared lattices.
+must be unique across the declared lattices.  A name with a dot is always
+read as LAT.elem, split at its first dot, so an element whose own name has
+a dot is written qualified, and the printer writes it so.
 
 Proof bodies are s-expressions over the forms hyp, id, comp, cancel, push,
 coprod, widepush.  Morphism arguments are declared names or the literals
@@ -622,13 +624,13 @@ def _graph_text(ws: Workspace, graph: Graph) -> str:
 
 def _object_text(ws: Workspace, obj: ObjRef) -> str:
     """A graph's name or literal, or a lattice element, qualified unless
-    its name is unique across the declared lattices."""
+    its name is unique across the declared lattices and has no dot."""
     cat = ws.category_of(obj)
     if isinstance(cat, GraphCategory):
         return _graph_text(ws, cat.graph_of(obj))
     elem = cat.object_label(obj)
     hits = [d for d in ws.lattices.values() if elem in d.category.p.elements]
-    return elem if len(hits) == 1 else f"{cat.p.name}.{elem}"
+    return elem if len(hits) == 1 and "." not in elem else f"{cat.p.name}.{elem}"
 
 
 def _morphism_text(ws: Workspace, ref: MorRef) -> str:

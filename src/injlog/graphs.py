@@ -491,30 +491,15 @@ class GraphCategory(Category):
         raise CategoryError(f"object {obj} is not from {self.cat_id}")
 
     def _check_mor(self, m: MorRef) -> None:
-        # the common case in one test: a ref this category made holds its
-        # interned graphs, and tuple == answers on them by identity, in C;
-        # an end whose index is no integer is left to _check_obj below
-        hom, dom, cod, graphs = m.payload, m.dom, m.cod, self._graphs
-        try:
-            if (
-                isinstance(hom, GraphHom)
-                and dom.cat_id == cod.cat_id == self.cat_id
-                and 0 <= dom.index < len(graphs)
-                and 0 <= cod.index < len(graphs)
-                and graphs[dom.index] == hom.source
-                and graphs[cod.index] == hom.target
-            ):
-                return
-        except TypeError:
-            pass
+        # the payload's type, then each end, then the registry's graphs at
+        # the ends against the payload's: a ref this category made holds its
+        # interned graphs, and tuple != answers on them by identity, in C
+        hom = m.payload
         if not isinstance(hom, GraphHom):
             raise CategoryError(f"morphism {m} is not a graph morphism")
         self._check_obj(m.dom)
         self._check_obj(m.cod)
-        if (
-            self._graphs[m.dom.index] != m.payload.source
-            or self._graphs[m.cod.index] != m.payload.target
-        ):
+        if (self._graphs[m.dom.index], self._graphs[m.cod.index]) != (hom.source, hom.target):
             raise CategoryError(f"morphism {m} endpoints disagree with its payload")
 
 

@@ -194,9 +194,12 @@ def fold(term: ProofTerm, step: Callable[[ProofTerm, list[T]], T]) -> T:
 def check_proof(cat: Category, hypotheses: MorphismSet, term: ProofTerm) -> MorRef:
     """Conclusion of the term, or a ProofError describing the first defect.
 
-    One pass checks the term and its macros' steps, premises first and
-    outer before inner: in a Compose, a defect of the outer part is
-    reported before one of the inner part, even when that is a macro.
+    The hypotheses are checked first, where they enter, whether or not
+    the term reads them.  Then one pass checks the term and its macros'
+    steps, premises first and outer before inner: in a Compose, a defect
+    of the outer part is reported before one of the inner part, even when
+    that is a macro.  A ref the category refuses, in the hypotheses or in
+    the term, raises RefusedReference.
     """
     return _elaborate_and_check(cat, hypotheses, term)[1]
 
@@ -212,7 +215,8 @@ def used_hypotheses(term: ProofTerm) -> list[str]:
 
 
 def _elaborate_and_check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> Checked:
-    """(elaborated form, conclusion) of the term, from one fold."""
+    """(elaborated form, conclusion) of the term, from one fold, once the
+    hypotheses are checked."""
 
     def step(t: ProofTerm, done: list[Checked]) -> Checked:
         if isinstance(t, Hyp):
@@ -235,10 +239,7 @@ def _elaborate_and_check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> C
             [(whole_t, whole)] = done
             if t.first.cod != t.rest.dom:
                 raise CancelMismatch("claimed factors do not compose")
-            try:
-                recomposed = cat.compose(t.rest, t.first)
-            except CategoryError as e:
-                raise CancelMismatch(str(e)) from None
+            recomposed = cat.compose(t.rest, t.first)
             if recomposed != whole:
                 raise CancelMismatch(
                     f"factorization equation fails: rest.first is "
@@ -256,6 +257,7 @@ def _elaborate_and_check(cat: Category, hyps: MorphismSet, term: ProofTerm) -> C
         return _widepush(step, done) if isinstance(t, WidePushN) else _coprod(cat, step, done)
 
     try:
+        cat._check_theory(hyps)
         return fold(term, step)
     except CategoryError as err:
         raise RefusedReference(str(err)) from None
@@ -445,12 +447,7 @@ def _fixpoint(
         in_play_set.add(obj)
         return True
 
-    # checked once, where they enter: a rule that never reads one would
-    # otherwise pass it through unchecked
-    for _, m in hypotheses:
-        cat._check_mor(m)
-    if goal is not None:
-        cat._check_mor(goal)
+    cat._check_theory(hypotheses, goal)
 
     universe = cat.search_universe()
     for x in universe or ():

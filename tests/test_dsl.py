@@ -136,6 +136,28 @@ def test_qualified_elements_resolve_across_lattices():
     assert parse(printed) == ws
 
 
+def test_dotted_elements_print_qualified_and_round_trip():
+    # the reader takes a dotted name as LAT.elem, so a.b bare would name a
+    # lattice a: the printer qualifies it even though it is unique
+    src = (
+        "lattice L { elements: a.b c; leq: a.b<c; }\n"
+        "mor h : L.a.b -> L.c;\n"
+        "hset H { h }\n"
+        "proof p { (comp (cancel (hyp h) (lmor L.a.b L.a.b) h) (id L.a.b)) }\n"
+    )
+    ws = parse(src)
+    cat = ws.lattices["L"].category
+    printed = print_workspace(ws)
+    assert "mor h : L.a.b -> c;" in printed
+    assert "(lmor L.a.b L.a.b)" in printed and "(id L.a.b)" in printed
+    assert parse(printed) == ws
+    ab = cat.obj("a.b")
+    for term in (Identity(ab), ws.proofs["p"].term):
+        back = parse_proof_text(ws, proof_to_text(ws, term))
+        assert back == term
+        assert check_proof(cat, ws.hsets["H"].morphisms, back) == cat.identity(ab)
+
+
 def diag(src: str):
     with pytest.raises(DslError) as err:
         parse(src)

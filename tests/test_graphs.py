@@ -713,6 +713,26 @@ def test_every_graph_operation_refuses_forged_refs():
             case()
 
 
+def test_each_forged_graph_ref_is_refused_for_its_own_fault():
+    # the checks run payload type, then each end, then the payload's graphs:
+    # a ref with a foreign end is refused for that end before its payload
+    # is compared
+    cat = GraphCategory()
+    edge, swapped = Graph.of(2, [(0, 1)]), Graph.of(2, [(1, 0)])
+    cat.obj(swapped)
+    objects, morphisms = forged_graph_refs(cat, edge, swapped)
+    faults = ["is not from"] * 5 + ["is not a graph morphism"] + ["endpoints disagree"] * 2
+    assert len(faults) == len(morphisms)
+    for x in objects:
+        with pytest.raises(CategoryError, match=f"object .* is not from {cat.cat_id}$"):
+            cat.graph_of(x)
+    for m, fault in zip(morphisms, faults):
+        with pytest.raises(CategoryError) as err:
+            cat.hom_of(m)
+        assert fault in str(err.value), (m, str(err.value))
+        assert [f for f in set(faults) if f in str(err.value)] == [fault]
+
+
 def test_a_payload_holding_an_equal_graph_is_accepted():
     cat = GraphCategory()
     edge = Graph.of(2, [(0, 1)])

@@ -13,7 +13,7 @@ from injlog.lattice import (
     random_lattice,
     validate,
 )
-from injlog.proofs import Cancel, Hyp, ProofError, check_proof
+from injlog.proofs import Cancel, Hyp, RefusedReference, check_proof
 import oracles
 from oracles import random_hypotheses, wide_pushout
 
@@ -751,8 +751,9 @@ def test_check_proof_rejects_a_cancellation_through_a_forged_rest():
     first = cat.mor("0", "1")
     # rest . first would be 0->a, but 1 -> a is not in leq: accepting it
     # would derive 0->1, which {0->a} does not entail.  An end at index
-    # 1.0 equals a, but is no ref of the category either
+    # 1.0 equals a, but is no ref of the category either.  Each is refused
+    # as any other ref in a term is
     forged_end = MorRef(o[3], ObjRef(cat.cat_id, 1.0), (3, 1))
     for rest in (MorRef(o[3], o[1], (3, 1)), MorRef(o[3], o[1], (0, 1)), forged_end):
-        with pytest.raises(ProofError):
+        with pytest.raises(RefusedReference):
             check_proof(cat, hyps, Cancel(Hyp("p"), first=first, rest=rest))

@@ -646,6 +646,22 @@ def test_prove_refuses_a_forged_goal():
             prove(cat, MorphismSet.of([("ok", genuine)]), forged, node_cap=2, depth_cap=2)
 
 
+def test_the_checker_refuses_a_foreign_hypothesis_set():
+    # checked where it enters, as in the engines: a hypothesis read as a
+    # leaf would otherwise come back as a checked conclusion of the chain,
+    # and one the term never reads would pass unchecked
+    c = chain3()
+    h = MorphismSet.of([("p", diamond().mor("0", "a"))])
+    cases = [
+        lambda: check_proof(c, h, Hyp("p")),
+        lambda: check_proof(c, h, Identity(c.obj("0"))),
+        lambda: elaborate_macro(c, h, WidePushN((Hyp("p"),))),
+    ]
+    for case in cases:
+        with pytest.raises(RefusedReference, match=f"is not from {c.cat_id}$"):
+            case()
+
+
 @pytest.mark.parametrize("budget", ["node_cap", "depth_cap", "hom_cap", "mor_cap"])
 def test_prove_refuses_a_negative_budget(budget):
     # hom_cap=-1 would put every listing over the cap, and mor_cap=-1 would

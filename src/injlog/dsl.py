@@ -13,12 +13,17 @@ Names are ``[A-Za-z0-9_.]+``, a ``#`` comment runs to the end of its line,
 and spaces, tabs and carriage returns separate tokens; any other character
 is an error.  Diagnostics give the line and col of a token, both counting
 characters from 1; end of input is one column past the last character.
+The source is read in two regex calls, one that finds the first character
+that is no part of a lexeme and one that lists the token texts.  A token
+keeps only its index: a diagnostic finds its line and col when it is
+raised, by reading the source again up to the token.
 
 The leq relation is closed reflexively and transitively before validation.
 Lattice elements may be written qualified as LAT.elem; unqualified names
 must be unique across the declared lattices.  A name with a dot is always
-read as LAT.elem, split at its first dot, so an element whose own name has
-a dot is written qualified, and the printer writes it so.
+read as LAT.elem, split at its first dot, so a lattice name has no dot, an
+element whose own name has a dot is written qualified, and the printer
+writes it so.
 
 Proof bodies are s-expressions over the forms hyp, id, comp, cancel, push,
 coprod, widepush.  Morphism arguments are declared names or the literals
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Callable, NamedTuple, TypeVar
 
 from .core import Category, CategoryError, MorphismSet, MorRef, ObjRef
@@ -74,10 +80,6 @@ class DslError(Exception):
         self.diagnostic = diagnostic
 
 
-def _fail(tok: "_Token", message: str, hint: str = "") -> "DslError":
-    return DslError(Diagnostic(tok.line, tok.col, message, hint))
-
-
 # ---------------------------------------------------------------------------
 # tokens
 
@@ -85,39 +87,49 @@ def _fail(tok: "_Token", message: str, hint: str = "") -> "DslError":
 class _Token(NamedTuple):
     kind: str  # "ident", "eof", or the punctuation text itself
     text: str
-    line: int
-    col: int
+    index: int  # its place among the source's tokens; eof is last
 
 
-# one alternative per lexeme, tried in order: a newline, blanks and a
-# comment make no token, and any other character is an error
-_LEXEME = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
-    r"|(?P<punct>\|->|->|[{}();:,<])|(?P<ident>[A-Za-z0-9_.]+)|(?P<bad>.)"
-)
+# a match runs over the lexemes from the start and stops at the first
+# character that begins none of them: blanks, a comment to the end of its
+# line, punctuation and names
+_CLEAN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*|\|->|->|[{}();:,<]|[A-Za-z0-9_.]+)*")
+
+# a token's text, then the blanks and comments after it; the \A alternative
+# makes one empty match of the blanks and comments before the first token,
+# so every later match starts at a token and no name is read out of a comment
+_TOKENS = re.compile(r"(\A|\|->|->|[{}();:,<]|[A-Za-z0-9_.]+)(?:[ \t\r\n]+|#[^\n]*)*")
+
+_KINDS = {p: p for p in ("|->", "->", "{", "}", "(", ")", ";", ":", ",", "<")}
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(source):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        text = m.group()
-        tok = _Token("ident" if kind == "ident" else text, text, line, m.start() - line_start + 1)
-        if kind == "bad":
-            raise _fail(
-                tok,
-                f"unexpected character {text!r}",
-                "allowed: names, { } ( ) ; , : < -> |-> and # comments",
-            )
-        tokens.append(tok)
-    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
+    bad = _CLEAN.match(source).end()
+    if bad < len(source):
+        raise DslError(Diagnostic(
+            *_line_col(source, bad),
+            f"unexpected character {source[bad]!r}",
+            "allowed: names, { } ( ) ; , : < -> |-> and # comments",
+        ))
+    texts = _TOKENS.findall(source)
+    del texts[0]  # the \A match's empty text
+    kinds = map(_KINDS.get, texts, repeat("ident"))
+    # tuple.__new__ builds each token in C, with no call of _Token.__new__
+    tokens = list(map(tuple.__new__, repeat(_Token), zip(kinds, texts, range(len(texts)))))
+    tokens.append(_Token("eof", "", len(texts)))
     return tokens
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """The line and col of token number index of source, found by reading
+    the source again up to it; eof is one column past the last character."""
+    found = next(islice(_TOKENS.finditer(source), index + 1, None), None)
+    return _line_col(source, len(source) if found is None else found.start(1))
+
+
+def _line_col(source: str, offset: int) -> tuple[int, int]:
+    """The line and col of source[offset], both counting characters from 1."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +232,14 @@ _SECTIONS = {
 
 class _Parser:
     def __init__(self, source: str, ws: Workspace):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.ws = ws
+
+    def fail(self, tok: _Token, message: str, hint: str = "") -> DslError:
+        """The error at tok, with the line and col _position finds for it."""
+        return DslError(Diagnostic(*_position(self.source, tok.index), message, hint))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -237,7 +254,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != kind:
             what = kind if kind != "ident" else "a name"
-            raise _fail(tok, f"expected {what}, found {tok.text or 'end of input'!r}", hint)
+            raise self.fail(tok, f"expected {what}, found {tok.text or 'end of input'!r}", hint)
         return tok
 
     def parse(self) -> Workspace:
@@ -245,7 +262,7 @@ class _Parser:
             tok = self.expect("ident", "declarations start with lattice, graph, mor, hset, or proof")
             read = _DECLARATIONS.get(tok.text)
             if read is None:
-                raise _fail(
+                raise self.fail(
                     tok,
                     f"unknown declaration {tok.text!r}",
                     "use lattice, graph, mor, hset, or proof",
@@ -263,7 +280,7 @@ class _Parser:
             self.ws.proofs,
         ):
             if tok.text in table:
-                raise _fail(tok, f"name {tok.text!r} is already declared", "pick a fresh name")
+                raise self.fail(tok, f"name {tok.text!r} is already declared", "pick a fresh name")
         return tok.text
 
     def ident_list(self, stop: str) -> list[_Token]:
@@ -292,12 +309,12 @@ class _Parser:
         self.expect("{")
         sect = self.expect("ident")
         if sect.text != first:
-            raise _fail(sect, f"expected {first!r} section", f"{kw.text} NAME {{ {first}: ...; {second}: ...; }}")
+            raise self.fail(sect, f"expected {first!r} section", f"{kw.text} NAME {{ {first}: ...; {second}: ...; }}")
         self.expect(":")
         index: dict[str, int] = {}
         for t in self.ident_list(";"):
             if t.text in index:
-                raise _fail(t, f"duplicate {item} {t.text!r}")
+                raise self.fail(t, f"duplicate {item} {t.text!r}")
             index[t.text] = len(index)
 
         def pair() -> tuple[int, int]:
@@ -306,7 +323,7 @@ class _Parser:
             b = self.expect("ident")
             for t in (a, b):
                 if t.text not in index:
-                    raise _fail(t, f"unknown {item} {t.text!r} in {second}", f"declare it under {first}")
+                    raise self.fail(t, f"unknown {item} {t.text!r} in {second}", f"declare it under {first}")
             return index[a.text], index[b.text]
 
         pairs = []
@@ -319,13 +336,17 @@ class _Parser:
         return name, tuple(index), pairs
 
     def lattice_decl(self, kw: _Token) -> None:
+        named = self.peek()
+        if "." in named.text:
+            # a dotted name reads as LAT.elem, split at its first dot
+            raise self.fail(named, f"lattice name {named.text!r} has a dot", "name a lattice without '.'")
         name, elements, pairs = self.sections(kw)
         try:
             presentation = presentation_from_pairs(
                 name, elements, [(elements[a], elements[b]) for a, b in pairs]
             )
         except LatticeError as err:
-            raise _fail(kw, f"not a partial order: {err}", "check the leq pairs") from err
+            raise self.fail(kw, f"not a partial order: {err}", "check the leq pairs") from err
         self.ws.lattices[name] = LatticeDecl(name, LatticeCategory(presentation))
         self.ws.order.append(("lattice", name))
 
@@ -341,9 +362,9 @@ class _Parser:
             lat_name, _, elem = tok.text.partition(".")
             decl = self.ws.lattices.get(lat_name)
             if decl is None:
-                raise _fail(tok, f"unknown lattice {lat_name!r}")
+                raise self.fail(tok, f"unknown lattice {lat_name!r}")
             if elem not in decl.category.p.elements:
-                raise _fail(tok, f"lattice {lat_name!r} has no element {elem!r}")
+                raise self.fail(tok, f"lattice {lat_name!r} has no element {elem!r}")
             return decl.category, elem
         hits = [
             d.category
@@ -351,9 +372,9 @@ class _Parser:
             if tok.text in d.category.p.elements
         ]
         if not hits:
-            raise _fail(tok, f"unknown lattice element {tok.text!r}")
+            raise self.fail(tok, f"unknown lattice element {tok.text!r}")
         if len(hits) > 1:
-            raise _fail(
+            raise self.fail(
                 tok,
                 f"element {tok.text!r} appears in more than one lattice",
                 f"qualify it, e.g. {hits[0].p.name}.{tok.text}",
@@ -372,7 +393,7 @@ class _Parser:
         elif self.peek().kind == "{":
             ref = self.graph_mor(src, dst)
         else:
-            raise _fail(
+            raise self.fail(
                 self.peek(),
                 "expected ';' or a '{ ... }' map",
                 "lattice morphisms end with ';', graph morphisms map every node",
@@ -384,11 +405,11 @@ class _Parser:
         cat_a, a = self.resolve_element(src)
         cat_b, b = self.resolve_element(dst)
         if cat_a is not cat_b:
-            raise _fail(dst, f"elements {src.text!r} and {dst.text!r} are in different lattices")
+            raise self.fail(dst, f"elements {src.text!r} and {dst.text!r} are in different lattices")
         try:
             return cat_a.mor(a, b)
         except CategoryError as err:
-            raise _fail(
+            raise self.fail(
                 src,
                 f"no morphism {a} -> {b} in lattice {cat_a.p.name!r}",
                 f"{a} is not below {b}",
@@ -402,7 +423,7 @@ class _Parser:
                 hint = ""
                 if any(tok.text in d.category.p.elements for d in self.ws.lattices.values()):
                     hint = "lattice morphisms are written 'mor NAME : a -> b;'"
-                raise _fail(tok, f"unknown graph {tok.text!r}", hint)
+                raise self.fail(tok, f"unknown graph {tok.text!r}", hint)
         self.expect("{")
         sindex = {n: i for i, n in enumerate(sdecl.node_names)}
         dindex = {n: i for i, n in enumerate(ddecl.node_names)}
@@ -413,18 +434,18 @@ class _Parser:
             self.expect("|->", "write assignments as u |-> x")
             v = self.expect("ident")
             if u.text not in sindex:
-                raise _fail(u, f"unknown node {u.text!r} in graph {src.text!r}")
+                raise self.fail(u, f"unknown node {u.text!r} in graph {src.text!r}")
             if v.text not in dindex:
-                raise _fail(v, f"unknown node {v.text!r} in graph {dst.text!r}")
+                raise self.fail(v, f"unknown node {v.text!r} in graph {dst.text!r}")
             if sindex[u.text] in images:
-                raise _fail(u, f"node {u.text!r} is mapped twice")
+                raise self.fail(u, f"node {u.text!r} is mapped twice")
             images[sindex[u.text]] = dindex[v.text]
 
         self.items(assign)
         end = self.expect("}")
         missing = [n for n, i in sindex.items() if i not in images]
         if missing:
-            raise _fail(
+            raise self.fail(
                 end,
                 f"total map required: node {missing[0]!r} has no image",
                 f"add {missing[0]} |-> ...",
@@ -438,7 +459,7 @@ class _Parser:
         try:
             hom = GraphHom(src, dst, mapping)
         except ValueError as err:
-            raise _fail(tok, str(err), hint) from err
+            raise self.fail(tok, str(err), hint) from err
         return self.ws.graph_category.mor(hom)
 
     def hset_decl(self, kw: _Token) -> None:
@@ -449,7 +470,7 @@ class _Parser:
             m = self.next()
             decl = self.ws.morphisms.get(m.text)
             if decl is None:
-                raise _fail(m, f"unknown morphism {m.text!r}", "declare it with mor first")
+                raise self.fail(m, f"unknown morphism {m.text!r}", "declare it with mor first")
             return m.text, decl.ref
 
         members = self.items(member)
@@ -457,7 +478,7 @@ class _Parser:
         try:
             hset = MorphismSet.of(members)
         except ValueError as err:
-            raise _fail(kw, str(err), "an hset lives in a single category") from err
+            raise self.fail(kw, str(err), "an hset lives in a single category") from err
         self.ws.hsets[name] = HsetDecl(name, hset)
         self.ws.order.append(("hset", name))
 
@@ -472,14 +493,14 @@ class _Parser:
     def int_tok(self) -> int:
         tok = self.expect("ident")
         if not tok.text.isdigit():
-            raise _fail(tok, f"expected a number, found {tok.text!r}")
+            raise self.fail(tok, f"expected a number, found {tok.text!r}")
         return int(tok.text)
 
     def graph_literal(self) -> Graph:
         self.expect("(")
         head = self.expect("ident")
         if head.text != "g":
-            raise _fail(head, f"expected graph literal (g ...), found {head.text!r}")
+            raise self.fail(head, f"expected graph literal (g ...), found {head.text!r}")
         count = self.int_tok()
         self.expect("(")
         edges = []
@@ -494,7 +515,7 @@ class _Parser:
         try:
             return Graph.of(count, edges)
         except ValueError as err:
-            raise _fail(head, str(err)) from err
+            raise self.fail(head, str(err)) from err
 
     def graph_operand(self) -> Graph:
         if self.peek().kind == "(":
@@ -502,7 +523,7 @@ class _Parser:
         tok = self.expect("ident")
         decl = self.ws.graphs.get(tok.text)
         if decl is None:
-            raise _fail(tok, f"unknown graph {tok.text!r}")
+            raise self.fail(tok, f"unknown graph {tok.text!r}")
         return decl.graph
 
     def object_operand(self) -> ObjRef:
@@ -516,7 +537,7 @@ class _Parser:
             tok = self.expect("ident")
             decl = self.ws.morphisms.get(tok.text)
             if decl is None:
-                raise _fail(tok, f"unknown morphism {tok.text!r}")
+                raise self.fail(tok, f"unknown morphism {tok.text!r}")
             return decl.ref
         self.next()
         head = self.expect("ident")
@@ -535,12 +556,12 @@ class _Parser:
             self.expect(")")
             self.expect(")")
             return self.graph_hom(head, src, dst, tuple(mapping), "")
-        raise _fail(head, f"expected a morphism, found ({head.text} ...)", "use a name, (lmor a b), or (gmor ...)")
+        raise self.fail(head, f"expected a morphism, found ({head.text} ...)", "use a name, (lmor a b), or (gmor ...)")
 
     def proof_term(self, depth: int = 1) -> ProofTerm:
         opening = self.expect("(", "proof terms are s-expressions")
         if depth > MAX_PROOF_DEPTH:
-            raise _fail(opening, f"proof nested deeper than {MAX_PROOF_DEPTH} forms")
+            raise self.fail(opening, f"proof nested deeper than {MAX_PROOF_DEPTH} forms")
         head = self.expect("ident")
         if head.text == "hyp":
             name = self.expect("ident")
@@ -573,7 +594,7 @@ class _Parser:
             self.expect(")")
             form = CoprodN if head.text == "coprod" else WidePushN
             return form(tuple(parts))
-        raise _fail(
+        raise self.fail(
             head,
             f"unknown proof form {head.text!r}",
             "use hyp, id, comp, cancel, push, coprod, or widepush",

@@ -5,14 +5,16 @@ questions each category answers itself (find_factorization,
 is_injective, cancellations), the wide pushout as one attachment along
 the identity, the labeled graph walk (every graph on at most n nodes,
 2^(n*n) of them on n), the random graphs, disjoint unions and
-hypothesis sets that many tests draw, and a check of the pushout's
-universal property by enumerating cocones.  None of them is used by the
+hypothesis sets that many tests draw, a check of the pushout's universal
+property by enumerating cocones, and the workspace tokenizer that gave
+each token its line and col as it read.  None of them is used by the
 package itself.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from itertools import chain
 from typing import Container, Iterable, Iterator, Sequence
@@ -28,6 +30,7 @@ from injlog.core import (
     ObjRef,
     WidePushoutResult,
 )
+from injlog.dsl import Diagnostic, DslError
 from injlog.graphs import Graph, _check_bound
 from injlog.lattice import LatticeCategory
 
@@ -198,3 +201,39 @@ def verify_pushout_square(
                     kind = "missing mediator" if not count else "mediator not unique"
                     return CoconeCheckReport(False, CoconeFailure(z, kind, (u, v)))
     return CoconeCheckReport(True)
+
+
+# one alternative per lexeme, tried in order: a newline, blanks and a
+# comment make no token, and any other character is an error
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<punct>\|->|->|[{}();:,<])|(?P<ident>[A-Za-z0-9_.]+)|(?P<bad>.)"
+)
+
+
+def positioned_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """The workspace tokens as (kind, text, line, col), the position
+    counted match by match as the loop reads; the eof token is one column
+    past the last character.  ``dsl._tokenize`` keeps no position and
+    ``dsl._position`` finds one when asked: tests compare the two."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise DslError(Diagnostic(
+                line,
+                col,
+                f"unexpected character {text!r}",
+                "allowed: names, { } ( ) ; , : < -> |-> and # comments",
+            ))
+        tokens.append(("ident" if kind == "ident" else text, text, line, col))
+    tokens.append(("eof", "", line, len(source) - line_start + 1))
+    return tokens

@@ -483,6 +483,32 @@ def test_parse_error_exit_code_and_json_shape(tmp_path, capsys):
     assert report["line"] == 1
 
 
+def test_parse_error_at_an_earlier_token_reports_its_position(tmp_path, capsys):
+    # the mixed hset is refused after its closing brace, at its keyword
+    bad = tmp_path / "mixed.inj"
+    bad.write_text(WORKSPACE + "\n   hset across {\n  h, inc }\n")
+    code, out = run(capsys, "saturate", str(bad), "--cat", "chain", "--hset", "H", "--json")
+    assert code == 65
+    report = json.loads(out)
+    line = WORKSPACE.count("\n") + 2
+    assert (report["verdict"], report["line"], report["col"]) == ("parse-error", line, 4)
+    assert report["error"] == (
+        f"line {line}, col 4: hypotheses span more than one category (hint: an hset lives in a single category)"
+    )
+
+
+def test_a_dotted_lattice_name_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "dotted.inj"
+    bad.write_text("lattice M.N { elements: x y; leq: x<y; }\nmor h : M.N.x -> M.N.y;\nhset H { h }\n")
+    code, _ = run(capsys, "saturate", str(bad), "--cat", "M.N", "--hset", "H")
+    assert code == 65
+    code, out = run(capsys, "saturate", str(bad), "--cat", "M.N", "--hset", "H", "--json")
+    assert code == 65
+    report = json.loads(out)
+    assert (report["verdict"], report["line"], report["col"]) == ("parse-error", 1, 9)
+    assert report["error"] == "line 1, col 9: lattice name 'M.N' has a dot (hint: name a lattice without '.')"
+
+
 def text_verdict(out: str) -> str:
     for line in out.splitlines():
         if line.startswith("verdict: "):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from injlog.dsl import (
     DslError,
     Workspace,
     _Parser,
+    _position,
+    _Token,
     _tokenize,
     parse,
     parse_proof_text,
@@ -25,6 +28,8 @@ from injlog.proofs import (
     prove,
     saturate,
 )
+from oracles import positioned_tokenize
+from test_cli import NO_JOIN, POINT_TO_EDGE, WORKSPACE, random_lattice_workspace
 
 CHAIN_SRC = """
 # cancellation workspace: 0 < 1 < 2 with the long hop as hypothesis
@@ -158,6 +163,18 @@ def test_dotted_elements_print_qualified_and_round_trip():
         assert check_proof(cat, ws.hsets["H"].morphisms, back) == cat.identity(ab)
 
 
+def test_a_lattice_name_has_no_dot():
+    # M.N.x would read as element N.x of a lattice M, so M.N is refused
+    # where it is declared, before its body
+    d = diag("lattice L { elements: a; }\n  lattice M.N { elements: x y; leq: x<y; }\nproof p { (id M.N.x) }")
+    assert d == Diagnostic(2, 11, "lattice name 'M.N' has a dot", "name a lattice without '.'")
+    d = diag("lattice .L { elements: ; bad }")
+    assert d == Diagnostic(1, 9, "lattice name '.L' has a dot", "name a lattice without '.'")
+    # a graph's name is never split
+    ws = parse("graph g.1 { nodes: a; }\nproof p { (id g.1) }")
+    assert ws.proofs["p"].term == Identity(ws.graphs["g.1"].obj)
+
+
 def diag(src: str):
     with pytest.raises(DslError) as err:
         parse(src)
@@ -268,6 +285,27 @@ REFERENCE_ERRORS = [
         L_SRC + "proof p { (frob (hyp h)) }",
         "unknown proof form 'frob'", "use hyp, id, comp, cancel, push, coprod, or widepush", 2, 12,
     ),
+    # raised after the reader has moved past the token they name, each away
+    # from the start of its line
+    (
+        L_SRC + "  lattice M { elements: c d; leq: c<d, d<c; }",
+        "not a partial order: not-antisymmetric at ('c', 'd')", "check the leq pairs", 2, 3,
+    ),
+    (
+        L_SRC + "graph X { nodes: x; }\nmor p : a -> b;\nmor q : X -> X { x |-> x }\n\thset H { p, q }",
+        "hypotheses span more than one category", "an hset lives in a single category", 5, 2,
+    ),
+    (
+        L_SRC + "proof p {\n  (push (hyp h)\n    (gmor (g 1 ()) (g 2 ((0 5))) (0)))\n}",
+        "edge (0, 5) out of range for 2 nodes", "", 4, 21,
+    ),
+    (L_SRC + "proof p { (id\n   (g 0 ((0 0)))) }", "edge (0, 0) out of range for 0 nodes", "", 3, 5),
+    (
+        "graph A { nodes: x y; edges: x->y; }\ngraph B { nodes: z w; }\nmor f :  A -> B { x |-> z, y |-> w }",
+        "map does not preserve edge (0, 1): (0, 1) missing in target", "the map must send edges to edges", 3, 10,
+    ),
+    (G_SRC + "proof p {\n (push (hyp h) (gmor H G (5))) }", "image 5 out of range", "", 4, 17),
+    (G_SRC + "proof p {\n (push (hyp h) (gmor H G (0 0))) }", "total map required: 2 images for 1 nodes", "", 4, 17),
 ]
 
 
@@ -278,11 +316,29 @@ REFERENCE_ERRORS = [
         "not-a-partial-order", "unknown-lattice", "no-such-element", "no-mor-body", "different-lattices",
         "lattice-name-hint", "unknown-source-node", "unknown-target-node", "not-a-number",
         "not-a-graph-literal", "edge-out-of-range", "unknown-graph-operand", "unknown-morphism-operand",
-        "unknown-morphism-form", "unknown-proof-form",
+        "unknown-morphism-form", "unknown-proof-form", "partial-order-at-keyword", "hset-at-keyword",
+        "literal-at-head", "second-line-literal", "non-hom-at-source", "gmor-image-at-head", "gmor-length-at-head",
     ],
 )
 def test_reference_errors_are_pinned(src, message, hint, line, col):
     assert diag(src) == Diagnostic(line, col, message, hint)
+
+
+def test_bare_proof_errors_are_positioned_in_the_proof_text():
+    ws = parse(L_SRC + "mor h : a -> b;\n")
+    cases = [
+        ("(push (hyp h)\n   nope)", Diagnostic(2, 4, "unknown morphism 'nope'")),
+        ("(hyp h) leftover", Diagnostic(1, 9, "expected eof, found 'leftover'")),
+        ("(hyp h) # done\n  )", Diagnostic(2, 3, "expected eof, found ')'")),
+        (
+            "\n\n  (frob)",
+            Diagnostic(3, 4, "unknown proof form 'frob'", "use hyp, id, comp, cancel, push, coprod, or widepush"),
+        ),
+    ]
+    for text, want in cases:
+        with pytest.raises(DslError) as err:
+            parse_proof_text(ws, text)
+        assert err.value.diagnostic == want, text
 
 
 def test_non_homomorphism_reports_the_violating_edge():
@@ -455,10 +511,16 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
 
 
 def lexed(tokenize, source: str):
+    """The tokens as (kind, text, line, col), or the diagnostic raised; a
+    package token's line and col are the ones its diagnostic would give."""
     try:
-        return [tuple(t) for t in tokenize(source)]
+        tokens = tokenize(source)
     except DslError as err:
         return err.diagnostic
+    return [
+        (t.kind, t.text, *_position(source, t.index)) if isinstance(t, _Token) else tuple(t)
+        for t in tokens
+    ]
 
 
 def test_tokenizer_matches_the_reference_loop():
@@ -477,3 +539,75 @@ def test_tokenizer_matches_the_reference_loop():
             after_comment += 1
         assert got == want, source
     assert after_comment > 1000
+
+
+# --- the tokenizer against the positioned loop, over real workspace texts --
+
+# characters a mutation inserts: the lexemes' own, blanks, CRLF's half, and
+# ones no lexeme takes (a lone - | or >, =, é, a form feed)
+_MUTATION_ALPHABET = list("ab_.09{}();:,<#") + ["->", "|->", " ", "\t", "\r", "\n", "=", "é", "-", "|", ">", "\f"]
+
+
+def _workspace_texts() -> list[str]:
+    """The fixtures of these tests and of the CLI's, the README's workspace,
+    and lattice workspaces shaped as the benchmark's CLI session writes them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = [CHAIN_SRC, GRAPH_SRC, L_SRC, G_SRC, WORKSPACE, NO_JOIN, POINT_TO_EDGE]
+    texts.append(readme[readme.index("## Command line"):].split("```")[1])
+    for seed in range(4):
+        text = random_lattice_workspace(seed)
+        ws = parse(text)
+        cat, hset = ws.lattices["L"].category, ws.hsets["H"].morphisms
+        derived = saturate(cat, hset)
+        m = max(derived.derived, key=lambda m: len(proof_to_text(ws, derived.provenance[m])))
+        texts.append(text + f"proof p {{ {proof_to_text(ws, derived.provenance[m])} }}\n")
+    return texts
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+        kind = rng.randrange(6)
+        if kind == 0:
+            text = text[:i] + rng.choice(_MUTATION_ALPHABET) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[j:]
+        elif kind == 2:
+            text = text[:i] + text[i:j] * 2 + text[j:]
+        elif kind == 3:
+            text = text.replace("\n", "\r\n") if rng.random() < 0.5 else text.replace("  ", "\t")
+        elif kind == 4:
+            # a comment holding token-like text, with or without its newline
+            text = text[:i] + rng.choice(["# a -> b", "#x|->y;", "#(hyp h)"]) + rng.choice(["\n", ""]) + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_tokenizer_matches_the_positioned_loop_on_mutated_workspaces():
+    rng = random.Random(7919)
+    texts = _workspace_texts()
+    cases = ["", " \t\r\n  \n", "# a -> b", "lattice L { elements: a; } # a -> b", "\r\n\t# c"]
+    cases += [t.replace("\n", "\r\n") for t in texts] + [t.replace("  ", "\t") for t in texts]
+    cases += [t.rstrip("\n") + " # mor f : a -> b;" for t in texts]
+    cases += [t[: len(t) // 2] + bad + t[len(t) // 2:] for t in texts for bad in "=é-|>\f"]
+    cases += [_mutate(rng, rng.choice(texts)) for _ in range(1500)]
+    seen = {"bad character": 0, "tokens": 0, "parse error": 0, "parsed": 0}
+    for source in cases:
+        got, want = lexed(_tokenize, source), lexed(positioned_tokenize, source)
+        assert got == want, source
+        if isinstance(want, Diagnostic):
+            assert want.message.startswith("unexpected character")
+            seen["bad character"] += 1
+            continue
+        seen["tokens"] += 1
+        try:
+            parse(source)
+        except DslError as err:
+            # a parse error sits at one of the reference's tokens
+            d = err.diagnostic
+            assert (d.line, d.col) in {(line, col) for _, _, line, col in want}, source
+            seen["parse error"] += 1
+        else:
+            seen["parsed"] += 1
+    assert min(seen.values()) > 100, seen
